@@ -3,8 +3,11 @@
 One subcommand per laboratory operation.  Reports go to stdout as a
 single JSON document (complex numbers as [re, im] pairs) or, with
 --format csv, as a flat table whose columns are listed in the
-subcommand's --help.  Output bytes are a deterministic function of argv,
-including --seed and --jobs.
+subcommand's --help.  A complex CSV value fills two columns NAME_re and
+NAME_im, vector and matrix entries take 1-based index suffixes (x1,
+jac12), integer tuples are ';'-joined, every float is written as its
+Python float repr, and a missing value is a blank cell.  Output bytes
+are a deterministic function of argv, including --seed and --jobs.
 
 Exit codes: 0 success, 1 a certified value failed verification,
 2 invalid input, 3 an iteration failed to converge.
@@ -36,6 +39,7 @@ from .genericity import (
     DEFECT_NOISE_FLOOR,
     SUBMERSION_RTOL,
     RANK_GAP,
+    SampleStats,
     alignment_census,
     coeff_derivative_table,
     defect_experiment,
@@ -44,8 +48,6 @@ from .genericity import (
     submersion_all,
     submersion_report,
 )
-
-_CFG_DEFAULTS = RunConfig()
 
 
 def _parse_complex(text: str) -> complex:
@@ -89,34 +91,33 @@ def _jsonable(obj):
     return obj
 
 
-def _fmt(value) -> str:
+def _cells(name: str, value) -> list[tuple[str, str]]:
+    """The CSV (column, text) cells of one named value."""
+    if isinstance(value, complex):
+        return [(f"{name}_re", repr(float(value.real))), (f"{name}_im", repr(float(value.imag)))]
+    if isinstance(value, (tuple, list, np.ndarray)):
+        if all(isinstance(v, int) for v in value):
+            return [(name, ";".join(map(str, value)))]
+        return [cell for i, v in enumerate(value, 1) for cell in _cells(f"{name}{i}", v)]
+    if value is None:
+        return [(name, "")]
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return [(name, "true" if value else "false")]
     if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return [(name, repr(float(value)))]
+    return [(name, str(value))]
 
 
-def _complex_cols(name: str, value: complex) -> list[tuple[str, str]]:
-    return [(f"{name}_re", repr(value.real)), (f"{name}_im", repr(value.imag))]
+def _table(records, header=()) -> list[list[str]]:
+    """CSV rows for records of (column, value) pairs; `header` heads an empty table."""
+    rows = [[cell for name, value in rec for cell in _cells(name, value)] for rec in records]
+    if rows:
+        header = [column for column, _ in rows[0]]
+    return [list(header)] + [[text for _, text in row] for row in rows]
 
 
 def _make_cfg(args) -> RunConfig:
-    return RunConfig(
-        newton_tol=args.newton_tol,
-        max_iters=args.max_iters,
-        continuation_steps=args.continuation_steps,
-        dedup_tol=args.dedup_tol,
-        radius=args.radius,
-        fd_step=args.fd_step,
-        tol_hyp=args.tol_hyp,
-        tol_nd=args.tol_nd,
-        align_tol=args.align_tol,
-        delta=args.delta,
-        max_order=args.max_order,
-        seed=args.seed,
-        samples=args.samples,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
 def _alpha_from(args, n: int) -> tuple[complex, ...]:
@@ -134,35 +135,20 @@ def _params_from(args) -> FoliationParams:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, rows, warnings, exit_code)
-# where rows is the CSV form [(header...), (row...), ...]
+# where payload holds library objects and rows is the CSV table from _table
 
 
 def _cmd_counts(args, cfg):
     c = counts(args.n, args.d)
-    payload = {"N": c.N, "M": c.M, "K": c.K}
-    rows = [("n", "d", "N", "M", "K"),
-            tuple(map(str, (args.n, args.d, c.N, c.M, c.K)))]
-    return payload, rows, [], 0
-
-
-def _point_rows(points, n):
-    header = ["m", "converged", "newton_iters", "residual"]
-    for i in range(1, n + 1):
-        header += [f"x{i}_re", f"x{i}_im"]
-    rows = [tuple(header)]
-    for p in points:
-        row = [str(p.m), _fmt(p.converged), str(p.newton_iters), repr(p.residual)]
-        for z in p.coords:
-            row += [repr(z.real), repr(z.imag)]
-        rows.append(tuple(row))
-    return rows
+    rows = _table([[("n", args.n), ("d", args.d), ("N", c.N), ("M", c.M), ("K", c.K)]])
+    return c, rows, [], 0
 
 
 def _cmd_sing(args, cfg):
-    params = _params_from(args)
-    points = track_singularities(params, cfg)
-    payload = [dataclasses.asdict(p) for p in points]
-    return payload, _point_rows(points, params.n), [], 0
+    points = track_singularities(_params_from(args), cfg)
+    rows = _table([("m", p.m), ("converged", p.converged), ("newton_iters", p.newton_iters),
+                   ("residual", p.residual), ("x", p.coords)] for p in points)
+    return points, rows, [], 0
 
 
 def _cmd_spectrum(args, cfg):
@@ -183,40 +169,11 @@ def _cmd_spectrum(args, cfg):
                 f"m={rep.m}: eigenvalues nearly repeated (separation {sep:.3e}); "
                 "root conditioning is poor near the discriminant"
             )
-    header = ["m", "classification", "resonant", "c_min", "worst_j", "worst_m"]
-    n = params.n
-    for i in range(1, n + 1):
-        header += [f"sigma{i}_re", f"sigma{i}_im"]
-    for i in range(1, n + 1):
-        header += [f"lambda{i}_re", f"lambda{i}_im"]
-    rows = [tuple(header)]
-    for rep in reports:
-        row = [str(rep.m), rep.classification, _fmt(rep.divisor.resonant),
-               repr(rep.divisor.c_min), str(rep.divisor.worst_j),
-               ";".join(map(str, rep.divisor.worst_m))]
-        for z in rep.sigma:
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        for z in rep.eigenvalues:
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        rows.append(tuple(row))
-    return [_jsonable(r) for r in reports], rows, warnings, 0
-
-
-def _submersion_rows(reports, n):
-    header = ["m", "abs_det", "expected_modulus", "rel_error", "fd_step", "sv_min", "sv_max"]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            header += [f"jac{i}{j}_re", f"jac{i}{j}_im"]
-    rows = [tuple(header)]
-    for rep in reports:
-        row = [str(rep.m), repr(abs(rep.det)), repr(rep.expected_modulus),
-               repr(rep.rel_error), repr(rep.fd_step), repr(rep.sv_min), repr(rep.sv_max)]
-        for i in range(n):
-            for j in range(n):
-                z = rep.jac[i, j]
-                row += [repr(float(z.real)), repr(float(z.imag))]
-        rows.append(tuple(row))
-    return rows
+    rows = _table([("m", r.m), ("classification", r.classification),
+                   ("resonant", r.divisor.resonant), ("c_min", r.divisor.c_min),
+                   ("worst_j", r.divisor.worst_j), ("worst_m", r.divisor.worst_m),
+                   ("sigma", r.sigma), ("lambda", r.eigenvalues)] for r in reports)
+    return reports, rows, warnings, 0
 
 
 def _cmd_submersion(args, cfg):
@@ -235,53 +192,36 @@ def _cmd_submersion(args, cfg):
         if rep.sv_min <= RANK_GAP * rep.sv_max:
             warnings.append(f"m={rep.m}: rank certificate failed (singular value gap)")
             code = 1
-    return [_jsonable(r) for r in reports], _submersion_rows(reports, args.n), warnings, code
+    rows = _table([("m", r.m), ("abs_det", abs(r.det)), ("expected_modulus", r.expected_modulus),
+                   ("rel_error", r.rel_error), ("fd_step", r.fd_step), ("sv_min", r.sv_min),
+                   ("sv_max", r.sv_max), ("jac", r.jac)] for r in reports)
+    return reports, rows, warnings, code
 
 
 def _cmd_derivs(args, cfg):
     entries = coeff_derivative_table(args.n, args.d, cfg)
-    rows = [("i", "j", "explicit", "fd_re", "fd_im", "formula_re", "formula_im", "rel_error")]
-    for e in entries:
-        explicit = e.formula is not None
-        rows.append((
-            str(e.i), str(e.j), _fmt(explicit),
-            repr(e.fd.real), repr(e.fd.imag),
-            repr(e.formula.real) if explicit else "",
-            repr(e.formula.imag) if explicit else "",
-            repr(e.rel_error) if explicit else "",
-        ))
-    return [_jsonable(e) for e in entries], rows, [], 0
+    # an entry without a closed formula still fills both formula columns
+    no_formula = [("formula_re", None), ("formula_im", None)]
+    rows = _table([("i", e.i), ("j", e.j), ("explicit", e.formula is not None), ("fd", e.fd),
+                   *([("formula", e.formula)] if e.formula is not None else no_formula),
+                   ("rel_error", e.rel_error)] for e in entries)
+    return entries, rows, [], 0
 
 
 def _cmd_align(args, cfg):
     params = _params_from(args)
-    points = track_singularities(params, cfg)
-    records = alignment_census(points, params.d, cfg)
-    rows = [("record", "size", "indices", "residual")]
-    for idx, rec in enumerate(records):
-        rows.append((str(idx), str(len(rec.indices)),
-                     ";".join(map(str, rec.indices)), repr(rec.residual)))
-    payload = {"count": len(records), "records": [_jsonable(r) for r in records]}
-    return payload, rows, [], 0
+    records = alignment_census(track_singularities(params, cfg), params.d, cfg)
+    rows = _table([[("record", idx), ("size", len(rec.indices)), ("indices", rec.indices),
+                    ("residual", rec.residual)] for idx, rec in enumerate(records)],
+                  header=("record", "size", "indices", "residual"))
+    return {"count": len(records), "records": records}, rows, [], 0
 
 
 def _cmd_hyperplanes(args, cfg):
-    hs = hyperplane_set(args.n, args.d)
-    header = ["k"]
-    for i in range(1, args.n + 1):
-        header += [f"normal{i}_re", f"normal{i}_im"]
-    rows = [tuple(header)]
-    for k, normal in zip(hs.element_powers, hs.images):
-        row = [str(k)]
-        for z in normal:
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        rows.append(tuple(row))
-    payload = {
-        "base_normal": _jsonable(hs.base_normal),
-        "images": [_jsonable(v) for v in hs.images],
-        "element_powers": hs.element_powers,
-    }
-    return payload, rows, [], 0
+    hs = hyperplane_set(args.n, args.d, cfg)
+    rows = _table([("k", k), ("normal", normal)]
+                  for k, normal in zip(hs.element_powers, hs.images))
+    return hs, rows, [], 0
 
 
 def _cmd_defect(args, cfg):
@@ -297,16 +237,15 @@ def _cmd_defect(args, cfg):
         coord_pair = (int(parts[0]), int(parts[1]))
     result = defect_experiment(args.n, args.d, tuple(args.nu), args.mu_grid, cfg,
                                coord_pair=coord_pair)
-    rows = [("mu", "defect", "slope")]
-    for mu, defect in zip(result.mus, result.defects):
-        rows.append((repr(mu), repr(defect), repr(result.slope)))
+    rows = _table([("mu", mu), ("defect", defect), ("slope", result.slope)]
+                  for mu, defect in zip(result.mus, result.defects))
     warnings = []
     if min(result.defects) < DEFECT_NOISE_FLOOR:
         warnings.append(
             "some defects sit at rounding-noise level; the tracked pattern "
             "appears exactly aligned along this ray and the slope means nothing"
         )
-    return _jsonable(result), rows, warnings, 0
+    return result, rows, warnings, 0
 
 
 def _cmd_pushforward(args, cfg):
@@ -331,30 +270,22 @@ def _cmd_pushforward(args, cfg):
         )
     payload = {
         "k": g.k,
-        "weights": list(g.weights),
-        "c": _jsonable(c),
-        "alpha_tilde": [_jsonable(a) for a in alpha_t],
+        "weights": g.weights,
+        "c": c,
+        "alpha_tilde": alpha_t,
         "residual": residual,
         "matches_diagonal_guess": matches,
     }
-    header = ["k", "c_re", "c_im", "residual", "matches_diagonal_guess"]
-    for i in range(1, args.n + 1):
-        header += [f"alpha_tilde{i}_re", f"alpha_tilde{i}_im"]
-    row = [str(g.k), repr(c.real), repr(c.imag), repr(residual), _fmt(matches)]
-    for a in alpha_t:
-        row += [repr(a.real), repr(a.imag)]
-    return payload, [tuple(header), tuple(row)], warnings, 0
+    rows = _table([[("k", g.k), ("c", c), ("residual", residual),
+                    ("matches_diagonal_guess", matches), ("alpha_tilde", alpha_t)]])
+    return payload, rows, warnings, 0
 
 
 def _cmd_sample(args, cfg):
     stats = genericity_sample(args.n, args.d, cfg, jobs=args.jobs)
-    payload = _jsonable(stats)
-    fields = ["n", "d", "samples", "seed", "radius", "delta", "max_order",
-              "n_failed", "n_all_hyperbolic", "n_any_resonant",
-              "frac_failures", "frac_all_hyperbolic", "frac_any_resonant"]
-    rows = [tuple(fields),
-            tuple(_fmt(getattr(stats, f)) for f in fields)]
-    return payload, rows, [], 0
+    rows = _table([[(f.name, getattr(stats, f.name))
+                    for f in dataclasses.fields(SampleStats) if f.name != "note"]])
+    return stats, rows, [], 0
 
 
 _HANDLERS = {
@@ -384,20 +315,9 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, required=True, help="degree (>= 1)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    common.add_argument("--newton-tol", type=float, default=_CFG_DEFAULTS.newton_tol)
-    common.add_argument("--max-iters", type=int, default=_CFG_DEFAULTS.max_iters)
-    common.add_argument("--continuation-steps", type=int,
-                        default=_CFG_DEFAULTS.continuation_steps)
-    common.add_argument("--dedup-tol", type=float, default=_CFG_DEFAULTS.dedup_tol)
-    common.add_argument("--radius", type=float, default=_CFG_DEFAULTS.radius)
-    common.add_argument("--fd-step", type=float, default=_CFG_DEFAULTS.fd_step)
-    common.add_argument("--tol-hyp", type=float, default=_CFG_DEFAULTS.tol_hyp)
-    common.add_argument("--tol-nd", type=float, default=_CFG_DEFAULTS.tol_nd)
-    common.add_argument("--align-tol", type=float, default=_CFG_DEFAULTS.align_tol)
-    common.add_argument("--delta", type=float, default=_CFG_DEFAULTS.delta)
-    common.add_argument("--max-order", type=int, default=_CFG_DEFAULTS.max_order)
-    common.add_argument("--seed", type=int, default=_CFG_DEFAULTS.seed)
-    common.add_argument("--samples", type=int, default=_CFG_DEFAULTS.samples)
+    for f in dataclasses.fields(RunConfig):
+        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default)
 
     alpha_parent = argparse.ArgumentParser(add_help=False)
     alpha_parent.add_argument(
@@ -484,23 +404,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, rows, warnings) -> None:
+def _emit(args, cfg, payload, rows, warnings) -> None:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(rows)
         return
+    params = {"n": args.n, "d": args.d}
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None:
+        params["alpha"] = alpha
     report = {
         "tool_version": __version__,
         "command": args.command,
-        "params": {"n": args.n, "d": args.d},
-        "cfg": _jsonable(_make_cfg(args)),
-        "payload": _jsonable(payload),
+        "params": params,
+        "cfg": cfg,
+        "payload": payload,
         "warnings": warnings,
     }
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        report["params"]["alpha"] = [_jsonable(a) for a in alpha]
-    json.dump(report, sys.stdout, indent=2)
+    json.dump(_jsonable(report), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
@@ -521,10 +442,9 @@ def run(argv) -> int:
         return 3
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        payload = _jsonable(exc.payload) if exc.payload is not None else None
-        _emit(args, payload, [("error",), (str(exc),)], [str(exc)])
+        _emit(args, cfg, exc.payload, _table([[("error", exc)]]), [str(exc)])
         return 1
-    _emit(args, payload, rows, warnings)
+    _emit(args, cfg, payload, rows, warnings)
     return code
 
 

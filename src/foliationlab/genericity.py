@@ -35,13 +35,7 @@ from .jouanolou import (
     unit_root,
 )
 from .solver import RunConfig, track_one, track_singularities
-from .spectral import (
-    HYPERBOLIC,
-    char_poly_direct,
-    classify,
-    eigenvalues,
-    small_divisor_scan,
-)
+from .spectral import HYPERBOLIC, char_poly_direct, spectrum_report
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
 SUBMERSION_RTOL = 1e-4
@@ -314,13 +308,14 @@ def base_pattern_indices(n: int, d: int) -> list[int]:
     return sorted(((j * c.K) % c.N) or c.N for j in range(d + 1))
 
 
-def hyperplane_set(n: int, d: int) -> HyperplaneSet:
+def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSet:
     """Base hyperplane normal and its images under the census-selected elements.
 
     The base normal has d^(2k-1) in even slot 2k (2k <= n - 1) and zeros
     elsewhere.  For each aligned pattern in the unperturbed census the
     smallest generator power carrying the base pattern onto it is found,
     and the image normal divides each slot by that element's scaling.
+    The census uses cfg.align_tol.
     """
     if n % 2 == 0:
         raise InputError("perturbation hyperplanes exist only for odd n")
@@ -331,7 +326,6 @@ def hyperplane_set(n: int, d: int) -> HyperplaneSet:
     for two_k in range(2, n, 2):
         base[two_k - 1] = float(d) ** (two_k - 1)
 
-    cfg = RunConfig()
     census = alignment_census(closed_form_sing(n, d), d, cfg)
     if len(census) != c.K:
         raise VerificationError(
@@ -481,14 +475,9 @@ def _sample_one(task) -> tuple[bool, bool, bool]:
         params = FoliationParams(n, d, alpha)
         points = track_singularities(params, cfg)
         field = family_field(params)
-        all_hyp = True
-        any_res = False
-        for point in points:
-            lams = eigenvalues(char_poly_direct(field, point.coords))
-            if classify(lams, cfg) != HYPERBOLIC:
-                all_hyp = False
-            if small_divisor_scan(lams, cfg.delta, cfg.max_order).resonant:
-                any_res = True
+        reports = [spectrum_report(field, point, cfg) for point in points]
+        all_hyp = all(rep.classification == HYPERBOLIC for rep in reports)
+        any_res = any(rep.divisor.resonant for rep in reports)
         return True, all_hyp, any_res
     except (ConvergenceError, CollisionError):
         return False, False, False
