@@ -30,6 +30,7 @@ from .jouanolou import (
     FoliationParams,
     GroupElement,
     SingularPoint,
+    closed_form_coords,
     closed_form_sing,
     counts,
     family_field,

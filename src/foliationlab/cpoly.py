@@ -12,7 +12,10 @@ Example (n = 2): the field (x2^2 - x1^3) d/dx1 + (1 - x2 x1^2) d/dx2 is
 
 Differentiation is formal (exact on the table); evaluation compiles the
 table once into stacked numpy exponent/coefficient arrays because the
-tracking loops evaluate the same field at many points.
+tracking loops evaluate the same field at many points.  Evaluation and the
+Jacobian take one point of shape (n,) or a stack of points of shape (R, n);
+each row of a stack goes through exactly the arithmetic of a one-point
+call, so row r of the result is bitwise the one-point result at row r.
 """
 
 from __future__ import annotations
@@ -102,21 +105,23 @@ class PolyVectorField:
         return self._jac_tab
 
 
-def _check_point(field_: PolyVectorField, x) -> np.ndarray:
+def _check_points(field_: PolyVectorField, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    if x.shape != (field_.n,):
-        raise InputError(f"point has shape {x.shape}, expected ({field_.n},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != field_.n:
+        raise InputError(
+            f"point has shape {x.shape}, expected ({field_.n},) or (R, {field_.n})"
+        )
     return x
 
 
 def eval_field(field_: PolyVectorField, x) -> np.ndarray:
-    """Value of the field at x, as a complex vector of length n."""
-    x = _check_point(field_, x)
+    """Value of the field at x: shape (n,) for one point, (R, n) for a stack."""
+    x = _check_points(field_, x)
     exps, coeffs, comp_idx = field_._eval_tables()
-    out = np.zeros(field_.n, dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
     if len(coeffs):
-        vals = coeffs * np.prod(x[None, :] ** exps, axis=1)
-        np.add.at(out, comp_idx, vals)
+        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
+        np.add.at(out, (..., comp_idx), vals)
     return out
 
 
@@ -125,15 +130,15 @@ def jacobian(field_: PolyVectorField, x) -> np.ndarray:
 
     The entries are complex derivatives of the polynomial components,
     obtained by differentiating the coefficient table, not by finite
-    differences.
+    differences.  Shape (n, n) for one point, (R, n, n) for a stack.
     """
-    x = _check_point(field_, x)
+    x = _check_points(field_, x)
     exps, coeffs, flat_idx = field_._jac_tables()
-    out = np.zeros(field_.n * field_.n, dtype=complex)
+    out = np.zeros(x.shape[:-1] + (field_.n * field_.n,), dtype=complex)
     if len(coeffs):
-        vals = coeffs * np.prod(x[None, :] ** exps, axis=1)
-        np.add.at(out, flat_idx, vals)
-    return out.reshape(field_.n, field_.n)
+        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
+        np.add.at(out, (..., flat_idx), vals)
+    return out.reshape(x.shape[:-1] + (field_.n, field_.n))
 
 
 def diagonal_pushforward(field_: PolyVectorField, scale) -> PolyVectorField:

@@ -157,26 +157,36 @@ def family_field(params: FoliationParams) -> PolyVectorField:
     return PolyVectorField(params.n, tuple(comps))
 
 
-def closed_form_sing(n: int, d: int) -> list[SingularPoint]:
-    """All N zeros of the base field, from the exact root-of-unity formulas.
+@lru_cache(maxsize=None)
+def closed_form_coords(n: int, d: int) -> np.ndarray:
+    """The N zeros of the base field as one read-only (N, n) array; row m-1 is zero m.
 
     The m-th point has first coordinate xi^m and i-th coordinate
     xi^(-m (d + d^2 + ... + d^(n+1-i))) for i >= 2, xi = e^(2 pi i / N).
     Exponents are exact integers reduced mod N; m = N gives (1, ..., 1).
+    The array is cached per (n, d) and shared by every caller, so it is
+    not writeable.
     """
     _check_nd(n, d)
     big_n = counts(n, d).N
-    table = unit_roots(big_n)
-    base = jouanolou_field(n, d)
-    exps = [1] + [-_geom(d, n + 1 - i) for i in range(2, n + 1)]
-    points = []
-    for m in range(1, big_n + 1):
-        coords = tuple(complex(table[(m * e) % big_n]) for e in exps)
-        residual = float(np.max(np.abs(eval_field(base, coords))))
-        points.append(
-            SingularPoint(m=m, coords=coords, residual=residual, converged=True, newton_iters=0)
-        )
-    return points
+    exps = np.array([1] + [-_geom(d, n + 1 - i) % big_n for i in range(2, n + 1)],
+                    dtype=np.int64)
+    m = np.arange(1, big_n + 1, dtype=np.int64)
+    coords = unit_roots(big_n)[np.outer(m, exps) % big_n]
+    coords.setflags(write=False)
+    return coords
+
+
+def closed_form_sing(n: int, d: int) -> list[SingularPoint]:
+    """All N zeros of the base field, from the exact root-of-unity formulas
+    (see ``closed_form_coords``), with their residuals."""
+    coords = closed_form_coords(n, d)
+    residual = np.max(np.abs(eval_field(jouanolou_field(n, d), coords)), axis=1)
+    return [
+        SingularPoint(m=m, coords=tuple(row), residual=float(res), converged=True,
+                      newton_iters=0)
+        for m, (row, res) in enumerate(zip(coords.tolist(), residual), start=1)
+    ]
 
 
 def generator_weights(n: int, d: int) -> tuple[int, ...]:

@@ -1,11 +1,16 @@
 """Newton refinement and continuation of the family's zeros.
 
-Each zero of the base field is continued to a perturbed member by damped
-Newton iteration, with the parameter ramped in continuation steps when a
-direct solve leaves the basin.  The perturbation is kept inside a small
-polydisk (RunConfig.radius) where the N zeros stay simple and separated;
-a collision of tracked zeros is reported as the parameter leaving that
-polydisk rather than as a numerical failure.
+The zeros of the base field are continued to a perturbed member as one
+batch: an (R, n) array of rows started from the closed-form zeros and
+refined together by damped Newton iteration, with the parameter ramped in
+continuation steps.  Per-row masks decide which rows take the polishing
+step, how often each row's step is halved and when each row stops, so
+every row does exactly the arithmetic of a one-point refinement.  Only
+the rows that fail are run again with the step count escalated.  The
+perturbation is kept inside a small polydisk (RunConfig.radius) where the
+N zeros stay simple and separated; a collision of tracked zeros is
+reported as the parameter leaving that polydisk rather than as a
+numerical failure.
 
 ``first_order_point`` evaluates the closed first-order expansion of a
 tracked zero.  The first coordinate is an implicit unknown of its own
@@ -26,6 +31,7 @@ from .jouanolou import (
     FoliationParams,
     SingularPoint,
     _geom,
+    closed_form_coords,
     closed_form_sing,
     counts,
     family_field,
@@ -75,6 +81,76 @@ class RunConfig:
             raise InputError("samples must be at least 1")
 
 
+# Most complex entries of one block of the pairwise-difference array that
+# the collision check holds at a time (16 MB); rows are scanned in blocks.
+COLLISION_BLOCK = 1 << 20
+
+
+def _newton_rows(
+    field: PolyVectorField, x0: np.ndarray, cfg: RunConfig, ms: list[int]
+) -> list[SingularPoint]:
+    """Damped Newton iteration on every row of an (R, n) stack of start points.
+
+    Row r takes exactly the steps a one-point run from x0[r] would take:
+    each row has its own polishing flag, step length, halving count and
+    stop, and the Jacobian systems are solved as one stack.  A stacked
+    solve fails as a whole when any matrix is singular; the rows are then
+    solved one at a time to find which ones stop on "singular jacobian".
+    """
+    x = np.array(x0, dtype=complex)
+    fx = eval_field(field, x)
+    res = np.max(np.abs(fx), axis=1)
+    iters = np.zeros(len(x), dtype=int)
+    polished = np.zeros(len(x), dtype=bool)
+    singular = np.zeros(len(x), dtype=bool)
+    live = np.ones(len(x), dtype=bool)
+    for _ in range(cfg.max_iters):
+        below = res < cfg.newton_tol
+        live &= ~(below & polished)
+        polished |= below
+        rows = np.flatnonzero(live)
+        if not len(rows):
+            break
+        jac = jacobian(field, x[rows])
+        try:  # right-hand sides as (n, 1) matrices: a 2-D b would be read as one matrix
+            step = np.linalg.solve(jac, fx[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            steps = []
+            for k, r in enumerate(rows):
+                try:
+                    steps.append(np.linalg.solve(jac[k], fx[r]))
+                except np.linalg.LinAlgError:
+                    singular[r] = True
+            live &= ~singular
+            rows = rows[~singular[rows]]
+            step = np.array(steps).reshape(len(rows), field.n)
+        t = np.ones(len(rows))
+        pending = np.ones(len(rows), dtype=bool)
+        for _ in range(21):
+            k = np.flatnonzero(pending)
+            if not len(k):
+                break
+            cand = x[rows[k]] - t[k, None] * step[k]
+            fc = eval_field(field, cand)
+            rc = np.max(np.abs(fc), axis=1)
+            ok = rc < res[rows[k]]
+            better = rows[k[ok]]
+            x[better], fx[better], res[better] = cand[ok], fc[ok], rc[ok]
+            pending[k[ok]] = False
+            t[k[~ok]] *= 0.5
+        live[rows[pending]] = False
+        iters[rows[~pending]] += 1
+    converged = res < cfg.newton_tol
+    notes = np.where(converged, "",
+                     np.where(singular, "singular jacobian", "newton stalled above tolerance"))
+    return [
+        SingularPoint(m=m, coords=tuple(x[r]), residual=float(res[r]),
+                      converged=bool(converged[r]), newton_iters=int(iters[r]),
+                      note=str(notes[r]))
+        for r, m in enumerate(ms)
+    ]
+
+
 def newton_refine(
     field: PolyVectorField, x0, cfg: RunConfig, m: int = 0
 ) -> SingularPoint:
@@ -87,49 +163,19 @@ def newton_refine(
     the stopping point.  Non-convergence and singular Jacobians are
     reported through the converged flag, not raised.
     """
-    x = np.asarray(x0, dtype=complex).copy()
+    x = np.asarray(x0, dtype=complex)
     if x.shape != (field.n,):
         raise InputError(f"start point has shape {x.shape}, expected ({field.n},)")
-    fx = eval_field(field, x)
-    res = float(np.max(np.abs(fx)))
-    iters = 0
-    note = ""
-    polished = False
-    while iters < cfg.max_iters:
-        if res < cfg.newton_tol:
-            if polished:
-                break
-            polished = True
-        try:
-            step = np.linalg.solve(jacobian(field, x), fx)
-        except np.linalg.LinAlgError:
-            note = "singular jacobian"
-            break
-        t = 1.0
-        accepted = False
-        for _ in range(21):
-            cand = x - t * step
-            fc = eval_field(field, cand)
-            rc = float(np.max(np.abs(fc)))
-            if rc < res:
-                x, fx, res = cand, fc, rc
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        iters += 1
-    converged = res < cfg.newton_tol
-    if not converged and not note:
-        note = "newton stalled above tolerance"
-    return SingularPoint(
-        m=m,
-        coords=tuple(x),
-        residual=res,
-        converged=converged,
-        newton_iters=iters,
-        note=note if not converged else "",
-    )
+    return _newton_rows(field, x[None, :], cfg, [m])[0]
+
+
+def _refine_one(
+    field: PolyVectorField, x: np.ndarray, cfg: RunConfig, ms: list[int]
+) -> list[SingularPoint]:
+    """The one-row refine of ``track_one``: a single zero is refined through
+    the public ``newton_refine``, so wrappers around it see every one-point
+    refinement."""
+    return [newton_refine(field, x[0], cfg, m=ms[0])]
 
 
 def _check_radius(params: FoliationParams, cfg: RunConfig) -> None:
@@ -140,63 +186,105 @@ def _check_radius(params: FoliationParams, cfg: RunConfig) -> None:
         )
 
 
+def _continue(
+    params: FoliationParams, ms: list[int], cfg: RunConfig, refine
+) -> list[SingularPoint]:
+    """Continue the unperturbed zeros of indices ms to the member, in the order of ms.
+
+    The parameter is ramped linearly in continuation steps; at each stage
+    the field is built once and every row still converging is refined by
+    ``refine(field, x, cfg, ms)`` from its previous stage's zero.  The rows
+    that fail are run again from their start points with the step count
+    escalated by a factor of 4 (at most to 64); then a ConvergenceError
+    names the smallest failing index.
+    """
+    alpha = np.asarray(params.alpha, dtype=complex)
+    if not np.any(alpha):
+        base = closed_form_sing(params.n, params.d)
+        return [base[m - 1] for m in ms]
+    start = closed_form_coords(params.n, params.d)
+    tracked = {}
+    todo = ms
+    steps = cfg.continuation_steps
+    while True:
+        x = start[np.array(todo) - 1]
+        active = todo
+        failed = []
+        for stage in range(1, steps + 1):
+            stage_params = FoliationParams(
+                params.n, params.d, tuple(alpha * (stage / steps))
+            )
+            points = refine(family_field(stage_params), x, cfg, active)
+            failed += [p for p in points if not p.converged]
+            points = [p for p in points if p.converged]
+            if not points:
+                break
+            active = [p.m for p in points]
+            x = np.array([p.coords for p in points])
+        tracked.update((p.m, p) for p in points)  # converged at every stage
+        if not failed:
+            return [tracked[m] for m in ms]
+        if steps * 4 > 64:
+            first = min(failed, key=lambda p: p.m)
+            raise ConvergenceError(
+                f"tracking failed for index m={first.m} at steps={steps}: {first.note}"
+            )
+        todo = sorted(p.m for p in failed)
+        steps *= 4
+
+
 def track_one(params: FoliationParams, m: int, cfg: RunConfig) -> SingularPoint:
     """Continue the m-th unperturbed zero to the perturbed member.
 
     The parameter is ramped linearly in continuation steps, refining at
     each stage from the previous stage's zero.  On failure the step count
     escalates by factors of 4 (at most to 64) before a ConvergenceError
-    naming the index is raised.
+    naming the index is raised.  The result is bitwise the m-th entry of
+    ``track_singularities``.
     """
     _check_radius(params, cfg)
     big_n = counts(params.n, params.d).N
     if not 1 <= m <= big_n:
         raise InputError(f"index m must lie in [1, {big_n}], got {m}")
-    start = closed_form_sing(params.n, params.d)[m - 1]
-    alpha = np.asarray(params.alpha, dtype=complex)
-    if not np.any(alpha):
-        return start
+    return _continue(params, [m], cfg, _refine_one)[0]
 
-    steps = cfg.continuation_steps
-    while True:
-        x = np.asarray(start.coords, dtype=complex)
-        point = None
-        for stage in range(1, steps + 1):
-            stage_params = FoliationParams(
-                params.n, params.d, tuple(alpha * (stage / steps))
-            )
-            point = newton_refine(family_field(stage_params), x, cfg, m=m)
-            if not point.converged:
-                break
-            x = np.asarray(point.coords, dtype=complex)
-        if point is not None and point.converged:
-            return point
-        if steps * 4 > 64:
-            raise ConvergenceError(
-                f"tracking failed for index m={m} at steps={steps}: {point.note}"
-            )
-        steps *= 4
+
+def _closest_pair(coords: np.ndarray) -> tuple[int, int, float]:
+    """Rows (a, b) of the closest pair in the sup-norm, and their distance.
+
+    Ties go to the first pair in row-major order.  The pairwise
+    differences are formed COLLISION_BLOCK entries at a time.
+    """
+    big_n, n = coords.shape
+    block = max(1, COLLISION_BLOCK // (big_n * n))
+    best = (0, 0, np.inf)
+    for lo in range(0, big_n, block):
+        diff = coords[lo:lo + block, None, :] - coords[None, :, :]
+        dist = np.max(np.abs(diff), axis=2)
+        own = np.arange(len(dist))
+        dist[own, lo + own] = np.inf
+        a, b = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[a, b] < best[2]:
+            best = (lo + int(a), int(b), dist[a, b])
+    return best
 
 
 def track_singularities(params: FoliationParams, cfg: RunConfig) -> list[SingularPoint]:
     """Track all N zeros of a family member, sorted by index m.
 
-    Raises ConvergenceError when an index fails to continue and
-    CollisionError when two tracked zeros come within dedup_tol of each
-    other (the parameter left the polydisk where zeros stay simple).
+    Raises ConvergenceError when an index fails to continue (naming the
+    smallest such index) and CollisionError when two tracked zeros come
+    within dedup_tol of each other (the parameter left the polydisk where
+    zeros stay simple).
     """
     _check_radius(params, cfg)
     big_n = counts(params.n, params.d).N
-    points = [track_one(params, m, cfg) for m in range(1, big_n + 1)]
-    coords = np.array([p.coords for p in points])
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.max(np.abs(diff), axis=2)
-    dist[np.diag_indices(big_n)] = np.inf
-    a, b = np.unravel_index(np.argmin(dist), dist.shape)
-    if dist[a, b] <= cfg.dedup_tol:
+    points = _continue(params, list(range(1, big_n + 1)), cfg, _newton_rows)
+    a, b, dist = _closest_pair(np.array([p.coords for p in points]))
+    if dist <= cfg.dedup_tol:
         raise CollisionError(
             f"tracked zeros m={points[a].m} and m={points[b].m} merged "
-            f"(separation {dist[a, b]:.3e}); the perturbation left the safe polydisk"
+            f"(separation {dist:.3e}); the perturbation left the safe polydisk"
         )
     return points
 

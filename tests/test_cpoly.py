@@ -117,3 +117,24 @@ def test_zero_coefficients_are_pruned():
     f = PolyVectorField(2, ({(1, 0): 0.0, (0, 1): 2.0}, {}))
     assert (1, 0) not in f.components[0]
     assert f.components[0][(0, 1)] == 2.0
+
+
+def test_stacked_points_match_one_point_calls_bitwise():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n = int(rng.integers(2, 5))
+        f = _random_field(rng, n)
+        xs = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+        xs[0] = 0
+        vals, jacs = eval_field(f, xs), jacobian(f, xs)
+        assert vals.shape == (7, n) and jacs.shape == (7, n, n)
+        assert vals.tobytes() == np.array([eval_field(f, x) for x in xs]).tobytes()
+        assert jacs.tobytes() == np.array([jacobian(f, x) for x in xs]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 2), ()])
+def test_points_of_the_wrong_shape_are_rejected(shape):
+    f = linear_diagonal_field([1.0, 2.0])
+    for fn in (eval_field, jacobian):
+        with pytest.raises(InputError):
+            fn(f, np.zeros(shape))

@@ -11,6 +11,7 @@ from foliationlab import (
     FoliationParams,
     GroupElement,
     counts,
+    closed_form_coords,
     closed_form_sing,
     eval_field,
     family_field,
@@ -88,6 +89,20 @@ def test_closed_form_exponents():
         xi = cmath.exp(2j * cmath.pi * m / N)
         want = [xi, xi ** (-(d + d * d)), xi ** (-d)]
         assert np.allclose(np.array(p.coords), np.array(want), rtol=0, atol=1e-12)
+
+
+def test_closed_form_array_is_cached_read_only_and_exact():
+    for n, d in DESK:
+        N = counts(n, d).N
+        coords = closed_form_coords(n, d)
+        assert coords is closed_form_coords(n, d)
+        assert coords.shape == (N, n) and not coords.flags.writeable
+        with pytest.raises(ValueError):
+            coords[0, 0] = 0
+        exps = [1] + [-sum(d**t for t in range(1, n + 2 - i)) for i in range(2, n + 1)]
+        want = [[unit_root(m * e, N) for e in exps] for m in range(1, N + 1)]
+        assert coords.tobytes() == np.array(want).tobytes()
+        assert [p.coords for p in closed_form_sing(n, d)] == [tuple(row) for row in want]
 
 
 def test_generator_weights_frozen():

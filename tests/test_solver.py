@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from foliationlab import solver
 from foliationlab import (
     CollisionError,
     ConvergenceError,
@@ -24,6 +25,11 @@ from foliationlab import (
 
 DESK = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)]
 CFG = RunConfig()
+
+
+def _fields(p):
+    return (p.m, np.array(p.coords).tobytes(), float(p.residual).hex(), p.converged,
+            p.newton_iters, p.note)
 
 
 def test_newton_from_exact_point():
@@ -50,6 +56,19 @@ def test_newton_singular_jacobian_reports_instead_of_raising():
     out = newton_refine(f, np.zeros(2, dtype=complex), CFG)
     assert not out.converged
     assert "singular" in out.note
+
+
+def test_newton_batch_rows_match_one_point_runs():
+    # a singular start fails the stacked solve; the other rows must not notice
+    rng = np.random.default_rng(9)
+    f = jouanolou_field(3, 2)
+    starts = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    starts[[2, 7]] = 0
+    for cfg in (CFG, RunConfig(max_iters=4)):
+        batch = solver._newton_rows(f, starts, cfg, list(range(12)))
+        single = [newton_refine(f, x, cfg, m=m) for m, x in enumerate(starts)]
+        assert [_fields(p) for p in batch] == [_fields(p) for p in single]
+        assert {p.note for p in batch[2::5]} == {"singular jacobian"}
 
 
 def test_track_at_zero_is_bitwise_closed_form():
@@ -98,6 +117,83 @@ def test_track_failure_raises_convergence_error():
     cfg = RunConfig(newton_tol=1e-15, max_iters=1)
     with pytest.raises(ConvergenceError):
         track_one(FoliationParams(2, 2, (0.04 + 0.02j, -0.03j)), 3, cfg)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_batch_tracking_equals_one_point_tracking_bitwise(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    alpha = 0.04 * np.exp(2j * np.pi * rng.uniform(size=n))
+    params = FoliationParams(n, d, tuple(alpha))
+    tracked = track_singularities(params, CFG)
+    assert [_fields(t) for t in tracked] == [
+        _fields(track_one(params, m, CFG)) for m in range(1, counts(n, d).N + 1)]
+
+
+def test_only_failing_rows_escalate(monkeypatch):
+    # max_iters=3 at the polydisk edge: some rows need x4 steps, the rest converge directly
+    batches = []
+    kernel = solver._newton_rows
+
+    def spy(field, x, cfg, ms):
+        points = kernel(field, x, cfg, ms)
+        batches.append((len(ms), sum(p.converged for p in points)))
+        return points
+
+    cfg = RunConfig(max_iters=3)
+    params = FoliationParams(3, 3, (0.05, 0.05j, -0.05))
+    monkeypatch.setattr(solver, "_newton_rows", spy)
+    tracked = track_singularities(params, cfg)
+    first, escalated = batches[0], batches[1:]
+    assert first[0] == 40 and 0 < first[1] < 40
+    assert [size for size, _ in escalated] == [40 - first[1]] * 4
+    monkeypatch.undo()
+    assert [_fields(t) for t in tracked] == [
+        _fields(track_one(params, m, cfg)) for m in range(1, 41)]
+
+
+@pytest.mark.parametrize("params,cfg", [
+    (FoliationParams(2, 2, (0.04 + 0.02j, -0.03j)), RunConfig(newton_tol=1e-15, max_iters=1)),
+    (FoliationParams(3, 2, (-0.03, 0.005 - 0.02j, 0.0175j)),
+     RunConfig(newton_tol=3e-16, max_iters=3)),
+])
+def test_batch_failure_names_smallest_failing_index(params, cfg):
+    failing = []
+    for m in range(1, counts(params.n, params.d).N + 1):
+        try:
+            track_one(params, m, cfg)
+        except ConvergenceError as err:
+            failing.append((m, str(err)))
+    assert failing
+    with pytest.raises(ConvergenceError) as info:
+        track_singularities(params, cfg)
+    assert str(info.value) == failing[0][1]
+    assert str(info.value).startswith(f"tracking failed for index m={failing[0][0]} at steps=64:")
+
+
+def _dense_closest_pair(coords):
+    dist = np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=2)
+    dist[np.diag_indices(len(coords))] = np.inf
+    a, b = np.unravel_index(np.argmin(dist), dist.shape)
+    return int(a), int(b), dist[a, b]
+
+
+@pytest.mark.parametrize("block", [1, 200, 1000, solver.COLLISION_BLOCK])
+def test_chunked_collision_scan_matches_dense(monkeypatch, block):
+    monkeypatch.setattr(solver, "COLLISION_BLOCK", block)
+    rng = np.random.default_rng(block)
+    lattice = rng.integers(-2, 3, size=(30, 3)) + 1j * rng.integers(-2, 3, size=(30, 3))
+    assert solver._closest_pair(lattice) == _dense_closest_pair(lattice)  # many exact ties
+    for n, d in [(2, 2), (3, 2), (3, 3)]:
+        coords = np.array([p.coords for p in closed_form_sing(n, d)])
+        assert solver._closest_pair(coords) == _dense_closest_pair(coords)
+    params = FoliationParams(2, 2, (0.01, 0.0))
+    coords = np.array([p.coords for p in track_singularities(params, CFG)])
+    a, b, dist = _dense_closest_pair(coords)
+    with pytest.raises(CollisionError) as info:
+        track_singularities(params, RunConfig(dedup_tol=10.0))
+    assert str(info.value) == (
+        f"tracked zeros m={a + 1} and m={b + 1} merged (separation {dist:.3e}); "
+        "the perturbation left the safe polydisk")
 
 
 def test_tracking_commutes_with_group():
