@@ -1,12 +1,12 @@
 """Command line front end.
 
 One subcommand per laboratory operation.  Reports go to stdout as a
-single JSON document (complex numbers as [re, im] pairs) or, with
---format csv, as a flat table whose columns are listed in the
-subcommand's --help.  A complex CSV value fills two columns NAME_re and
-NAME_im, vector and matrix entries take 1-based index suffixes (x1,
-jac12), integer tuples are ';'-joined, every float is written as its
-Python float repr, and a missing value is a blank cell.  Output bytes
+single JSON document (complex numbers as [re, im] pairs, non-finite
+floats as null) or, with --format csv, as a flat table whose columns are
+listed in the subcommand's --help.  A complex CSV value fills two columns
+NAME_re and NAME_im, vector and matrix entries take 1-based index
+suffixes (x1, jac12), integer tuples are ';'-joined, every float is
+written as its Python float repr, and a missing value is a blank cell.  Output bytes
 are a deterministic function of argv, including --seed and --jobs.
 
 Exit codes: 0 success, 1 a certified value failed verification,
@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,12 +71,12 @@ def _parse_mu_grid(text: str) -> tuple[float, ...]:
 
 
 def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # strict JSON has no NaN or Infinity
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

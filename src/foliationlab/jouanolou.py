@@ -33,8 +33,14 @@ FACTOR_TOL = 1e-12
 
 @lru_cache(maxsize=None)
 def unit_roots(order: int) -> np.ndarray:
-    """Table of e^(2 pi i k / order) for k = 0..order-1."""
-    return np.exp(2j * np.pi * np.arange(order) / order)
+    """Table of e^(2 pi i k / order) for k = 0..order-1.
+
+    The table is cached per order and shared by every caller, so it is not
+    writeable.
+    """
+    table = np.exp(2j * np.pi * np.arange(order) / order)
+    table.setflags(write=False)
+    return table
 
 
 def unit_root(k: int, order: int) -> complex:
@@ -169,8 +175,7 @@ def closed_form_coords(n: int, d: int) -> np.ndarray:
     """
     _check_nd(n, d)
     big_n = counts(n, d).N
-    exps = np.array([1] + [-_geom(d, n + 1 - i) % big_n for i in range(2, n + 1)],
-                    dtype=np.int64)
+    exps = np.array(generator_weights(n, d), dtype=np.int64)
     m = np.arange(1, big_n + 1, dtype=np.int64)
     coords = unit_roots(big_n)[np.outer(m, exps) % big_n]
     coords.setflags(write=False)

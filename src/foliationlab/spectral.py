@@ -6,9 +6,8 @@ the exact Jacobian (no eigendecomposition), and ``char_poly_closed``
 evaluates the closed coefficient formulas that hold at zeros of a family
 member, cross-checking its two displayed forms against each other.
 
-Eigenvalues are the roots of the monic coefficient vector, found by the
-simultaneous Aberth-Ehrlich iteration from a deterministic start (scaled
-roots of unity) and polished by plain Newton steps.  Classification and
+Eigenvalues are the companion-matrix roots of the monic coefficient
+vector (``np.roots``), behind a relative-residual gate.  Classification and
 the truncated small-divisor scan below are the numerical stand-ins for
 hyperbolicity and non-resonance; the scan certifies nothing beyond its
 truncation order.
@@ -130,59 +129,26 @@ def char_poly_closed(n: int, d: int, p) -> np.ndarray:
     return sigma_expanded
 
 
-def eigenvalues(sigma, max_sweeps: int = 500) -> np.ndarray:
+def eigenvalues(sigma) -> np.ndarray:
     """All roots of lam^n + sigma_1 lam^(n-1) + ... + sigma_n.
 
-    Aberth-Ehrlich simultaneous iteration started on a circle of radius
-    the Cauchy bound (deterministic: scaled roots of unity with a fixed
-    angular offset), then a few Newton polish steps kept only while they
-    reduce the residual.  Roots are sorted by (real, imag).  Raises
-    ConvergenceError if the relative residual is still above 1e-10 after
-    the sweep budget; repeated roots converge linearly but comfortably
-    within it.
+    Companion-matrix eigenvalues (``np.roots``, backward stable); real
+    coefficients go to the real solver, which returns exact conjugate pairs.
+    Sorted by (real, imag).  Raises InputError on non-finite coefficients
+    and ConvergenceError if the relative residual max |p(lam)| / (1 + max
+    |sigma_i|) is above 1e-10.
     """
     sigma = np.asarray(sigma, dtype=complex).ravel()
-    n = sigma.shape[0]
-    if n == 0:
+    if sigma.size == 0:
         raise InputError("need at least one coefficient")
-    scale = 1.0 + float(np.max(np.abs(sigma)))
+    if not np.isfinite(sigma).all():
+        raise InputError(f"coefficients must be finite, got {sigma}")
     coeffs = np.concatenate(([1.0 + 0j], sigma))
-    if n == 1:
-        return np.array([-sigma[0]])
-    dcoeffs = coeffs[:-1] * np.arange(n, 0, -1)
-
-    k = np.arange(n)
-    z = scale * np.exp(1j * (2 * np.pi * k / n + np.pi / (2 * n)))
-    for _ in range(max_sweeps):
-        pv = np.polyval(coeffs, z)
-        if np.max(np.abs(pv)) <= 1e-13 * scale:
-            break
-        dv = np.polyval(dcoeffs, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        small = np.abs(diff) < 1e-14
-        if small.any():
-            diff = np.where(small, 1e-14, diff)
-        repulsion = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(denom == 0, 1.0, denom)
-        z = z - newton / denom
-
-    for _ in range(3):
-        pv = np.polyval(coeffs, z)
-        dv = np.polyval(dcoeffs, z)
-        step = np.where(dv != 0, pv / np.where(dv == 0, 1.0, dv), 0.0)
-        cand = z - step
-        better = np.abs(np.polyval(coeffs, cand)) < np.abs(pv)
-        z = np.where(better, cand, z)
-
+    z = np.roots(coeffs if coeffs.imag.any() else coeffs.real).astype(complex)
+    scale = 1.0 + float(np.max(np.abs(sigma)))
     worst = float(np.max(np.abs(np.polyval(coeffs, z)))) / scale
     if worst > 1e-10:
-        raise ConvergenceError(
-            f"root finding stalled: relative residual {worst:.3e} after {max_sweeps} sweeps"
-        )
+        raise ConvergenceError(f"root finding failed: relative residual {worst:.3e}")
     order = np.lexsort((z.imag, z.real))
     return z[order]
 
@@ -259,9 +225,11 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     """Truncated worst small divisor min |lam_j - <m, lam>| |m|^delta.
 
     Scans every integer vector with 2 <= |m| <= max_order against every
-    eigenvalue; ties resolve to the first candidate in (lexicographic m,
-    ascending j) order, so the recorded witness always reproduces c_min
-    when re-evaluated.  Scan sizes above 1e8 candidates are refused.
+    eigenvalue.  For j < n and m_j >= 1, (j, m) ties exactly with
+    (n, m - e_j + e_n), so only the first candidate of each tie class in
+    (lexicographic m, ascending j) order is kept (j = n or m_j = 0), and
+    the first minimum among those is the witness: rounding does not choose
+    it, and it reproduces c_min.  Scan sizes above 1e8 are refused.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     n = lams.shape[0]
@@ -280,6 +248,7 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     sums = m @ lams
     weights = m.sum(axis=1).astype(float) ** float(delta)
     table = np.abs(lams[None, :] - sums[:, None]) * weights[:, None]
+    table[:, :-1][m[:, :-1] > 0] = np.inf
     flat = int(np.argmin(table))
     row, col = divmod(flat, n)
     c_min = float(table[row, col])

@@ -211,3 +211,14 @@ def test_csv_columns_and_numeric_cells(capsys, argv, header):
         for column, cell in zip(rows[0], row):
             if column not in TEXT_COLUMNS and cell:
                 float(cell)
+
+
+def test_defect_json_is_strict_on_exact_rays(capsys):
+    # an exactly aligned ray has no defect slope; strict JSON writes it as null
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    argv = ["defect", "--n", "3", "--d", "2", "--nu", "0,0", "--nu", "0,0", "--nu", "1,0"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["payload"]["slope"] is None

@@ -22,6 +22,7 @@ from foliationlab import (
     pushforward_factor,
     unit_root,
 )
+from foliationlab.jouanolou import unit_roots
 
 DESK = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)]
 
@@ -170,3 +171,14 @@ def test_pushforward_rejects_non_group_scaling():
     bogus = GroupElement(k=1, weights=(1, 4), order=7)
     with pytest.raises(FactorizationError):
         pushforward_factor(bogus, FoliationParams(2, 2, (0.01, 0.0)))
+
+
+def test_unit_roots_table_is_read_only():
+    before = unit_root(1, 13)
+    table = unit_roots(13)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1] = 0
+    assert unit_roots(13) is table
+    assert unit_root(1, 13) == before
+    assert abs(before - cmath.exp(2j * cmath.pi / 13)) < 1e-15

@@ -1,5 +1,9 @@
 """Characteristic coefficients, root finding, classification, small divisors."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,12 +20,15 @@ from foliationlab import (
     char_poly_direct,
     classify,
     closed_form_sing,
+    Counts,
     counts,
     eigenvalues,
+    jacobian,
     jouanolou_field,
     linear_diagonal_field,
     linearizable_numerically,
     min_separation,
+    sigma_at_ones,
     small_divisor_scan,
     spectrum_report,
     track_one,
@@ -95,6 +102,12 @@ def test_eigenvalues_scale_invariance():
     sigma = np.array([0.0, 1e-12])          # lam^2 = -1e-12
     lams = eigenvalues(sigma)
     assert np.allclose(np.abs(lams), 1e-6, rtol=1e-10)
+
+
+def test_eigenvalues_reject_non_finite_coefficients():
+    for bad in ([np.nan, 1.0], [0.0, np.inf], []):
+        with pytest.raises(InputError):
+            eigenvalues(np.array(bad))
 
 
 def test_min_separation():
@@ -184,3 +197,66 @@ def test_all_seven_points_hyperbolic_2_2():
     f = jouanolou_field(2, 2)
     for p in closed_form_sing(2, 2):
         assert spectrum_report(f, p, CFG).classification == HYPERBOLIC
+
+
+def _member(n, d, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, 2))
+    alpha = CFG.radius * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    return FoliationParams(n, d, tuple(alpha))
+
+
+def _matched_gap(a, b):
+    """Largest distance between two root lists under the best pairing."""
+    return min(float(np.max(np.abs(a - b[list(perm)])))
+               for perm in itertools.permutations(range(len(b))))
+
+
+@pytest.mark.parametrize("n,d,seed", [(3, 3, 501), (4, 3, 502)])
+def test_eigenvalues_match_jacobian_eigvals(n, d, seed):
+    # second route: the companion roots of the trace-recursion coefficients
+    # against a direct eigendecomposition of the Jacobian
+    f = jouanolou_field(n, d)
+    for p in track_singularities(_member(n, d, seed), CFG):
+        lams = eigenvalues(char_poly_direct(f, p.coords))
+        want = np.linalg.eigvals(jacobian(f, np.array(p.coords)))
+        assert _matched_gap(lams, want) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_eigenvalues_real_coefficients_give_exact_conjugates(n):
+    for d in (2, 3):
+        lams = eigenvalues(sigma_at_ones(n, d))
+        assert lams.dtype == complex and len(lams) == n
+        values = set(lams.tolist())
+        assert all(z.conjugate() in values for z in values)
+
+
+def test_small_divisor_witness_is_tie_class_representative():
+    # (j, m) with m_j >= 1 ties exactly with (n, m - e_j + e_n); the scan
+    # reports only the representative, whatever the rounding
+    n, d = 4, 3
+    f = jouanolou_field(n, d)
+    for p in track_singularities(_member(n, d, 503), CFG):
+        rec = spectrum_report(f, p, CFG).divisor
+        if rec.worst_j < n:
+            assert rec.worst_m[rec.worst_j - 1] == 0
+
+
+def test_readme_library_tour():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(ast.unparse(node), ns))
+        else:
+            exec(ast.unparse(node), ns)
+    n_counts, cls, c_min, det, census, slope, frac = values
+    assert n_counts == Counts(N=15, M=35, K=5)
+    assert max(p.residual for p in ns["pts"]) < 1e-12
+    assert cls == HYPERBOLIC and c_min > 0
+    assert abs(abs(det) - 64 / 7) < 1e-3
+    assert len(census) == 5
+    assert abs(slope - 1.0) < 0.05
+    assert frac == 1.0
