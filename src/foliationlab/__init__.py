@@ -57,6 +57,7 @@ from .spectral import (
     min_separation,
     small_divisor_scan,
     spectrum_report,
+    spectrum_reports,
 )
 from .genericity import (
     AlignmentRecord,

@@ -35,7 +35,7 @@ from .jouanolou import (
     unit_root,
 )
 from .solver import RunConfig, track_singularities
-from .spectral import min_separation, spectrum_report
+from .spectral import min_separation, spectrum_reports
 from .genericity import (
     DEFECT_NOISE_FLOOR,
     SUBMERSION_RTOL,
@@ -160,8 +160,7 @@ def _cmd_spectrum(args, cfg):
         points = [p for p in points if p.m == wanted]
         if not points:
             raise InputError(f"no zero with index m={wanted}")
-    field = family_field(params)
-    reports = [spectrum_report(field, p, cfg) for p in points]
+    reports = spectrum_reports(family_field(params), points, cfg)
     warnings = []
     for rep in reports:
         sep = min_separation(rep.eigenvalues)
@@ -401,7 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "frac_failures,frac_all_hyperbolic,frac_any_resonant.",
     )
     sample.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results do not depend on this)")
+                        help="at least 1; has no effect (every draw runs in one process)")
     return parser
 
 

@@ -21,7 +21,6 @@ call, so row r of the result is bitwise the one-point result at row r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from multiprocessing import Pool
 
 import numpy as np
 
-from .cpoly import PolyVectorField
 from .errors import CollisionError, ConvergenceError, InputError, VerificationError
 from .jouanolou import (
     FoliationParams,
@@ -35,7 +33,7 @@ from .jouanolou import (
     unit_root,
 )
 from .solver import RunConfig, track_one, track_singularities
-from .spectral import HYPERBOLIC, char_poly_direct, spectrum_report
+from .spectral import HYPERBOLIC, char_poly_direct, spectrum_reports
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
 SUBMERSION_RTOL = 1e-4
@@ -83,30 +81,20 @@ def expected_det_modulus(n: int, d: int) -> float:
 
 
 def _coeff_jacobian(n: int, d: int, m: int, cfg: RunConfig, stencil: str) -> np.ndarray:
+    # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
+    # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
+    stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
+    if stencil not in stencils:
+        raise InputError(f"unknown stencil {stencil!r}")
     h = cfg.fd_step
     cols = []
     for j in range(n):
-        if stencil == "central":
-            plus = [0j] * n
-            plus[j] = h
-            minus = [0j] * n
-            minus[j] = -h
-            col = (
-                char_coeff_map(n, d, m, plus, cfg)
-                - char_coeff_map(n, d, m, minus, cfg)
-            ) / (2 * h)
-        elif stencil == "cauchy4":
-            # 4-point trapezoid rule for the Cauchy derivative integral;
-            # kills even-order terms, error O(h^4)
-            col = np.zeros(n, dtype=complex)
-            for k in range(4):
-                point = [0j] * n
-                point[j] = h * 1j**k
-                col += char_coeff_map(n, d, m, point, cfg) * 1j ** (-k)
-            col /= 4 * h
-        else:
-            raise InputError(f"unknown stencil {stencil!r}")
-        cols.append(col)
+        col = np.zeros(n, dtype=complex)
+        for node, weight in stencils[stencil]:
+            point = [0j] * n
+            point[j] = h * node
+            col += char_coeff_map(n, d, m, point, cfg) * weight
+        cols.append(col / (len(stencils[stencil]) * h))
     return np.column_stack(cols)
 
 
@@ -469,41 +457,31 @@ class SampleStats:
     )
 
 
-def _sample_one(task) -> tuple[bool, bool, bool]:
-    n, d, alpha, cfg = task
-    try:
-        params = FoliationParams(n, d, alpha)
-        points = track_singularities(params, cfg)
-        field = family_field(params)
-        reports = [spectrum_report(field, point, cfg) for point in points]
-        all_hyp = all(rep.classification == HYPERBOLIC for rep in reports)
-        any_res = any(rep.divisor.resonant for rep in reports)
-        return True, all_hyp, any_res
-    except (ConvergenceError, CollisionError):
-        return False, False, False
-
-
 def genericity_sample(n: int, d: int, cfg: RunConfig, jobs: int = 1) -> SampleStats:
     """Sample the perturbation polydisk and summarize spectral behavior.
 
     Perturbations are drawn coordinatewise uniformly from the closed disk
-    of cfg.radius, pre-generated sequentially from cfg.seed so results do
-    not depend on the worker count; failures are counted, never raised.
+    of cfg.radius, pre-generated sequentially from cfg.seed.  Each draw's
+    zeros are tracked as one batch and their spectra computed as one
+    stack; a draw that fails (ConvergenceError or CollisionError) is
+    counted, never raised.  jobs must be at least 1 and has no effect:
+    every draw runs in this process.
     """
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     draws = rng.random((cfg.samples, n, 2))
     alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
-    tasks = [(n, d, tuple(alphas[s]), cfg) for s in range(cfg.samples)]
-    if jobs == 1:
-        results = [_sample_one(task) for task in tasks]
-    else:
-        with Pool(processes=jobs) as pool:
-            results = pool.map(_sample_one, tasks)
-    n_failed = sum(1 for ok, _, _ in results if not ok)
-    n_all_hyp = sum(1 for ok, hyp, _ in results if ok and hyp)
-    n_any_res = sum(1 for ok, _, res in results if ok and res)
+    n_failed = n_all_hyp = n_any_res = 0
+    for alpha in alphas:
+        params = FoliationParams(n, d, tuple(alpha))
+        try:
+            reports = spectrum_reports(family_field(params), track_singularities(params, cfg), cfg)
+        except (ConvergenceError, CollisionError):
+            n_failed += 1
+            continue
+        n_all_hyp += all(rep.classification == HYPERBOLIC for rep in reports)
+        n_any_res += any(rep.divisor.resonant for rep in reports)
     total = cfg.samples
     return SampleStats(
         n=n,

@@ -70,9 +70,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("newton_tol", "dedup_tol", "radius", "fd_step",
-                     "tol_hyp", "tol_nd", "align_tol"):
+                     "tol_hyp", "tol_nd", "align_tol", "delta", "max_iters"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
         if self.max_order < 2:
             raise InputError("max_order must be at least 2")
         if self.continuation_steps < 1:

@@ -70,16 +70,17 @@ def char_poly_direct(field: PolyVectorField, p) -> np.ndarray:
 
     Faddeev-LeVerrier trace recursion: M_1 = J, c_k = -tr(M_k)/k,
     M_{k+1} = J (M_k + c_k I).  Exact in n matrix products, no root finding.
+    p is one point (n,) or a stack (R, n); row r is bitwise the one-point call.
     """
     a = jacobian(field, p)
-    n = a.shape[0]
-    sigma = np.zeros(n, dtype=complex)
+    n = a.shape[-1]
+    sigma = np.zeros(a.shape[:-1], dtype=complex)
     m = a.copy()
-    sigma[0] = -np.trace(m)
+    sigma[..., 0] = -np.trace(m, axis1=-2, axis2=-1)
     eye = np.eye(n)
     for k in range(2, n + 1):
-        m = a @ (m + sigma[k - 2] * eye)
-        sigma[k - 1] = -np.trace(m) / k
+        m = a @ (m + sigma[..., k - 2, None, None] * eye)
+        sigma[..., k - 1] = -np.trace(m, axis1=-2, axis2=-1) / k
     return sigma
 
 
@@ -132,25 +133,45 @@ def char_poly_closed(n: int, d: int, p) -> np.ndarray:
 def eigenvalues(sigma) -> np.ndarray:
     """All roots of lam^n + sigma_1 lam^(n-1) + ... + sigma_n.
 
-    Companion-matrix eigenvalues (``np.roots``, backward stable); real
-    coefficients go to the real solver, which returns exact conjugate pairs.
-    Sorted by (real, imag).  Raises InputError on non-finite coefficients
-    and ConvergenceError if the relative residual max |p(lam)| / (1 + max
-    |sigma_i|) is above 1e-10.
+    sigma is one coefficient vector (n,) or a stack (R, n), one polynomial
+    per row (not one long polynomial); row r is bitwise the one-row call.
+    The roots are those of ``np.roots`` (companion-matrix eigenvalues,
+    backward stable; trailing zero coefficients give exact zero roots),
+    real coefficients go to the real solver, which returns exact conjugate
+    pairs, and each row is sorted by (real, imag).  Raises InputError on
+    other shapes or non-finite coefficients and ConvergenceError if a
+    relative residual max |p(lam)| / (1 + max |sigma_i|) is above 1e-10.
     """
-    sigma = np.asarray(sigma, dtype=complex).ravel()
-    if sigma.size == 0:
-        raise InputError("need at least one coefficient")
+    sigma = np.asarray(sigma, dtype=complex)
+    if sigma.ndim not in (1, 2) or sigma.shape[-1] == 0:
+        raise InputError(f"coefficients have shape {sigma.shape}, expected (n,) or (R, n)")
     if not np.isfinite(sigma).all():
         raise InputError(f"coefficients must be finite, got {sigma}")
-    coeffs = np.concatenate(([1.0 + 0j], sigma))
-    z = np.roots(coeffs if coeffs.imag.any() else coeffs.real).astype(complex)
-    scale = 1.0 + float(np.max(np.abs(sigma)))
-    worst = float(np.max(np.abs(np.polyval(coeffs, z)))) / scale
-    if worst > 1e-10:
-        raise ConvergenceError(f"root finding failed: relative residual {worst:.3e}")
-    order = np.lexsort((z.imag, z.real))
-    return z[order]
+    rows = sigma.reshape(-1, sigma.shape[-1])
+    coeffs = np.concatenate((np.ones((len(rows), 1)), rows), axis=1)
+    # np.roots drops trailing zero coefficients and appends their roots as exact zeros
+    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    cplx = coeffs.imag.any(axis=1)
+    z = np.zeros(rows.shape, dtype=complex)
+    groups = set(zip(trailing.tolist(), cplx.tolist()))
+    for zeros, is_cplx in groups - {(rows.shape[1], False)}:  # all-zero rows keep zero roots
+        # a slice when every row is in one group: a mask would double a one-row call's overhead
+        pick = (trailing == zeros) & (cplx == is_cplx) if len(groups) > 1 else slice(None)
+        size = rows.shape[1] - zeros
+        p = (coeffs if is_cplx else coeffs.real)[pick, : size + 1]
+        comp = np.zeros((len(p), size, size), dtype=p.dtype)
+        comp[:, 1:, :-1] = np.eye(size - 1)
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        z[pick, :size] = np.linalg.eigvals(comp)
+    value = np.ones_like(z)  # Horner's rule; its first step gives exactly 1
+    for c in coeffs.T[1:, :, None]:
+        value = value * z + c
+    worst = np.max(np.abs(value), axis=1) / (1.0 + np.max(np.abs(rows), axis=1))
+    failing = worst[worst > 1e-10]
+    if len(failing):
+        raise ConvergenceError(f"root finding failed: relative residual {failing[0]:.3e}")
+    # a stable sort of complex values orders by (real, imag) and keeps ties in place
+    return np.sort(z, kind="stable").reshape(sigma.shape)
 
 
 def min_separation(lams) -> float:
@@ -201,8 +222,10 @@ def classify(lams, cfg: RunConfig) -> str:
 
 
 @lru_cache(maxsize=None)
-def _multi_indices(n: int, max_order: int) -> np.ndarray:
-    """All exponent vectors with 2 <= |m| <= max_order, lexicographic."""
+def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
+    """Read-only exponent vectors m with 2 <= |m| <= max_order (lexicographic)
+    and, per kept (m, j) candidate of small_divisor_scan in row-major
+    order, its row in that table, its 0-based j and |m|."""
     rows: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], budget: int) -> None:
@@ -218,7 +241,40 @@ def _multi_indices(n: int, max_order: int) -> np.ndarray:
             prefix.pop()
 
     extend([], max_order)
-    return np.array(rows, dtype=np.int64)
+    m = np.array(rows, dtype=np.int64)
+    row, col = np.nonzero(np.column_stack((m[:, :-1] == 0, np.ones(len(m), dtype=bool))))
+    tables = (m, row, col, m.sum(axis=1).astype(float)[row])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+# Most table entries (scanned candidates) that one block of a stacked
+# small-divisor scan holds at a time, about 50 MB of temporaries; rows are
+# scanned in blocks, and a row larger than this is one block of its own.
+SCAN_BLOCK = 1 << 20
+
+
+def _divisor_records(lams: np.ndarray, delta: float, max_order: int) -> list[DivisorRecord]:
+    """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
+    blocks; only the kept candidates are evaluated, in row-major order."""
+    n = lams.shape[1]
+    total = n * (comb(max_order + n, n) - 1 - n)
+    if total > 1e8:
+        raise InputError(f"scan would visit {total} candidates (> 1e8); lower max_order")
+    m, row, col, abs_m = _multi_indices(n, max_order)
+    weights = abs_m ** float(delta)
+    records = []
+    step = max(1, SCAN_BLOCK // len(row))
+    for start in range(0, len(lams), step):
+        block = lams[start : start + step]
+        sums = np.matmul(m, block[..., None])[..., 0]
+        table = np.abs(block[:, col] - sums[:, row]) * weights
+        for b, k in enumerate(np.argmin(table, axis=1).tolist()):
+            c_min = float(table[b, k])
+            records.append(DivisorRecord(float(delta), int(max_order), c_min, int(col[k]) + 1,
+                                         tuple(int(e) for e in m[row[k]]), c_min < RESONANCE_TOL))
+    return records
 
 
 def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
@@ -232,34 +288,13 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     it, and it reproduces c_min.  Scan sizes above 1e8 are refused.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    n = lams.shape[0]
-    if n < 1:
+    if lams.shape[0] < 1:
         raise InputError("need at least one eigenvalue")
     if max_order < 2:
         raise InputError("max_order must be at least 2")
     if delta <= 0:
         raise InputError("delta must be positive")
-    total = n * (comb(max_order + n, n) - 1 - n)
-    if total > 1e8:
-        raise InputError(
-            f"scan would visit {total} candidates (> 1e8); lower max_order"
-        )
-    m = _multi_indices(n, max_order)
-    sums = m @ lams
-    weights = m.sum(axis=1).astype(float) ** float(delta)
-    table = np.abs(lams[None, :] - sums[:, None]) * weights[:, None]
-    table[:, :-1][m[:, :-1] > 0] = np.inf
-    flat = int(np.argmin(table))
-    row, col = divmod(flat, n)
-    c_min = float(table[row, col])
-    return DivisorRecord(
-        delta=float(delta),
-        max_order=int(max_order),
-        c_min=c_min,
-        worst_j=col + 1,
-        worst_m=tuple(int(e) for e in m[row]),
-        resonant=c_min < RESONANCE_TOL,
-    )
+    return _divisor_records(lams[None], delta, max_order)[0]
 
 
 def spectrum_report(field: PolyVectorField, point: SingularPoint, cfg: RunConfig) -> SpectrumReport:
@@ -273,6 +308,17 @@ def spectrum_report(field: PolyVectorField, point: SingularPoint, cfg: RunConfig
         classification=classify(lams, cfg),
         divisor=small_divisor_scan(lams, cfg.delta, cfg.max_order),
     )
+
+
+def spectrum_reports(field: PolyVectorField, points: list[SingularPoint],
+                     cfg: RunConfig) -> list[SpectrumReport]:
+    """spectrum_report(field, p, cfg) for every p in points, bitwise, with the
+    coefficients, roots and divisor scans computed as (N, n) stacks."""
+    sigma = char_poly_direct(field, np.array([p.coords for p in points]))
+    lams = eigenvalues(sigma)
+    divisors = _divisor_records(lams, cfg.delta, cfg.max_order)
+    return [SpectrumReport(p.m, s, z, classify(z, cfg), rec)
+            for p, s, z, rec in zip(points, sigma, lams, divisors)]
 
 
 def linearizable_numerically(report: SpectrumReport) -> bool:

@@ -132,6 +132,17 @@ def test_bad_input_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "2", "--d", "2", "--samples", "2", "--seed", "-1"],
+    ["sing", "--n", "2", "--d", "2", "--delta", "-1"],
+    ["sing", "--n", "2", "--d", "2", "--max-iters", "0"],
+])
+def test_invalid_run_config_exits_two(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_convergence_failure_exits_three(capsys):
     code = run(["sing", "--n", "2", "--d", "2", "--alpha", "0.04,0",
                 "--alpha", "0,0.03", "--max-iters", "1", "--newton-tol", "1e-15"])

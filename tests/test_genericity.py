@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from foliationlab import (
+    HYPERBOLIC,
+    CollisionError,
+    ConvergenceError,
     FoliationParams,
     InputError,
     RunConfig,
@@ -15,6 +18,7 @@ from foliationlab import (
     counts,
     defect_experiment,
     expected_det_modulus,
+    family_field,
     generator_weights,
     genericity_sample,
     group_action,
@@ -22,8 +26,10 @@ from foliationlab import (
     hyperplane_set,
     pushforward_factor,
     sigma_at_ones,
+    spectrum_report,
     submersion_all,
     submersion_report,
+    track_singularities,
     unit_root,
 )
 from foliationlab.jouanolou import FACTOR_TOL
@@ -345,3 +351,39 @@ def test_sample_note_text_is_fixed():
     s = genericity_sample(2, 2, RunConfig(samples=10, max_order=4))
     assert s.note == ("finite sample with a truncated resonance scan; "
                       "not a proof of a full-measure statement")
+
+
+def _reference_sample(n, d, cfg):
+    # one draw at a time, one zero at a time: (failed, all hyperbolic, any resonant)
+    u = np.random.default_rng(cfg.seed).random((cfg.samples, n, 2))
+    alphas = cfg.radius * np.sqrt(u[:, :, 0]) * np.exp(2j * np.pi * u[:, :, 1])
+    failed = hyp = res = 0
+    for alpha in alphas:
+        params = FoliationParams(n, d, tuple(alpha))
+        try:
+            field = family_field(params)
+            reports = [spectrum_report(field, p, cfg) for p in track_singularities(params, cfg)]
+        except (ConvergenceError, CollisionError):
+            failed += 1
+            continue
+        hyp += all(r.classification == HYPERBOLIC for r in reports)
+        res += any(r.divisor.resonant for r in reports)
+    return failed, hyp, res
+
+
+@pytest.mark.parametrize("cfg,fails", [
+    (RunConfig(samples=20, max_order=6), "none"),
+    (RunConfig(samples=10, max_order=6, dedup_tol=10), "all"),  # every draw collides
+    (RunConfig(samples=20, max_order=6, newton_tol=4e-16, max_iters=5), "some"),
+], ids=["clean", "collisions", "some-fail"])
+def test_sample_equals_per_draw_reference(cfg, fails):
+    s = genericity_sample(3, 2, cfg)
+    assert (s.n_failed, s.n_all_hyperbolic, s.n_any_resonant) == _reference_sample(3, 2, cfg)
+    assert genericity_sample(3, 2, cfg, jobs=3) == s
+    assert {"none": s.n_failed == 0, "all": s.n_failed == cfg.samples,
+            "some": 0 < s.n_failed < cfg.samples}[fails]
+
+
+def test_sample_rejects_zero_jobs():
+    with pytest.raises(InputError):
+        genericity_sample(2, 2, RunConfig(samples=2), jobs=0)

@@ -8,6 +8,7 @@ from foliationlab import (
     CollisionError,
     ConvergenceError,
     FoliationParams,
+    InputError,
     RunConfig,
     closed_form_sing,
     counts,
@@ -271,3 +272,16 @@ def test_continuation_handles_radius_boundary():
     a = np.array([0.05, 0.0])
     t = track_one(FoliationParams(2, 2, tuple(a)), 7, CFG)
     assert t.converged and t.residual < 1e-10
+
+
+@pytest.mark.parametrize("field,value", [
+    ("delta", 0.0), ("delta", -1.0), ("seed", -1), ("max_iters", 0), ("max_iters", -3),
+])
+def test_run_config_rejects_values_that_fail_later(field, value):
+    with pytest.raises(InputError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_accepts_smallest_valid_values():
+    cfg = RunConfig(delta=1e-300, seed=0, max_iters=1)
+    assert (cfg.delta, cfg.seed, cfg.max_iters) == (1e-300, 0, 1)

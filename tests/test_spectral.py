@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from foliationlab import spectral
 from foliationlab import (
     DEGENERATE,
     HYPERBOLIC,
@@ -23,6 +24,7 @@ from foliationlab import (
     Counts,
     counts,
     eigenvalues,
+    family_field,
     jacobian,
     jouanolou_field,
     linear_diagonal_field,
@@ -31,6 +33,7 @@ from foliationlab import (
     sigma_at_ones,
     small_divisor_scan,
     spectrum_report,
+    spectrum_reports,
     track_one,
     track_singularities,
     unit_root,
@@ -260,3 +263,116 @@ def test_readme_library_tour():
     assert len(census) == 5
     assert abs(slope - 1.0) < 0.05
     assert frac == 1.0
+
+
+# ---------------------------------------------------------------------------
+# stacked spectra: row r of every stacked stage is bitwise the one-row call
+
+
+def _same_record(a, b):
+    # DivisorRecord equality compares c_min with ==, which cannot see -0.0 or NaN bits
+    return a == b and np.float64(a.c_min).tobytes() == np.float64(b.c_min).tobytes()
+
+
+def _sigma_stack(n, d, seed):
+    params = _member(n, d, seed)
+    coords = np.array([p.coords for p in track_singularities(params, CFG)])
+    return family_field(params), coords
+
+
+def _np_roots_sorted(sigma):
+    coeffs = np.concatenate(([1.0 + 0j], sigma))
+    z = np.roots(coeffs if coeffs.imag.any() else coeffs.real).astype(complex)
+    return z[np.lexsort((z.imag, z.real))]
+
+
+def _reference_scan(lams, delta, max_order):
+    # the one-row scan as a full (candidate, eigenvalue) table with the tied entries masked
+    n = len(lams)
+    m = np.array([e for e in itertools.product(range(max_order + 1), repeat=n)
+                  if 2 <= sum(e) <= max_order])
+    table = np.abs(lams[None, :] - (m @ lams)[:, None]) * (m.sum(axis=1).astype(float) ** delta)[:, None]
+    table[:, :-1][m[:, :-1] > 0] = np.inf
+    row, col = divmod(int(np.argmin(table)), n)
+    return float(table[row, col]), col + 1, tuple(int(e) for e in m[row])
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 2, 601), (3, 3, 602), (4, 3, 603)])
+def test_stacked_stages_equal_one_row_calls(n, d, seed):
+    f, coords = _sigma_stack(n, d, seed)
+    sigma = char_poly_direct(f, coords)
+    assert sigma.shape == coords.shape
+    for r, x in enumerate(coords):
+        assert sigma[r].tobytes() == char_poly_direct(f, x).tobytes()
+    # real-coefficient rows (real solver) interleaved with complex ones
+    mixed = np.insert(sigma, [1, len(sigma) // 2], sigma_at_ones(n, d), axis=0)
+    lams = eigenvalues(mixed)
+    assert lams.shape == mixed.shape
+    records = spectral._divisor_records(lams, CFG.delta, 6)
+    for row, z, rec in zip(mixed, lams, records):
+        assert z.tobytes() == eigenvalues(row).tobytes() == _np_roots_sorted(row).tobytes()
+        assert _same_record(rec, small_divisor_scan(z, CFG.delta, 6))
+        c_min, worst_j, worst_m = _reference_scan(z, CFG.delta, 6)
+        assert np.float64(rec.c_min).tobytes() == np.float64(c_min).tobytes()
+        assert (rec.worst_j, rec.worst_m) == (worst_j, worst_m)
+
+
+def test_eigenvalues_zero_trailing_coefficients_match_np_roots():
+    rows = np.array([
+        [4.0, 7.0, 0.0],                 # sigma_n = 0, real
+        [1.0 + 2j, -0.5j, 0.0],          # sigma_n = 0, complex
+        [3.0, 0.0, 0.0],                 # two trailing zeros
+        [0.0, 0.0, 0.0],                 # every root at zero
+        [0.0, 2.0 - 1j, 0.0],            # inner zero kept
+        [4.0, 7.0, 3.0],
+        [1.0 + 2j, -0.5j, 0.25 + 0.1j],
+    ], dtype=complex)
+    lams = eigenvalues(rows)
+    for row, z in zip(rows, lams):
+        want = _np_roots_sorted(row)
+        assert z.tobytes() == want.tobytes()
+        assert eigenvalues(row).tobytes() == want.tobytes()
+    assert np.count_nonzero(lams[0]) == 2 and np.count_nonzero(lams[3]) == 0
+
+
+def test_eigenvalues_reject_three_dimensional_sigma():
+    with pytest.raises(InputError):
+        eigenvalues(np.ones((2, 2, 3)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_scan_blocks_do_not_change_records(monkeypatch, block):
+    f, coords = _sigma_stack(2, 2, 604)
+    lams = eigenvalues(char_poly_direct(f, np.concatenate([coords, coords[::-1] * 0.99])))
+    want = {order: spectral._divisor_records(lams, 1.0, order) for order in (2, 3, 6)}
+    monkeypatch.setattr(spectral, "SCAN_BLOCK", block)
+    for order, records in want.items():
+        got = spectral._divisor_records(lams, 1.0, order)
+        assert len(got) == len(lams)
+        assert all(_same_record(a, b) for a, b in zip(got, records))
+
+
+def test_scan_tables_are_read_only():
+    before = small_divisor_scan([1, 1j], 1.0, 6)
+    for table in spectral._multi_indices(2, 6):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    after = small_divisor_scan([1, 1j], 1.0, 6)
+    assert _same_record(after, before)
+    assert after.c_min == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,d,seed", [(3, 2, None), (3, 2, 605), (4, 3, 606)])
+def test_spectrum_reports_equal_one_report_each(n, d, seed):
+    params = FoliationParams(n, d, (0j,) * n) if seed is None else _member(n, d, seed)
+    f = family_field(params)
+    points = track_singularities(params, CFG)
+    stacked = spectrum_reports(f, points, CFG)
+    assert len(stacked) == len(points)
+    for p, got in zip(points, stacked):
+        want = spectrum_report(f, p, CFG)
+        assert got.m == want.m == p.m
+        assert got.sigma.tobytes() == want.sigma.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.classification == want.classification
+        assert _same_record(got.divisor, want.divisor)
