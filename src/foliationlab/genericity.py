@@ -225,26 +225,121 @@ class AlignmentRecord:
     residual: float
 
 
+# Most points the census accepts: its Gram matrix and per-anchor arrays
+# peak near 64 N^2 bytes, about 1 GB here.
+CENSUS_MAX_POINTS = 4096
+# The prefilter's error bounds assume the largest |p|^2 lies in
+# [2^-600, 2^600]; outside it every pair is a candidate.
+_GRAM_RANGE = (2.0**-600, 2.0**600)
+# Bound on the underflow part of the pair test's distance, unscaled units.
+_UNDERFLOW = 2.0**-500
+
+
+def _census_candidates(coords: np.ndarray, tol: float, need: int):
+    """For each anchor a, the b > a whose line might hold `need` points.
+
+    Yields (a, bs).  A pair is dropped only when the Gram test proves that
+    fewer than `need` points pass the pair test in `alignment_census`.
+
+    Error bounds, in scaled units (M = max |p|^2 in [1/4, 1), t = tol):
+    - a computed G entry is within (n + 2) eps M of the exact one, so the
+      four-term sums nb, nc and g = <p_c - p_a, p_b - p_a> are within
+      e = 8 (n + 4) eps M (four entries and three additions, twice over);
+    - the pair test's distance is within d1 = (4n + 32) eps |p_c - p_a|
+      + floor of the exact one (twice the rounding of its differences,
+      norms, division and projection; floor covers underflow), so a point
+      it accepts has nb (nc - t^2) - |g|^2 < nb (2 t d1 + d1^2);
+    - with nb' = nb + e and nc' = nc + e, the left side as computed here
+      is within 2e (nb' + nc') + e (t^2 + e) + 6 eps nb' nc'
+      + 2.1 eps nb' t^2 + 4.1 eps e^2 of the exact one.
+    margin = nb' phi + psi is at least twice the sum of the last two
+    bounds, which also covers rounding the comparison itself.  It is
+    folded into bound = nb (nc - t^2 - phi) - (e phi + psi), and c is
+    ruled out when |g|^2 <= bound.
+    """
+    count, n = coords.shape
+    eps = np.finfo(float).eps
+    big = float(np.max(np.sum(coords.real**2 + coords.imag**2, axis=1)))
+    if not _GRAM_RANGE[0] <= big <= _GRAM_RANGE[1]:
+        for a in range(count):
+            yield a, range(a + 1, count)
+        return
+    # a power-of-two scale is exact: max |p|^2 moves into [1/4, 1)
+    scale = np.ldexp(1.0, -np.frexp(np.sqrt(big))[1])
+    pts = coords * scale
+    t = tol * scale
+    t2 = t * t
+    gram = pts @ pts.conj().T
+    diag = gram.diagonal().real.copy()
+    # absolute error of Gram-derived <p_c-p_a, p_b-p_a> and |p_c-p_a|^2
+    e = 8.0 * (n + 4) * eps * float(np.max(diag))
+    floor = _UNDERFLOW * scale
+    for a in range(count - 1):
+        row = gram[a]
+        nc = np.maximum(diag + diag[a] - 2.0 * row.real, 0.0)
+        upper = nc + e                  # nc' (and nb' for the rows b > a)
+        d1 = (4 * n + 32) * eps * np.sqrt(upper) + floor
+        phi = 4.0 * e + 16.0 * eps * (upper + t2) + 4.0 * t * d1 + 2.0 * d1 * d1
+        psi = 4.0 * e * upper + 2.0 * e * t2 + 4.0 * e * e
+        # row b - a, column c: <p_b - p_a, p_c - p_a>
+        inner = gram[a + 1:] - row
+        inner -= (gram[a + 1:, a] - gram[a, a])[:, None]
+        sq = inner.real * inner.real
+        sq += inner.imag * inner.imag
+        bound = np.multiply.outer(nc[a + 1:], nc - t2 - phi)
+        bound -= e * phi + psi
+        ruled_out = np.count_nonzero(sq <= bound, axis=1)
+        yield a, a + 1 + np.flatnonzero(count - ruled_out >= need)
+
+
 def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> list[AlignmentRecord]:
     """All maximal aligned subsets of size >= d + 1 among the given zeros.
 
-    Every point pair spans a candidate line; membership is distance below
-    align_tol.  d >= 2 is required because two points are always aligned.
-    Records are deduplicated by index set and sorted.
+    Every point pair (a, b), a < b, spans a candidate line through p_a
+    with unit direction u along p_b - p_a; point c is a member when its
+    distance |r - <r, u> u|, r = p_c - p_a, is below align_tol.  Pairs
+    are visited in (a, b) order, and a pair already inside an earlier
+    record is skipped.  Each record keeps the first pair's p_a and u and
+    the largest member distance.  d >= 2 is required because two points
+    are always aligned.  Records are deduplicated by index set and sorted.
+
+    The pair test costs O(N n) and almost no pair passes it, so pairs are
+    first screened with the Gram matrix G = P P^H of the points, scaled by
+    a power of two so that max |p|^2 lies in [1/4, 1).  For anchor a the
+    entries <p_c - p_a, p_b - p_a>, |p_b - p_a|^2 and |p_c - p_a|^2 are
+    four-term sums of G for all b > a at once, and a point c is a possible
+    member when
+
+        |p_b - p_a|^2 (|p_c - p_a|^2 - tol^2) - |<p_c - p_a, p_b - p_a>|^2 < margin,
+
+    which in exact arithmetic is the distance test.  margin is a
+    per-entry bound, from eps, max |p|^2 and the two squared lengths, on
+    the rounding of the left side from G plus the rounding (and underflow)
+    of the pair test's own distance, so every point the pair test accepts
+    is flagged.  Only pairs with at least d + 1 flagged points run the pair
+    test, in the same order and under the same covered-pair rule, so the
+    records are bitwise those of running it on every pair.  If max |p|^2
+    falls outside [2^-600, 2^600], every pair runs it.
+
+    Time is O(N^3) array work plus O(N n) per screened pair, memory about
+    64 N^2 bytes; more than CENSUS_MAX_POINTS points raise InputError.
     """
     if d < 2:
         raise InputError("alignment census needs d >= 2 (every pair is a line)")
     if len(points) < d + 1:
         raise InputError(f"need at least d + 1 = {d + 1} points, got {len(points)}")
+    if len(points) > CENSUS_MAX_POINTS:
+        raise InputError(f"alignment census takes at most {CENSUS_MAX_POINTS} points, "
+                         f"got {len(points)}")
     coords = np.array([p.coords for p in points])
     labels = [p.m for p in points]
     count = len(points)
     tol = cfg.align_tol
     found: dict[tuple[int, ...], AlignmentRecord] = {}
-    covered: set[frozenset[int]] = set()
-    for a in range(count):
-        for b in range(a + 1, count):
-            if frozenset((a, b)) in covered:
+    covered = np.zeros((count, count), dtype=bool)
+    for a, candidates in _census_candidates(coords, tol, d + 1):
+        for b in candidates:
+            if covered[a, b]:
                 continue
             direction = coords[b] - coords[a]
             norm = float(np.linalg.norm(direction))
@@ -257,9 +352,7 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
             members = np.flatnonzero(dist < tol)
             if members.shape[0] < d + 1:
                 continue
-            for s in range(members.shape[0]):
-                for t in range(s + 1, members.shape[0]):
-                    covered.add(frozenset((int(members[s]), int(members[t]))))
+            covered[np.ix_(members, members)] = True
             key = tuple(sorted(labels[i] for i in members))
             if key not in found:
                 found[key] = AlignmentRecord(
@@ -301,8 +394,9 @@ def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSe
 
     The base normal has d^(2k-1) in even slot 2k (2k <= n - 1) and zeros
     elsewhere.  For each aligned pattern in the unperturbed census the
-    smallest generator power carrying the base pattern onto it is found,
-    and the image normal divides each slot by that element's scaling.
+    smallest generator power carrying the base pattern onto it is
+    k = min(indices) mod K, checked against the translated base set, and
+    the image normal divides each slot by that element's scaling.
     The census uses cfg.align_tol.
     """
     if n % 2 == 0:
@@ -325,12 +419,10 @@ def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSe
     images = []
     powers = []
     for record in census:
-        target = set(record.indices)
-        for k in range(c.N):
-            shifted = {((m - 1 + k) % c.N) + 1 for m in base_set}
-            if shifted == target:
-                break
-        else:
+        # the base set is every m = 0 mod K, so its k-th translate is the
+        # residue class of k: the smallest k is read off any member
+        k = min(record.indices) % c.K
+        if {((m - 1 + k) % c.N) + 1 for m in base_set} != set(record.indices):
             raise VerificationError(
                 f"census record {record.indices} is not a group translate of the base pattern",
                 payload=census,

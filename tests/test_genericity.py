@@ -1,5 +1,7 @@
 """Submersion checks, derivative tables, alignment census, defect slopes, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,8 @@ from foliationlab import (
     track_singularities,
     unit_root,
 )
-from foliationlab.jouanolou import FACTOR_TOL
+from foliationlab.genericity import CENSUS_MAX_POINTS
+from foliationlab.jouanolou import FACTOR_TOL, SingularPoint
 
 CFG = RunConfig()
 MU_GRID = (1e-2, 3e-3, 1e-3, 3e-4)
@@ -198,6 +201,139 @@ def test_census_rejects_d_one():
         alignment_census(closed_form_sing(2, 1), 1, CFG)
 
 
+def test_census_rejects_too_many_points():
+    # one shared point object: the list is cheap, and the limit is checked first
+    p = closed_form_sing(3, 2)[0]
+    with pytest.raises(InputError, match=str(CENSUS_MAX_POINTS)):
+        alignment_census([p] * (CENSUS_MAX_POINTS + 1), 2, CFG)
+
+
+def _reference_census(points, d, cfg):
+    # the plain O(N^3) sweep: the pair test on every pair (a, b), a < b
+    coords = np.array([p.coords for p in points])
+    labels = [p.m for p in points]
+    count = len(points)
+    tol = cfg.align_tol
+    found = {}
+    covered = set()
+    for a in range(count):
+        for b in range(a + 1, count):
+            if frozenset((a, b)) in covered:
+                continue
+            direction = coords[b] - coords[a]
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0:
+                continue
+            direction = direction / norm
+            rel = coords - coords[a]
+            along = rel @ np.conj(direction)
+            dist = np.linalg.norm(rel - along[:, None] * direction[None, :], axis=1)
+            members = np.flatnonzero(dist < tol)
+            if members.shape[0] < d + 1:
+                continue
+            for s in range(members.shape[0]):
+                for t in range(s + 1, members.shape[0]):
+                    covered.add(frozenset((int(members[s]), int(members[t]))))
+            key = tuple(sorted(labels[i] for i in members))
+            if key not in found:
+                found[key] = (key, coords[a].copy(), direction, float(dist[members].max()))
+    return [found[key] for key in sorted(found)]
+
+
+def _points(coords):
+    rows = np.asarray(coords, dtype=complex).tolist()
+    return [SingularPoint(m=m, coords=tuple(row), residual=0.0, converged=True, newton_iters=0)
+            for m, row in enumerate(rows, start=1)]
+
+
+def _tracked(n, d, seed, on_base_hyperplane=False):
+    u = np.random.default_rng(seed).random((n, 2))
+    alpha = 0.02 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    if on_base_hyperplane:
+        alpha[1::2] = 0.0
+    return track_singularities(FoliationParams(n, d, tuple(alpha)), CFG)
+
+
+def _near_tolerance_set(scale=1.0):
+    # In C^3: a line L through m=1 and m=2 along u, with points off it by
+    # tol (1 -+ 1e-6) along w, Hermitian-orthogonal to u.  The pair (1, 2)
+    # covers (1, 3), whose tilted line would hold 4 but not 5.  A second line
+    # is first spanned by m=7 and m=8, 1e-6 apart.
+    tol = CFG.align_tol
+    u = np.array([1.0, 1j, 0.5 - 0.5j]) / np.sqrt(2.5)
+    w = np.array([1j, 1.0, 0.0]) / np.sqrt(2.0)
+    v = np.array([0.2, -1j, 0.6]) / np.sqrt(1.4)
+    x = np.array([0.0, 0.6, 1j])
+    x = (x - np.vdot(v, x) * v) / np.linalg.norm(x - np.vdot(v, x) * v)
+    assert abs(np.vdot(u, w)) < 1e-15 and abs(np.vdot(v, x)) < 1e-15
+    inside, outside = tol * (1 - 1e-6), tol * (1 + 1e-6)
+    q = -1.5 * w + 0.3 * u
+    coords = [
+        0.0 * u,
+        1.0 * u,
+        2.0 * u + inside * w,
+        3.0 * u + outside * w,
+        -2.0 * u + inside * w,
+        0.7 * u + 1e-6 * w,
+        q,
+        q + 1e-6 * v,
+        q + 2.0 * v,
+        q - 3.0 * v + 0.5 * inside * x,
+    ]
+    return _points(np.array(coords) * scale)
+
+
+def _census_cases():
+    cases = {f"closed-{n}-{d}": (closed_form_sing(n, d), d, CFG)
+             for n, d in [(2, 2), (4, 2), (3, 2), (3, 3), (5, 2)]}
+    for n, d in [(3, 2), (3, 3), (5, 2)]:
+        cases[f"tracked-{n}-{d}"] = (_tracked(n, d, 7), d, CFG)
+        cases[f"tracked-{n}-{d}-wide-tol"] = (_tracked(n, d, 7), d, RunConfig(align_tol=0.05))
+    cases["tracked-3-2-on-hyperplane"] = (_tracked(3, 2, 7, on_base_hyperplane=True), 2, CFG)
+    pts = closed_form_sing(3, 3)
+    perm = np.random.default_rng(3).permutation(len(pts))
+    cases["shuffled-3-3"] = ([pts[i] for i in perm], 3, CFG)
+    pts = closed_form_sing(3, 2)
+    cases["duplicate-3-2"] = (pts[:7] + [replace(pts[4], m=99)] + pts[7:], 2, CFG)
+    cases["near-tolerance"] = (_near_tolerance_set(), 2, CFG)
+    cases["near-tolerance-x1e3"] = (_near_tolerance_set(1e3), 2, RunConfig(align_tol=1e-5))
+    cases["closed-3-3-x1e3"] = (_points(np.array([p.coords for p in closed_form_sing(3, 3)]) * 1e3),
+                                3, CFG)
+    # 2^+-250 are scaled inside the Gram screen; 2^+-320 fall outside its range
+    for k in (-320, -250, 250, 320):
+        coords = np.array([p.coords for p in closed_form_sing(3, 2)]) * 2.0**k
+        cases[f"closed-3-2-x2^{k}"] = (_points(coords), 2, RunConfig(align_tol=1e-8 * 2.0**k))
+    return cases
+
+
+CENSUS_CASES = _census_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+def test_census_bitwise_equals_pair_sweep(name):
+    points, d, cfg = CENSUS_CASES[name]
+    got = alignment_census(points, d, cfg)
+    want = _reference_census(points, d, cfg)
+    assert len(got) == len(want)
+    for rec, (indices, line_point, line_dir, residual) in zip(got, want):
+        assert rec.indices == indices
+        assert rec.line_point.dtype == line_point.dtype
+        assert rec.line_point.tobytes() == line_point.tobytes()
+        assert rec.line_dir.dtype == line_dir.dtype
+        assert rec.line_dir.tobytes() == line_dir.tobytes()
+        assert np.float64(rec.residual).tobytes() == np.float64(residual).tobytes()
+
+
+def test_near_tolerance_set_has_the_intended_records():
+    # guards the adversarial set itself: the point at tol (1 - 1e-6) from L is
+    # in, the one at tol (1 + 1e-6) is out, and the 1e-6 pair spans a record
+    for points, cfg in [(_near_tolerance_set(), CFG),
+                        (_near_tolerance_set(1e3), RunConfig(align_tol=1e-5))]:
+        got = {rec.indices for rec in alignment_census(points, 2, cfg)}
+        assert (1, 2, 3, 5) in got
+        assert (7, 8, 9, 10) in got
+
+
 def test_base_pattern_indices():
     assert base_pattern_indices(3, 2) == [5, 10, 15]
     assert base_pattern_indices(3, 3) == [10, 20, 30, 40]
@@ -226,6 +362,23 @@ def test_hyperplane_images_distinct_5_2():
             u, v = np.asarray(hset.images[a]), np.asarray(hset.images[b])
             gram = abs(np.vdot(u, v)) ** 2
             assert gram < (1 - 1e-9) * np.vdot(u, u).real * np.vdot(v, v).real
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_hyperplane_powers_equal_search_over_k(n, d):
+    # reference: the smallest k in 0..N-1 whose translate of the base set is
+    # the record, and the image normal built from it
+    c = counts(n, d)
+    hset = hyperplane_set(n, d)
+    base_set = set(base_pattern_indices(n, d))
+    weights = generator_weights(n, d)
+    want = {}
+    for rec in alignment_census(closed_form_sing(n, d), d, CFG):
+        k = next(k for k in range(c.N)
+                 if {((m - 1 + k) % c.N) + 1 for m in base_set} == set(rec.indices))
+        want[k] = hset.base_normal * np.array([unit_root(-k * w, c.N) for w in weights])
+    assert hset.element_powers == sorted(want)
+    assert [v.tobytes() for v in hset.images] == [want[k].tobytes() for k in sorted(want)]
 
 
 # ---------------------------------------------------------------------------
