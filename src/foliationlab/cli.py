@@ -282,7 +282,9 @@ def _cmd_pushforward(args, cfg):
 
 
 def _cmd_sample(args, cfg):
-    stats = genericity_sample(args.n, args.d, cfg, jobs=args.jobs)
+    if args.jobs < 1:
+        raise InputError("jobs must be at least 1")
+    stats = genericity_sample(args.n, args.d, cfg)
     rows = _table([[(f.name, getattr(stats, f.name))
                     for f in dataclasses.fields(SampleStats) if f.name != "note"]])
     return stats, rows, [], 0

@@ -39,8 +39,7 @@ class PolyVectorField:
 
     n: int
     components: tuple[dict[Exponent, complex], ...]
-    _eval_tab: tuple | None = field(default=None, repr=False, compare=False)
-    _jac_tab: tuple | None = field(default=None, repr=False, compare=False)
+    _tables: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -66,62 +65,45 @@ class PolyVectorField:
             clean.append({e: c for e, c in table.items() if c != 0})
         self.components = tuple(clean)
 
-    # Stacked monomial tables.  One power/prod pass per evaluation instead
-    # of a dict walk; the index arrays scatter values back per component.
-    def _eval_tables(self):
-        if self._eval_tab is None:
-            exps, coeffs, comp_idx = [], [], []
-            for i, comp in enumerate(self.components):
-                for e, c in sorted(comp.items()):
-                    exps.append(e)
-                    coeffs.append(c)
-                    comp_idx.append(i)
-            self._eval_tab = (
-                np.array(exps, dtype=np.int64).reshape(len(exps), self.n),
-                np.array(coeffs, dtype=complex),
-                np.array(comp_idx, dtype=np.intp),
+    # Stacked monomial tables: one power/prod pass per evaluation instead of
+    # a dict walk, with output slots to scatter the values back.  The terms
+    # are listed by component in sorted order and each term's partials by
+    # variable; this fixed order keeps the scatter bitwise.
+    def _compiled(self):
+        """(value table, Jacobian table), each (exponents, coefficients, slots)."""
+        if self._tables is None:
+            n = self.n
+            terms = [(i, e, c) for i, comp in enumerate(self.components)
+                     for e, c in sorted(comp.items())]
+            partials = [(i * n + j, e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                        for i, e, c in terms for j in range(n) if e[j] > 0]
+            self._tables = tuple(
+                (np.array([e for _, e, _ in rows], dtype=np.int64).reshape(len(rows), n),
+                 np.array([c for _, _, c in rows], dtype=complex),
+                 np.array([s for s, _, _ in rows], dtype=np.intp))
+                for rows in (terms, partials)
             )
-        return self._eval_tab
-
-    def _jac_tables(self):
-        if self._jac_tab is None:
-            exps, coeffs, flat_idx = [], [], []
-            for i, comp in enumerate(self.components):
-                for e, c in sorted(comp.items()):
-                    for j, ej in enumerate(e):
-                        if ej == 0:
-                            continue
-                        de = list(e)
-                        de[j] -= 1
-                        exps.append(tuple(de))
-                        coeffs.append(c * ej)
-                        flat_idx.append(i * self.n + j)
-            self._jac_tab = (
-                np.array(exps, dtype=np.int64).reshape(len(exps), self.n),
-                np.array(coeffs, dtype=complex),
-                np.array(flat_idx, dtype=np.intp),
-            )
-        return self._jac_tab
+        return self._tables
 
 
-def _check_points(field_: PolyVectorField, x) -> np.ndarray:
+def _evaluate(field_: PolyVectorField, x, which: int, width: int) -> np.ndarray:
+    """Sum table `which` of the field at x into `width` output slots per point."""
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or x.shape[-1] != field_.n:
         raise InputError(
             f"point has shape {x.shape}, expected ({field_.n},) or (R, {field_.n})"
         )
-    return x
+    exps, coeffs, slots = field_._compiled()[which]
+    out = np.zeros(x.shape[:-1] + (width,), dtype=complex)
+    if len(coeffs):
+        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
+        np.add.at(out, (..., slots), vals)
+    return out
 
 
 def eval_field(field_: PolyVectorField, x) -> np.ndarray:
     """Value of the field at x: shape (n,) for one point, (R, n) for a stack."""
-    x = _check_points(field_, x)
-    exps, coeffs, comp_idx = field_._eval_tables()
-    out = np.zeros(x.shape, dtype=complex)
-    if len(coeffs):
-        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
-        np.add.at(out, (..., comp_idx), vals)
-    return out
+    return _evaluate(field_, x, 0, field_.n)
 
 
 def jacobian(field_: PolyVectorField, x) -> np.ndarray:
@@ -131,13 +113,8 @@ def jacobian(field_: PolyVectorField, x) -> np.ndarray:
     obtained by differentiating the coefficient table, not by finite
     differences.  Shape (n, n) for one point, (R, n, n) for a stack.
     """
-    x = _check_points(field_, x)
-    exps, coeffs, flat_idx = field_._jac_tables()
-    out = np.zeros(x.shape[:-1] + (field_.n * field_.n,), dtype=complex)
-    if len(coeffs):
-        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
-        np.add.at(out, (..., flat_idx), vals)
-    return out.reshape(x.shape[:-1] + (field_.n, field_.n))
+    out = _evaluate(field_, x, 1, field_.n * field_.n)
+    return out.reshape(out.shape[:-1] + (field_.n, field_.n))
 
 
 def diagonal_pushforward(field_: PolyVectorField, scale) -> PolyVectorField:

@@ -30,6 +30,7 @@ from .jouanolou import (
     counts,
     family_field,
     generator_weights,
+    jouanolou_field,
     unit_root,
 )
 from .solver import RunConfig, track_one, track_singularities
@@ -459,9 +460,9 @@ def defect_experiment(
 ) -> DefectResult:
     """Growth order of the alignment defect for perturbations mu * nu.
 
-    The first three points of the base aligned pattern are tracked at each
-    mu and the defect is the 2 x 2 determinant built from two coordinates
-    (first and last unless coord_pair says otherwise):
+    Only the first three points of the base aligned pattern are tracked at
+    each mu, and the defect is the 2 x 2 determinant built from two
+    coordinates (first and last unless coord_pair says otherwise):
 
         |(u1 - u0)(w2 - w0) - (u2 - u0)(w1 - w0)|
 
@@ -507,9 +508,9 @@ def defect_experiment(
     defects = []
     for mu in mu_grid:
         params = FoliationParams(n, d, tuple(mu * v for v in nu))
-        tracked = [track_one(params, m, cfg) for m in pattern]
-        u = [p.coords[u_idx - 1] for p in tracked[:3]]
-        w = [p.coords[w_idx - 1] for p in tracked[:3]]
+        tracked = [track_one(params, m, cfg) for m in pattern[:3]]
+        u = [p.coords[u_idx - 1] for p in tracked]
+        w = [p.coords[w_idx - 1] for p in tracked]
         defects.append(abs((u[1] - u[0]) * (w[2] - w[0]) - (u[2] - u[0]) * (w[1] - w[0])))
     with np.errstate(divide="ignore"):
         slope = float(np.polyfit(np.log(mu_grid), np.log(defects), 1)[0])
@@ -549,26 +550,26 @@ class SampleStats:
     )
 
 
-def genericity_sample(n: int, d: int, cfg: RunConfig, jobs: int = 1) -> SampleStats:
+def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     """Sample the perturbation polydisk and summarize spectral behavior.
 
     Perturbations are drawn coordinatewise uniformly from the closed disk
-    of cfg.radius, pre-generated sequentially from cfg.seed.  Each draw's
-    zeros are tracked as one batch and their spectra computed as one
-    stack; a draw that fails (ConvergenceError or CollisionError) is
-    counted, never raised.  jobs must be at least 1 and has no effect:
-    every draw runs in this process.
+    of cfg.radius, pre-generated sequentially from cfg.seed, and run one
+    after another in this process.  Each draw's zeros are tracked as one
+    batch and their spectra computed as one stack from the base field,
+    whose Jacobian is every member's (alpha is only a constant term); a
+    draw that fails (ConvergenceError or CollisionError) is counted, never
+    raised.
     """
-    if jobs < 1:
-        raise InputError("jobs must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     draws = rng.random((cfg.samples, n, 2))
     alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
+    base = jouanolou_field(n, d)
     n_failed = n_all_hyp = n_any_res = 0
     for alpha in alphas:
         params = FoliationParams(n, d, tuple(alpha))
         try:
-            reports = spectrum_reports(family_field(params), track_singularities(params, cfg), cfg)
+            reports = spectrum_reports(base, track_singularities(params, cfg), cfg)
         except (ConvergenceError, CollisionError):
             n_failed += 1
             continue

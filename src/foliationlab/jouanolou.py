@@ -135,32 +135,23 @@ def counts(n: int, d: int) -> Counts:
 
 def jouanolou_field(n: int, d: int) -> PolyVectorField:
     """The unperturbed degree-d field on affine n-space."""
-    _check_nd(n, d)
-    comps = []
-    for i in range(n - 1):
-        lead = [0] * n
-        lead[i + 1] = d
-        drag = [0] * n
-        drag[i] += 1
-        drag[0] += d
-        comps.append({tuple(lead): 1.0 + 0j, tuple(drag): -1.0 + 0j})
-    drag = [0] * n
-    drag[n - 1] += 1
-    drag[0] += d
-    comps.append({(0,) * n: 1.0 + 0j, tuple(drag): -1.0 + 0j})
-    return PolyVectorField(n, tuple(comps))
+    return family_field(FoliationParams(n, d))
 
 
 def family_field(params: FoliationParams) -> PolyVectorField:
-    """The field of the family member: base field plus the constant alpha."""
-    base = jouanolou_field(params.n, params.d)
-    zero = (0,) * params.n
+    """The field of the family member: base field plus the constant alpha,
+    written in one pass (a constant that comes out zero is pruned)."""
+    n, d = params.n, params.d
+    zero = (0,) * n
     comps = []
-    for i, comp in enumerate(base.components):
-        table = dict(comp)
-        table[zero] = table.get(zero, 0) + params.alpha[i]
-        comps.append(table)
-    return PolyVectorField(params.n, tuple(comps))
+    for i, a in enumerate(params.alpha):
+        drag = tuple(d * (k == 0) + (k == i) for k in range(n))
+        if i < n - 1:
+            lead = tuple(d * (k == i + 1) for k in range(n))
+            comps.append({lead: 1.0 + 0j, drag: -1.0 + 0j, zero: 0 + a})
+        else:
+            comps.append({zero: (1.0 + 0j) + a, drag: -1.0 + 0j})
+    return PolyVectorField(n, tuple(comps))
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ remainder from quadratic to linear in the perturbation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,11 @@ class RunConfig:
     def __post_init__(self):
         for name in ("newton_tol", "dedup_tol", "radius", "fd_step",
                      "tol_hyp", "tol_nd", "align_tol", "delta", "max_iters"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise InputError(f"{name} must be positive")
+            if not math.isfinite(value):  # nan and inf pass the sign test
+                raise InputError(f"{name} must be finite")
         if self.seed < 0:
             raise InputError("seed must be non-negative")
         if self.max_order < 2:

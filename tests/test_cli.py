@@ -143,6 +143,23 @@ def test_invalid_run_config_exits_two(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sing", "--n", "2", "--d", "2", "--radius", "nan"],
+    ["align", "--n", "3", "--d", "2", "--align-tol", "inf"],
+])
+def test_non_finite_run_config_exits_two(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith("must be finite\n")
+
+
+def test_sample_rejects_zero_jobs(capsys):
+    assert run(["sample", "--n", "2", "--d", "2", "--samples", "2", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: jobs must be at least 1\n")
+
+
 def test_convergence_failure_exits_three(capsys):
     code = run(["sing", "--n", "2", "--d", "2", "--alpha", "0.04,0",
                 "--alpha", "0,0.03", "--max-iters", "1", "--newton-tol", "1e-15"])

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from foliationlab import (
+    FoliationParams,
     InputError,
     PolyVectorField,
+    closed_form_coords,
     diagonal_pushforward,
     eval_field,
+    family_field,
     field_distance,
     jacobian,
+    jouanolou_field,
     linear_diagonal_field,
     scale_field,
 )
@@ -138,3 +142,100 @@ def test_points_of_the_wrong_shape_are_rejected(shape):
     for fn in (eval_field, jacobian):
         with pytest.raises(InputError):
             fn(f, np.zeros(shape))
+
+
+def _reference(f, x):
+    """Value and Jacobian at x the long way: walk the coefficient dicts, list
+    every term (by component, exponents sorted) and every formal partial of
+    it (by variable), then add each evaluated entry into its slot in turn.
+
+    Each list is evaluated as one array, as in the library: numpy's
+    vectorized complex multiply may fuse multiply-adds, so a product taken
+    one scalar at a time can differ from it in the last bit.
+    """
+    x = np.asarray(x, dtype=complex)
+    terms, partials = [], []
+    for i, comp in enumerate(f.components):
+        for e, c in sorted(comp.items()):
+            terms.append(((i,), e, c))
+            for j in range(f.n):
+                if e[j]:
+                    de = list(e)
+                    de[j] -= 1
+                    partials.append(((i, j), tuple(de), c * e[j]))
+    val = np.zeros(x.shape[:-1] + (f.n,), dtype=complex)
+    jac = np.zeros(x.shape[:-1] + (f.n, f.n), dtype=complex)
+    for out, rows in ((val, terms), (jac, partials)):
+        if not rows:
+            continue
+        exps = np.array([e for _, e, _ in rows], dtype=np.int64)
+        coeffs = np.array([c for _, _, c in rows], dtype=complex)
+        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
+        for k, (slot, _, _) in enumerate(rows):
+            out[(..., *slot)] += vals[..., k]
+    return val, jac
+
+
+def _sparse_field(rng, n):
+    """Up to four random terms per component; some components stay empty."""
+    comps = []
+    for _ in range(n):
+        terms = int(rng.integers(0, 5))
+        exps = rng.integers(0, 4, size=(terms, n))
+        comps.append({tuple(int(v) for v in e): complex(*rng.standard_normal(2)) for e in exps})
+    return PolyVectorField(n, tuple(comps))
+
+
+def _reference_cases():
+    rng = np.random.default_rng(808)
+    cases = {}
+    for n, d in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)]:
+        alpha = tuple(0.04 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        one_zero = (0j,) + alpha[1:]
+        for name, a in [("alpha", alpha), ("alpha0", ()), ("one-zero", one_zero)]:
+            cases[f"member-{n}-{d}-{name}"] = family_field(FoliationParams(n, d, a))
+        scale = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases[f"pushforward-{n}-{d}"] = diagonal_pushforward(cases[f"member-{n}-{d}-alpha"], scale)
+        cases[f"scaled-{n}-{d}"] = scale_field(jouanolou_field(n, d), 0.3 - 1.7j)
+    cases["linear-diagonal"] = linear_diagonal_field([2.0 + 1j, -0.5, 3.0, 0.0])
+    for k in range(8):
+        cases[f"sparse-{k}"] = _sparse_field(rng, 2 + k % 4)
+    cases["all-empty"] = PolyVectorField(3, ({}, {}, {}))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_compiled_tables_equal_dict_walk_bitwise(name):
+    f = REFERENCE_CASES[name]
+    rng = np.random.default_rng(len(name))
+    xs = rng.standard_normal((6, f.n)) + 1j * rng.standard_normal((6, f.n))
+    xs[0] = 0
+    xs[1] = 1
+    for x in [*xs, xs]:
+        val, jac = _reference(f, x)
+        assert eval_field(f, x).tobytes() == val.tobytes()
+        assert jacobian(f, x).tobytes() == jac.tobytes()
+
+
+def test_sparse_cases_include_empty_components():
+    assert any(not comp for name, f in REFERENCE_CASES.items() if name.startswith("sparse")
+               for comp in f.components)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (5, 2)])
+def test_member_jacobian_is_the_base_jacobian_bitwise(n, d):
+    # alpha is a constant term, which has no partials, so every member shares
+    # the base field's Jacobian tables (the sampler takes spectra from the base)
+    rng = np.random.default_rng(10 * n + d)
+    zeros = closed_form_coords(n, d)
+    points = zeros + 0.01 * rng.standard_normal(zeros.shape)
+    base = jacobian(jouanolou_field(n, d), points)
+    for alpha in [0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                  np.r_[0.0, 0.02j * np.ones(n - 1)],     # one zero alpha_i
+                  np.r_[0.01 * np.ones(n - 1), -1.0]]:     # last constant cancels
+        member = family_field(FoliationParams(n, d, tuple(alpha)))
+        assert jacobian(member, points).tobytes() == base.tobytes()
+        assert jacobian(member, points[3]).tobytes() == base[3].tobytes()

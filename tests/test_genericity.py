@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from foliationlab import genericity
 from foliationlab import (
     HYPERBOLIC,
     CollisionError,
@@ -473,6 +474,38 @@ def test_defect_validation():
         defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=(1, 1))
 
 
+def test_defect_tracks_only_the_three_zeros_it_uses(monkeypatch):
+    tracked = []
+    real = genericity.track_one
+
+    def spy(params, m, cfg):
+        tracked.append(m)
+        return real(params, m, cfg)
+
+    monkeypatch.setattr(genericity, "track_one", spy)
+    defect_experiment(3, 3, (0, 1, 0), MU_GRID, CFG)
+    assert len(base_pattern_indices(3, 3)) == 4
+    assert tracked == base_pattern_indices(3, 3)[:3] * len(MU_GRID)
+
+
+@pytest.mark.parametrize("n,d,nu", [
+    (3, 2, (0, 1, 0)), (3, 3, (0.3, 1, -0.5j)), (5, 2, (1, 0.8, 0, -0.2, 0)),
+])
+def test_defects_are_those_of_the_batch_tracked_pattern(n, d, nu):
+    # track_one is bitwise the m-th zero of track_singularities, so the
+    # defects equal the ones read off a whole tracked member
+    res = defect_experiment(n, d, nu, MU_GRID, CFG)
+    nu = tuple(complex(v) for v in nu)
+    want = []
+    for mu in MU_GRID:
+        points = track_singularities(FoliationParams(n, d, tuple(mu * v for v in nu)), CFG)
+        triple = [points[m - 1].coords for m in base_pattern_indices(n, d)[:3]]
+        u = [p[0] for p in triple]
+        w = [p[n - 1] for p in triple]
+        want.append(abs((u[1] - u[0]) * (w[2] - w[0]) - (u[2] - u[0]) * (w[1] - w[0])))
+    assert res.defects == tuple(want)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling
 
@@ -486,11 +519,6 @@ def test_sample_deterministic_and_consistent():
     assert a.n_failed + 60 - a.n_failed == 60
     assert a.frac_failures == a.n_failed / 60
     assert a.frac_all_hyperbolic == a.n_all_hyperbolic / 60
-
-
-def test_sample_worker_count_does_not_change_result():
-    cfg = RunConfig(samples=40, max_order=6)
-    assert genericity_sample(2, 2, cfg) == genericity_sample(2, 2, cfg, jobs=2)
 
 
 def test_sample_small_run_is_clean():
@@ -532,11 +560,5 @@ def _reference_sample(n, d, cfg):
 def test_sample_equals_per_draw_reference(cfg, fails):
     s = genericity_sample(3, 2, cfg)
     assert (s.n_failed, s.n_all_hyperbolic, s.n_any_resonant) == _reference_sample(3, 2, cfg)
-    assert genericity_sample(3, 2, cfg, jobs=3) == s
     assert {"none": s.n_failed == 0, "all": s.n_failed == cfg.samples,
             "some": 0 < s.n_failed < cfg.samples}[fails]
-
-
-def test_sample_rejects_zero_jobs():
-    with pytest.raises(InputError):
-        genericity_sample(2, 2, RunConfig(samples=2), jobs=0)

@@ -10,6 +10,7 @@ from foliationlab import (
     FactorizationError,
     FoliationParams,
     GroupElement,
+    PolyVectorField,
     counts,
     closed_form_coords,
     closed_form_sing,
@@ -63,6 +64,48 @@ def test_family_field_constant_slots():
     assert f.components[1][(0, 0)] == 1 + b
     # alpha = 0 gives back the unperturbed field
     assert family_field(FoliationParams(2, 2)).components == jouanolou_field(2, 2).components
+
+
+def _two_step_family_field(params):
+    # the family member as it was first built: the base field, then a copy
+    # of its tables with alpha added to the constant slots
+    n, d = params.n, params.d
+    comps = []
+    for i in range(n - 1):
+        lead = [0] * n
+        lead[i + 1] = d
+        drag = [0] * n
+        drag[i] += 1
+        drag[0] += d
+        comps.append({tuple(lead): 1.0 + 0j, tuple(drag): -1.0 + 0j})
+    drag = [0] * n
+    drag[n - 1] += 1
+    drag[0] += d
+    comps.append({(0,) * n: 1.0 + 0j, tuple(drag): -1.0 + 0j})
+    base = PolyVectorField(n, tuple(comps))
+    zero = (0,) * n
+    comps = []
+    for i, comp in enumerate(base.components):
+        table = dict(comp)
+        table[zero] = table.get(zero, 0) + params.alpha[i]
+        comps.append(table)
+    return PolyVectorField(n, tuple(comps))
+
+
+def _exact(field_):
+    # repr keeps the sign of a zero part, which == does not
+    return [repr(sorted(comp.items())) for comp in field_.components]
+
+
+def test_family_field_equals_the_two_step_build():
+    rng = np.random.default_rng(55)
+    for n, d in DESK + [(5, 2), (5, 3)]:
+        alpha = 0.04 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for a in [alpha, np.zeros(n), np.r_[0.0, alpha[1:]], np.r_[alpha[:-1], -1.0],
+                  np.r_[-0.0, alpha[1:-1], complex(-1.0, -0.0)], np.full(n, complex(0.0, -0.0))]:
+            params = FoliationParams(n, d, tuple(a))
+            assert _exact(family_field(params)) == _exact(_two_step_family_field(params))
+        assert _exact(jouanolou_field(n, d)) == _exact(_two_step_family_field(FoliationParams(n, d)))
 
 
 def test_closed_forms_are_zeros_and_distinct():

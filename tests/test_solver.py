@@ -1,5 +1,8 @@
 """Newton refinement, continuation tracking, and the first-order predictor."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -280,6 +283,28 @@ def test_continuation_handles_radius_boundary():
 def test_run_config_rejects_values_that_fail_later(field, value):
     with pytest.raises(InputError, match=field):
         RunConfig(**{field: value})
+
+
+FLOAT_FIELDS = ("newton_tol", "dedup_tol", "radius", "fd_step", "tol_hyp", "tol_nd",
+                "align_tol", "delta")
+
+
+def test_float_fields_are_the_checked_ones():
+    assert FLOAT_FIELDS == tuple(f.name for f in dataclasses.fields(RunConfig)
+                                 if isinstance(f.default, float))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_run_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be finite$"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_run_config_negative_infinity_is_not_positive(field):
+    with pytest.raises(InputError, match=f"^{field} must be positive$"):
+        RunConfig(**{field: -math.inf})
 
 
 def test_run_config_accepts_smallest_valid_values():
