@@ -70,6 +70,21 @@ def _parse_mu_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_coord_pair(text: str) -> tuple[int, int]:
+    try:
+        i, j = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'i,j' with two integers, got {text!r}") from None
+    return i, j
+
+
+def _parse_index(text: str) -> int | str:
+    try:
+        return text if text == "all" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'all', got {text!r}") from None
+
+
 def _jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
@@ -121,17 +136,8 @@ def _make_cfg(args) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
-def _alpha_from(args, n: int) -> tuple[complex, ...]:
-    alpha = tuple(args.alpha or ())
-    if not alpha:
-        return (0j,) * n
-    if len(alpha) != n:
-        raise InputError(f"--alpha given {len(alpha)} times, expected {n} (one per coordinate)")
-    return alpha
-
-
 def _params_from(args) -> FoliationParams:
-    return FoliationParams(args.n, args.d, _alpha_from(args, args.n))
+    return FoliationParams(args.n, args.d, tuple(args.alpha or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +162,9 @@ def _cmd_spectrum(args, cfg):
     params = _params_from(args)
     points = track_singularities(params, cfg)
     if args.m != "all":
-        wanted = int(args.m)
-        points = [p for p in points if p.m == wanted]
+        points = [p for p in points if p.m == args.m]
         if not points:
-            raise InputError(f"no zero with index m={wanted}")
+            raise InputError(f"no zero with index m={args.m}")
     reports = spectrum_reports(family_field(params), points, cfg)
     warnings = []
     for rep in reports:
@@ -180,7 +185,7 @@ def _cmd_submersion(args, cfg):
     if args.m == "all":
         reports = submersion_all(args.n, args.d, cfg, stencil=args.stencil)
     else:
-        reports = [submersion_report(args.n, args.d, int(args.m), cfg, stencil=args.stencil)]
+        reports = [submersion_report(args.n, args.d, args.m, cfg, stencil=args.stencil)]
     warnings = []
     code = 0
     for rep in reports:
@@ -225,18 +230,8 @@ def _cmd_hyperplanes(args, cfg):
 
 
 def _cmd_defect(args, cfg):
-    if args.nu is None:
-        raise InputError("--nu is required (repeat once per coordinate)")
-    if len(args.nu) != args.n:
-        raise InputError(f"--nu given {len(args.nu)} times, expected {args.n}")
-    coord_pair = None
-    if args.coord_pair:
-        parts = args.coord_pair.split(",")
-        if len(parts) != 2:
-            raise InputError("--coord-pair expects 'i,j'")
-        coord_pair = (int(parts[0]), int(parts[1]))
     result = defect_experiment(args.n, args.d, tuple(args.nu), args.mu_grid, cfg,
-                               coord_pair=coord_pair)
+                               coord_pair=args.coord_pair)
     rows = _table([("mu", mu), ("defect", defect), ("slope", result.slope)]
                   for mu, defect in zip(result.mus, result.defects))
     warnings = []
@@ -326,6 +321,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--alpha", action="append", type=_parse_complex, metavar="RE,IM",
         help="one perturbation coordinate as 're,im'; repeat n times (default 0)",
     )
+    index_parent = argparse.ArgumentParser(add_help=False)
+    index_parent.add_argument("--m", type=_parse_index, default="all",
+                              help="zero index, or 'all' (default)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -341,19 +339,17 @@ def make_parser() -> argparse.ArgumentParser:
                     "residual,x1_re,x1_im,...,xn_re,xn_im.",
     )
     spectrum = sub.add_parser(
-        "spectrum", parents=[common, alpha_parent],
+        "spectrum", parents=[common, alpha_parent, index_parent],
         help="spectral reports at tracked zeros",
         description="Spectral reports. CSV columns: m,classification,resonant,"
                     "c_min,worst_j,worst_m,sigma*_re/im,lambda*_re/im.",
     )
-    spectrum.add_argument("--m", default="all", help="zero index, or 'all' (default)")
     submersion = sub.add_parser(
-        "submersion", parents=[common],
+        "submersion", parents=[common, index_parent],
         help="parameter Jacobian of the coefficient map with certificates",
         description="Submersion reports. CSV columns: m,abs_det,expected_modulus,"
                     "rel_error,fd_step,sv_min,sv_max,jacij_re/im.",
     )
-    submersion.add_argument("--m", default="all", help="zero index, or 'all' (default)")
     submersion.add_argument("--stencil", choices=("central", "cauchy4"),
                             default="central",
                             help="finite-difference stencil (default central)")
@@ -379,11 +375,11 @@ def make_parser() -> argparse.ArgumentParser:
         description="Defect growth. CSV columns: mu,defect,slope (slope repeated).",
     )
     defect.add_argument("--nu", action="append", type=_parse_complex, metavar="RE,IM",
-                        help="ray direction coordinate as 're,im'; repeat n times")
+                        required=True, help="ray direction coordinate as 're,im'; repeat n times")
     defect.add_argument("--mu-grid", type=_parse_mu_grid,
                         default=(1e-2, 3e-3, 1e-3, 3e-4),
                         help="comma-separated mu values (default 1e-2,3e-3,1e-3,3e-4)")
-    defect.add_argument("--coord-pair", default=None, metavar="I,J",
+    defect.add_argument("--coord-pair", type=_parse_coord_pair, default=None, metavar="I,J",
                         help="1-based coordinate pair for the defect determinant "
                              "(default first,last)")
     pushforward = sub.add_parser(

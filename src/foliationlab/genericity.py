@@ -50,7 +50,7 @@ def char_coeff_map(n: int, d: int, m: int, alpha, cfg: RunConfig) -> np.ndarray:
     This is the map whose parameter derivatives the submersion and
     derivative-table reports probe.
     """
-    params = FoliationParams(n, d, tuple(complex(a) for a in alpha))
+    params = FoliationParams(n, d, alpha)
     point = track_one(params, m, cfg)
     return char_poly_direct(family_field(params), point.coords)
 
@@ -383,7 +383,9 @@ class HyperplaneSet:
 
 def base_pattern_indices(n: int, d: int) -> list[int]:
     """Zero indices of the base aligned pattern (coordinates alternating
-    rho^j, 1 with rho a (d+1)-root of unity): m = j K mod N, j = 0..d."""
+    rho^j, 1 with rho a (d+1)-root of unity): m = j K mod N, j = 0..d.
+    Raises InputError unless n is odd and d >= 2; hyperplane_set and
+    defect_experiment call it first for that check."""
     c = counts(n, d)
     if n % 2 == 0 or d < 2:
         raise InputError("aligned patterns need odd n and d >= 2")
@@ -400,10 +402,7 @@ def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSe
     the image normal divides each slot by that element's scaling.
     The census uses cfg.align_tol.
     """
-    if n % 2 == 0:
-        raise InputError("perturbation hyperplanes exist only for odd n")
-    if d < 2:
-        raise InputError("perturbation hyperplanes need d >= 2")
+    base_set = set(base_pattern_indices(n, d))
     c = counts(n, d)
     base = np.zeros(n, dtype=complex)
     for two_k in range(2, n, 2):
@@ -415,7 +414,6 @@ def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSe
             f"unperturbed census found {len(census)} aligned patterns, expected {c.K}",
             payload=census,
         )
-    base_set = set(base_pattern_indices(n, d))
     weights = generator_weights(n, d)
     images = []
     powers = []
@@ -480,10 +478,7 @@ def defect_experiment(
     there is exact.  Quadratic rays first appear at n = 5, where the
     hyperplane is larger than the fixed set of g^K.
     """
-    if n % 2 == 0:
-        raise InputError("the defect experiment needs odd n")
-    if d < 2:
-        raise InputError("the defect experiment needs d >= 2")
+    pattern = base_pattern_indices(n, d)
     nu = tuple(complex(v) for v in nu)
     if len(nu) != n:
         raise InputError(f"nu has {len(nu)} entries, expected {n}")
@@ -500,11 +495,11 @@ def defect_experiment(
             )
     if coord_pair is None:
         coord_pair = (1, n)
+    if (len(coord_pair) != 2 or coord_pair[0] == coord_pair[1]
+            or not all(isinstance(i, (int, np.integer)) and 1 <= i <= n for i in coord_pair)):
+        raise InputError(f"coordinate pair {coord_pair} must be two distinct integers in [1, {n}]")
     u_idx, w_idx = coord_pair
-    if not (1 <= u_idx <= n and 1 <= w_idx <= n and u_idx != w_idx):
-        raise InputError(f"coordinate pair {coord_pair} out of range")
 
-    pattern = base_pattern_indices(n, d)
     defects = []
     for mu in mu_grid:
         params = FoliationParams(n, d, tuple(mu * v for v in nu))
@@ -561,10 +556,10 @@ def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     draw that fails (ConvergenceError or CollisionError) is counted, never
     raised.
     """
+    base = jouanolou_field(n, d)
     rng = np.random.default_rng(cfg.seed)
     draws = rng.random((cfg.samples, n, 2))
     alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
-    base = jouanolou_field(n, d)
     n_failed = n_all_hyp = n_any_res = 0
     for alpha in alphas:
         params = FoliationParams(n, d, tuple(alpha))

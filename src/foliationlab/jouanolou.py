@@ -18,6 +18,7 @@ directly from the coefficient table.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -29,6 +30,10 @@ from .errors import FactorizationError, InputError
 
 # Residual bound for matching a pushed-forward field to the family shape.
 FACTOR_TOL = 1e-12
+# Largest N n^2 (the entries of a member's N Jacobians) of a member.  Tracking
+# all N zeros peaks near 40 MB (the collision scan's blocks) plus 100 N n^2
+# bytes (the evaluator's power tables), about 0.46 GB at the limit.
+MEMBER_MAX_ENTRIES = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +64,22 @@ def _check_nd(n: int, d: int) -> None:
         raise InputError(f"degree must be an integer >= 1, got {d!r}")
 
 
+@lru_cache(maxsize=None)
+def _member_order(n: int, d: int) -> int:
+    """N of the member at (n, d), for an (n, d) that passed ``_check_nd``.
+
+    A member above MEMBER_MAX_ENTRIES raises InputError before anything
+    N-sized is built; N >= n + 1 is tested first, so a large n is refused
+    before its N is summed.  ``counts`` takes any size.
+    """
+    if (n + 1) * n * n <= MEMBER_MAX_ENTRIES:
+        big_n = counts(n, d).N
+        if big_n * n * n <= MEMBER_MAX_ENTRIES:
+            return big_n
+    raise InputError(f"member (n, d) = ({n}, {d}) is too large: N n^2 exceeds "
+                     f"MEMBER_MAX_ENTRIES = {MEMBER_MAX_ENTRIES}")
+
+
 @dataclass(frozen=True)
 class Counts:
     """Exact counts attached to a parameter pair (n, d).
@@ -76,7 +97,10 @@ class Counts:
 
 @dataclass(frozen=True)
 class FoliationParams:
-    """A family member: ambient dimension n, degree d, constant perturbation alpha."""
+    """A family member: ambient dimension n, degree d, constant perturbation alpha.
+
+    Construction checks (n, d), MEMBER_MAX_ENTRIES and alpha (n finite entries, or none for 0).
+    """
 
     n: int
     d: int
@@ -84,11 +108,14 @@ class FoliationParams:
 
     def __post_init__(self):
         _check_nd(self.n, self.d)
+        _member_order(self.n, self.d)
         alpha = tuple(complex(a) for a in self.alpha) or (0j,) * self.n
         if len(alpha) != self.n:
             raise InputError(
                 f"alpha has {len(alpha)} entries, expected {self.n}"
             )
+        if not all(map(cmath.isfinite, alpha)):
+            raise InputError("alpha entries must be finite")
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -162,10 +189,10 @@ def closed_form_coords(n: int, d: int) -> np.ndarray:
     xi^(-m (d + d^2 + ... + d^(n+1-i))) for i >= 2, xi = e^(2 pi i / N).
     Exponents are exact integers reduced mod N; m = N gives (1, ..., 1).
     The array is cached per (n, d) and shared by every caller, so it is
-    not writeable.
+    not writeable.  Members above MEMBER_MAX_ENTRIES raise InputError.
     """
     _check_nd(n, d)
-    big_n = counts(n, d).N
+    big_n = _member_order(n, d)
     exps = np.array(generator_weights(n, d), dtype=np.int64)
     m = np.arange(1, big_n + 1, dtype=np.int64)
     coords = unit_roots(big_n)[np.outer(m, exps) % big_n]
@@ -191,15 +218,16 @@ def generator_weights(n: int, d: int) -> tuple[int, ...]:
     They coincide with the exponent pattern of the m = 1 zero, which is
     why the generator shifts the zeros by one index.
     """
-    _check_nd(n, d)
     big_n = counts(n, d).N
     weights = [1] + [(-_geom(d, n + 1 - i)) % big_n for i in range(2, n + 1)]
     return tuple(w % big_n for w in weights)
 
 
 def group_elements(n: int, d: int) -> list[GroupElement]:
-    """All N powers of the generator, k = 0 (identity) through N - 1."""
-    big_n = counts(n, d).N
+    """All N powers of the generator, k = 0 (identity) through N - 1;
+    members above MEMBER_MAX_ENTRIES raise InputError."""
+    _check_nd(n, d)
+    big_n = _member_order(n, d)
     gen = generator_weights(n, d)
     return [
         GroupElement(k=k, weights=tuple((k * w) % big_n for w in gen), order=big_n)

@@ -184,6 +184,14 @@ def _refine_one(
     return [newton_refine(field, x[0], cfg, m=ms[0])]
 
 
+def _check_index(n: int, d: int, m: int) -> int:
+    """N at (n, d), after checking that m indexes one of the N zeros."""
+    big_n = counts(n, d).N
+    if not 1 <= m <= big_n:
+        raise InputError(f"index m must lie in [1, {big_n}], got {m}")
+    return big_n
+
+
 def _check_radius(params: FoliationParams, cfg: RunConfig) -> None:
     size = max((abs(a) for a in params.alpha), default=0.0)
     if size > cfg.radius:
@@ -249,9 +257,7 @@ def track_one(params: FoliationParams, m: int, cfg: RunConfig) -> SingularPoint:
     ``track_singularities``.
     """
     _check_radius(params, cfg)
-    big_n = counts(params.n, params.d).N
-    if not 1 <= m <= big_n:
-        raise InputError(f"index m must lie in [1, {big_n}], got {m}")
+    _check_index(params.n, params.d, m)
     return _continue(params, [m], cfg, _refine_one)[0]
 
 
@@ -305,12 +311,8 @@ def first_order_point(n: int, d: int, m: int, alpha) -> np.ndarray:
     keeping the remainder quadratic in the perturbation.  All root-of-unity
     exponents are exact integers reduced mod N.
     """
-    big_n = counts(n, d).N
-    if not 1 <= m <= big_n:
-        raise InputError(f"index m must lie in [1, {big_n}], got {m}")
-    alpha = tuple(complex(a) for a in alpha)
-    if len(alpha) != n:
-        raise InputError(f"alpha has {len(alpha)} entries, expected {n}")
+    alpha = FoliationParams(n, d, alpha).alpha
+    big_n = _check_index(n, d, m)
     table = unit_roots(big_n)
 
     def root(e: int) -> complex:

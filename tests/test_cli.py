@@ -9,6 +9,8 @@ import pytest
 
 import foliationlab
 from foliationlab.cli import run
+from foliationlab.errors import InputError
+from foliationlab.jouanolou import FoliationParams
 from foliationlab.solver import RunConfig
 
 ENVELOPE_KEYS = {"tool_version", "command", "params", "cfg", "payload", "warnings"}
@@ -158,6 +160,64 @@ def test_sample_rejects_zero_jobs(capsys):
     assert run(["sample", "--n", "2", "--d", "2", "--samples", "2", "--jobs", "0"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: jobs must be at least 1\n")
+
+
+NU3 = ["--nu", "0,0", "--nu", "1,0", "--nu", "0,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sing", "--n", "2", "--d", "2", "--alpha", "nan,0", "--alpha", "0,0"],
+    ["pushforward", "--n", "2", "--d", "2", "--alpha", "nan,0", "--alpha", "0,0"],
+    ["sample", "--n", "-1", "--d", "2", "--samples", "2"],
+    ["spectrum", "--n", "2", "--d", "2", "--m", "x"],
+    ["submersion", "--n", "2", "--d", "2", "--m", "x"],
+    ["defect", "--n", "3", "--d", "2", *NU3, "--coord-pair", "a,b"],
+], ids=" ".join)
+def test_malformed_input_exits_two_without_traceback(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the library's "error: ..." line or argparse's "foliationlab <command>: error: ..."
+    assert any(line.startswith("error: ") or ": error: " in line
+               for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
+STILL_INVALID = [
+    (["hyperplanes", "--n", "4", "--d", "2"], "error: aligned patterns need odd n and d >= 2"),
+    (["defect", "--n", "4", "--d", "2", *NU3, "--nu", "0,0"],
+     "error: aligned patterns need odd n and d >= 2"),
+    (["defect", "--n", "3", "--d", "2"], "error: the following arguments are required: --nu"),
+    (["defect", "--n", "3", "--d", "2", "--nu", "1,0"], "error: nu has 1 entries, expected 3"),
+    (["sing", "--n", "2", "--d", "2", "--alpha", "0.01,0"], "error: alpha has 1 entries, expected 2"),
+    (["defect", "--n", "3", "--d", "2", *NU3, "--coord-pair", "1,2,3"],
+     "error: argument --coord-pair: expected 'i,j'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", STILL_INVALID, ids=[" ".join(a) for a, _ in STILL_INVALID])
+def test_invalid_input_still_exits_two(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["sing", "--n", "12", "--d", "4"],
+                                  ["sing", "--n", "2000", "--d", "1"],
+                                  ["pushforward", "--n", "12", "--d", "4"]], ids=" ".join)
+def test_oversized_member_exits_two(capsys, argv):
+    # the library refuses the member first, so a missing limit fails before the CLI runs
+    with pytest.raises(InputError):
+        FoliationParams(int(argv[2]), int(argv[4]))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MEMBER_MAX_ENTRIES" in captured.err
+
+
+def test_defect_usage_shows_nu_as_required(capsys):
+    assert run(["defect", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " --nu RE,IM" in usage and "[--nu RE,IM]" not in usage
 
 
 def test_convergence_failure_exits_three(capsys):

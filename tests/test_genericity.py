@@ -474,6 +474,25 @@ def test_defect_validation():
         defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=(1, 1))
 
 
+@pytest.mark.parametrize("pair", [(1, 2, 3), (1,), (1.0, 2), ("1", "2"), (0, 2), (1, 4)])
+def test_defect_rejects_a_coord_pair_that_is_not_two_indices(pair):
+    with pytest.raises(InputError, match="must be two distinct integers in"):
+        defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=pair)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (3, 1)])
+def test_pattern_experiments_take_the_pattern_rule(n, d):
+    for call in (lambda: hyperplane_set(n, d),
+                 lambda: defect_experiment(n, d, (0, 1) + (0,) * (n - 2), MU_GRID, CFG)):
+        with pytest.raises(InputError, match="^aligned patterns need odd n and d >= 2$"):
+            call()
+
+
+def test_sample_checks_n_before_drawing():
+    with pytest.raises(InputError, match="ambient dimension"):
+        genericity_sample(-1, 2, RunConfig(samples=2))
+
+
 def test_defect_tracks_only_the_three_zeros_it_uses(monkeypatch):
     tracked = []
     real = genericity.track_one

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from foliationlab import (
     FactorizationError,
     FoliationParams,
     GroupElement,
+    InputError,
     PolyVectorField,
     counts,
     closed_form_coords,
@@ -23,7 +25,8 @@ from foliationlab import (
     pushforward_factor,
     unit_root,
 )
-from foliationlab.jouanolou import unit_roots
+from foliationlab import jouanolou
+from foliationlab.jouanolou import MEMBER_MAX_ENTRIES, unit_roots
 
 DESK = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)]
 
@@ -225,3 +228,66 @@ def test_unit_roots_table_is_read_only():
     assert unit_roots(13) is table
     assert unit_root(1, 13) == before
     assert abs(before - cmath.exp(2j * cmath.pi / 13)) < 1e-15
+
+
+NON_FINITE = [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),
+              complex(0, -math.inf)]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_params_reject_non_finite_alpha(slot, value):
+    alpha = [0.01, 0j, -0.02j]
+    alpha[slot] = value
+    with pytest.raises(InputError, match="^alpha entries must be finite$"):
+        FoliationParams(3, 2, tuple(alpha))
+
+
+def test_params_keep_their_alpha_checks():
+    assert FoliationParams(3, 2).alpha == (0j, 0j, 0j)
+    assert FoliationParams(2, 2, (1, 2j)).alpha == (1 + 0j, 2j)
+    with pytest.raises(InputError, match="alpha has 1 entries, expected 2"):
+        FoliationParams(2, 2, (0.01,))
+
+
+# (n, d) pairs above MEMBER_MAX_ENTRIES: N = 22 369 621 zeros, n = 2000 with
+# N = n + 1 whose evaluator tables would not fit, and an n whose N is never summed.
+OVERSIZED = [(12, 4), (2000, 1), (10**6, 2)]
+
+
+@pytest.mark.parametrize("n,d", OVERSIZED)
+def test_oversized_member_is_refused_before_any_allocation(n, d):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="MEMBER_MAX_ENTRIES"):
+            FoliationParams(n, d)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [FoliationParams, jouanolou_field, closed_form_coords,
+                                   closed_form_sing, group_elements], ids=lambda f: f.__name__)
+def test_every_n_sized_build_checks_the_limit(monkeypatch, build):
+    # a small member over a lowered limit: a build that skipped the check
+    # would only make small arrays
+    monkeypatch.setattr(jouanolou, "MEMBER_MAX_ENTRIES", 6 * 6 * counts(6, 5).N - 1)
+    jouanolou._member_order.cache_clear()
+    try:
+        with pytest.raises(InputError, match="MEMBER_MAX_ENTRIES"):
+            build(6, 5)
+    finally:
+        jouanolou._member_order.cache_clear()
+
+
+def test_member_limit_boundary_and_counts_at_any_size():
+    # n = 2: N = 1 + d + d^2, and 4 N <= MEMBER_MAX_ENTRIES up to d = 1023
+    assert 4 * counts(2, 1023).N <= MEMBER_MAX_ENTRIES < 4 * counts(2, 1024).N
+    assert FoliationParams(2, 1023).d == 1023
+    with pytest.raises(InputError, match="MEMBER_MAX_ENTRIES"):
+        FoliationParams(2, 1024)
+    assert counts(12, 4).N == 22369621
+    assert counts(2000, 1).N == 2001
+    # the ladder and every size the suite tracks stay accepted
+    for n, d in DESK + [(5, 2), (5, 3), (7, 2), (9, 2)]:
+        assert FoliationParams(n, d).n == n

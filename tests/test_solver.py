@@ -224,6 +224,15 @@ def test_first_order_at_zero_is_bitwise():
             assert tuple(pred) == p.coords
 
 
+def test_first_order_rejects_non_finite_alpha():
+    with pytest.raises(InputError, match="must be finite"):
+        first_order_point(2, 2, 1, (math.nan, 0))
+    with pytest.raises(InputError, match="alpha has 1 entries"):
+        first_order_point(2, 2, 1, (0.01,))
+    with pytest.raises(InputError, match=r"index m must lie in \[1, 7\]"):
+        first_order_point(2, 2, 8, (0.01, 0))
+
+
 def test_first_order_linear_in_alpha():
     rng = np.random.default_rng(63)
     n, d = 3, 2
