@@ -36,6 +36,7 @@ from .jouanolou import (
     family_field,
     generator_weights,
     group_action,
+    group_element,
     group_elements,
     jouanolou_field,
     pushforward_factor,

@@ -30,7 +30,7 @@ from .jouanolou import (
     FoliationParams,
     counts,
     family_field,
-    group_elements,
+    group_element,
     pushforward_factor,
     unit_root,
 )
@@ -245,15 +245,13 @@ def _cmd_defect(args, cfg):
 
 def _cmd_pushforward(args, cfg):
     params = _params_from(args)
-    elements = group_elements(args.n, args.d)
-    k = args.k % len(elements)
-    g = elements[k]
+    g = group_element(args.n, args.d, args.k)
     c, alpha_t, residual = pushforward_factor(g, params)
     # closed diagonal guess xi^(-d) * (element scaling applied to alpha); the
     # factored values are authoritative whenever the two disagree
     big_n = g.order
     guess = tuple(
-        unit_root(-args.d * k, big_n) * unit_root(w, big_n) * a
+        unit_root(-args.d * g.k, big_n) * unit_root(w, big_n) * a
         for w, a in zip(g.weights, params.alpha)
     )
     matches = all(abs(x - y) <= 1e-9 for x, y in zip(alpha_t, guess))

@@ -223,16 +223,26 @@ def generator_weights(n: int, d: int) -> tuple[int, ...]:
     return tuple(w % big_n for w in weights)
 
 
+def _power(gen: tuple[int, ...], k: int, big_n: int) -> GroupElement:
+    k %= big_n
+    return GroupElement(k=k, weights=tuple((k * w) % big_n for w in gen), order=big_n)
+
+
+def group_element(n: int, d: int, k: int) -> GroupElement:
+    """Power k mod N of the generator (k = -1 is its inverse), built alone;
+    members above MEMBER_MAX_ENTRIES raise InputError."""
+    _check_nd(n, d)
+    big_n = _member_order(n, d)  # before generator_weights sums N
+    return _power(generator_weights(n, d), k, big_n)
+
+
 def group_elements(n: int, d: int) -> list[GroupElement]:
     """All N powers of the generator, k = 0 (identity) through N - 1;
     members above MEMBER_MAX_ENTRIES raise InputError."""
     _check_nd(n, d)
     big_n = _member_order(n, d)
     gen = generator_weights(n, d)
-    return [
-        GroupElement(k=k, weights=tuple((k * w) % big_n for w in gen), order=big_n)
-        for k in range(big_n)
-    ]
+    return [_power(gen, k, big_n) for k in range(big_n)]
 
 
 def group_action(g: GroupElement, x) -> np.ndarray:

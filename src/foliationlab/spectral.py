@@ -141,6 +141,9 @@ def eigenvalues(sigma) -> np.ndarray:
     pairs, and each row is sorted by (real, imag).  Raises InputError on
     other shapes or non-finite coefficients and ConvergenceError if a
     relative residual max |p(lam)| / (1 + max |sigma_i|) is above 1e-10.
+    The gate bounds n: at d = 1 and alpha = (0.01, 0, ...) the member's
+    roots pass it for n <= 28 and fail at n = 29 (1.590e-10), 30
+    (1.291e-10) and 40 (2.782e-06).
     """
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim not in (1, 2) or sigma.shape[-1] == 0:
@@ -226,22 +229,14 @@ def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
     """Read-only exponent vectors m with 2 <= |m| <= max_order (lexicographic)
     and, per kept (m, j) candidate of small_divisor_scan in row-major
     order, its row in that table, its 0-based j and |m|."""
-    rows: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], budget: int) -> None:
-        if len(prefix) == n - 1:
-            for last in range(budget + 1):
-                row = (*prefix, last)
-                if sum(row) >= 2:
-                    rows.append(row)
-            return
-        for value in range(budget + 1):
-            prefix.append(value)
-            extend(prefix, budget - value)
-            prefix.pop()
-
-    extend([], max_order)
-    m = np.array(rows, dtype=np.int64)
+    m = np.zeros((1, 0), dtype=np.int64)
+    for i in range(n):  # each prefix row spawns its next coordinates in ascending order
+        total = m.sum(axis=1)
+        low = np.maximum(2 - total, 0) if i == n - 1 else 0  # the last one enforces |m| >= 2
+        count = max_order + 1 - total - low
+        last = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - low, count)
+        parent = np.repeat(np.arange(len(m)), count)
+        m = np.column_stack((m[parent], last))
     row, col = np.nonzero(np.column_stack((m[:, :-1] == 0, np.ones(len(m), dtype=bool))))
     tables = (m, row, col, m.sum(axis=1).astype(float)[row])
     for table in tables:
@@ -250,18 +245,25 @@ def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
 
 
 # Most table entries (scanned candidates) that one block of a stacked
-# small-divisor scan holds at a time, about 50 MB of temporaries; rows are
+# small-divisor scan holds at a time, about 64 MB of temporaries; rows are
 # scanned in blocks, and a row larger than this is one block of its own.
 SCAN_BLOCK = 1 << 20
+# Most bytes a small-divisor scan may take, counted before its tables are built:
+# 24 n |M_n| for the exponent table, 32 per kept candidate, 64 per block entry.
+# tracemalloc peaks: 504 of 653 MB counted at n = 15, max_order 8 (n <= 16 admitted).
+SCAN_MAX_BYTES = 1 << 30
 
 
 def _divisor_records(lams: np.ndarray, delta: float, max_order: int) -> list[DivisorRecord]:
     """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
     blocks; only the kept candidates are evaluated, in row-major order."""
     n = lams.shape[1]
-    total = n * (comb(max_order + n, n) - 1 - n)
-    if total > 1e8:
-        raise InputError(f"scan would visit {total} candidates (> 1e8); lower max_order")
+    rows = comb(max_order + n, n) - 1 - n  # |M_n|, vectors m in n variables
+    kept = rows + (n - 1) * (comb(max_order + n - 1, n - 1) - n)  # j = n, or m_j = 0
+    need = 24 * n * rows + 32 * kept + 64 * max(kept, SCAN_BLOCK)
+    if need > SCAN_MAX_BYTES:
+        raise InputError(f"scan at n = {n}, max_order = {max_order} would take about "
+                         f"{need:.3g} bytes (> SCAN_MAX_BYTES = {SCAN_MAX_BYTES}); lower max_order")
     m, row, col, abs_m = _multi_indices(n, max_order)
     weights = abs_m ** float(delta)
     records = []
@@ -285,7 +287,7 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     (n, m - e_j + e_n), so only the first candidate of each tie class in
     (lexicographic m, ascending j) order is kept (j = n or m_j = 0), and
     the first minimum among those is the witness: rounding does not choose
-    it, and it reproduces c_min.  Scan sizes above 1e8 are refused.
+    it, and it reproduces c_min.  Scans above SCAN_MAX_BYTES raise InputError.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if lams.shape[0] < 1:

@@ -117,6 +117,28 @@ def test_pushforward(capsys):
     assert doc["payload"]["residual"] < 1e-12
 
 
+def test_pushforward_builds_only_its_element(capsys, monkeypatch):
+    # the whole group is N elements; one k needs one of them
+    big_n = 15
+    base = ["pushforward", "--n", "3", "--d", "2", "--alpha", "0.03,0.01",
+            "--alpha", "0,0.02", "--alpha=-0.01,0"]
+    argvs = [base + ["--k", str(k), "--format", fmt]
+             for k in (0, 1, big_n, -1, 2 * big_n + 3) for fmt in ("json", "csv")]
+    want = []
+    for argv in argvs:
+        assert run(argv) == 0
+        want.append(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("pushforward built the whole group")
+
+    monkeypatch.setattr(foliationlab.cli, "group_elements", refuse, raising=False)
+    for argv, out in zip(argvs, want):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
+    assert want[0] == want[4]  # k = N is the identity, as k = 0
+
+
 def test_sample_deterministic(capsys):
     argv = ["sample", "--n", "2", "--d", "2", "--samples", "40", "--max-order", "5"]
     code, doc = _json(capsys, argv)

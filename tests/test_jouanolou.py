@@ -20,6 +20,7 @@ from foliationlab import (
     family_field,
     generator_weights,
     group_action,
+    group_element,
     group_elements,
     jouanolou_field,
     pushforward_factor,
@@ -168,6 +169,9 @@ def test_group_elements_structure():
             assert g.k == k
             assert g.order == N
             assert g.weights == tuple((k * wi) % N for wi in w)
+            assert group_element(n, d, k) == group_element(n, d, k - 2 * N) == g
+    with pytest.raises(InputError, match="MEMBER_MAX_ENTRIES"):
+        group_element(12, 4, 1)
 
 
 def test_group_action_permutes_singularities():

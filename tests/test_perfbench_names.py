@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from foliationlab import FoliationParams, RunConfig, family_field, solver, spectral
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("solver", "spectral", "genericity", "jouanolou", "cpoly", "cli")
 
@@ -46,3 +48,40 @@ def test_the_parsers_find_the_names_the_trace_divides_by():
 def test_perfbench_name_exists_and_is_callable(module, name):
     obj = getattr(importlib.import_module(f"foliationlab.{module}"), name, None)
     assert callable(obj), f"foliationlab.{module}.{name} is missing or not callable"
+
+
+def _spy(monkeypatch, module, name):
+    """Results of every call to module.name, found through the module attribute
+    as perfbench's wrappers are."""
+    results = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+def test_track_one_refines_through_newton_refine(monkeypatch):
+    """perfbench/run.py:348-351 divides the newton_refine calls by the track_one
+    calls (solver.stages_per_zero), and the eval_field calls under newton_refine
+    by the newton_iters that perfbench/spans.py:116 sums from newton_refine's
+    results (solver.evals_per_step).  The stacked tracking path calls no
+    newton_refine, so routing track_one through it would zero both metrics."""
+    refined = _spy(monkeypatch, solver, "newton_refine")
+    point = solver.track_one(FoliationParams(2, 2, (0.01, -0.02j)), 3, RunConfig())
+    assert refined and refined[-1] == point
+    assert sum(p.newton_iters for p in refined) > 0
+
+
+def test_spectrum_report_scans_through_small_divisor_scan(monkeypatch):
+    """perfbench's scan metrics (spectral.small_divisor_scan.*) come only from
+    spectrum_report calling small_divisor_scan; the stacked spectrum_reports
+    calls _divisor_records instead, so a one-path refactor would zero them."""
+    scans = _spy(monkeypatch, spectral, "small_divisor_scan")
+    params = FoliationParams(2, 2, (0.01, -0.02j))
+    point = solver.track_one(params, 3, RunConfig())
+    report = spectral.spectrum_report(family_field(params), point, RunConfig())
+    assert scans == [report.divisor]

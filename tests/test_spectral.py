@@ -2,6 +2,9 @@
 
 import ast
 import itertools
+import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +16,10 @@ from foliationlab import (
     HYPERBOLIC,
     INCONCLUSIVE,
     NONDEGENERATE_ONLY,
+    ConvergenceError,
     FoliationParams,
     InputError,
+    PolyVectorField,
     RunConfig,
     SingularPoint,
     char_poly_closed,
@@ -376,3 +381,121 @@ def test_spectrum_reports_equal_one_report_each(n, d, seed):
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.classification == want.classification
         assert _same_record(got.divisor, want.divisor)
+
+
+def _recursive_multi_indices(n, max_order):
+    # the recursive builder that the numpy table replaced, kept as its reference
+    rows = []
+
+    def extend(prefix, budget):
+        if len(prefix) == n - 1:
+            for last in range(budget + 1):
+                row = (*prefix, last)
+                if sum(row) >= 2:
+                    rows.append(row)
+            return
+        for value in range(budget + 1):
+            prefix.append(value)
+            extend(prefix, budget - value)
+            prefix.pop()
+
+    extend([], max_order)
+    return np.array(rows, dtype=np.int64)
+
+
+def test_exponent_tables_equal_the_recursive_builder():
+    for n, k in [(n, k) for n in range(1, 8) for k in (2, 3, 6, 8)] + [(2, 20)]:
+        m, row = spectral._multi_indices(n, k)[:2]
+        want = _recursive_multi_indices(n, k)
+        assert m.dtype == want.dtype == np.int64 and np.array_equal(m, want), (n, k)
+        assert not m.flags.writeable
+        # kept candidates, as the size rule counts them: j = n, or m_j = 0 for j < n
+        size = math.comb(k + n, n) - 1 - n
+        assert len(m) == size
+        assert len(row) == size + (n - 1) * (math.comb(k + n - 1, n - 1) - n)
+
+
+def test_scan_is_refused_by_its_bytes_before_any_table_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exponent table was built")
+
+    # n = 20 at max_order 8 would build about 5 GB
+    monkeypatch.setattr(spectral, "_multi_indices", refuse)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="SCAN_MAX_BYTES"):
+            small_divisor_scan(np.ones(20), 1.0, 8)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20
+    with pytest.raises(InputError, match="SCAN_MAX_BYTES"):
+        spectral._divisor_records(np.ones((1, 17)), 1.0, 8)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _residue_gap(sigma, n, d):
+    """Worst relative gap, over the partitions lam of n, between the Bott sum
+    over zeros of e_lam(J) / e_n(J) and the Chern number c_lam of
+    c(E) = (1 + h)^(n+1) / (1 - (d - 1) h)."""
+    e = sigma * (-1.0) ** np.arange(1, n + 1)  # e_i = (-1)^i sigma_i
+    c = [sum(math.comb(n + 1, j) * (d - 1) ** (i - j) for j in range(i + 1)) for i in range(n + 1)]
+    gaps = []
+    for lam in _partitions(n):
+        total = np.sum(np.prod([e[:, k - 1] for k in lam], axis=0) / e[:, n - 1])
+        want = math.prod(c[k] for k in lam)
+        gaps.append(abs(total - want) / want)
+    return max(gaps)
+
+
+def _member_sigma(n, d, seed):
+    params = FoliationParams(n, d) if seed is None else _member(n, d, seed)
+    f = family_field(params)
+    coords = np.array([p.coords for p in track_singularities(params, CFG)])
+    return f, coords, char_poly_direct(f, coords)
+
+
+@pytest.mark.parametrize("seed", [None, 607])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (2, 1), (3, 1), (5, 1)])
+def test_bott_residues_sum_to_chern_numbers(n, d, seed):
+    # independent of the closed forms and of the roots: one identity over all N zeros
+    _, _, sigma = _member_sigma(n, d, seed)
+    assert len(sigma) == counts(n, d).N
+    assert _residue_gap(sigma, n, d) <= 1e-12
+
+
+def test_bott_residues_see_a_lost_doubled_or_wrong_zero():
+    n, d = 3, 2
+    f, coords, sigma = _member_sigma(n, d, 608)
+    assert _residue_gap(sigma, n, d) <= 1e-12
+    assert _residue_gap(sigma[1:], n, d) > 1e-3  # about 1/N
+    assert _residue_gap(np.vstack([sigma, sigma[:1]]), n, d) > 1e-3
+    one_row = PolyVectorField(n, ({e: 1.001 * v for e, v in f.components[0].items()},
+                                  *f.components[1:]))
+    wrong = sigma.copy()
+    wrong[0] = char_poly_direct(one_row, coords[0])
+    assert _residue_gap(wrong, n, d) > 1e-6
+    # e_lam / e_n has degree 0, so a scalar multiple of one Jacobian goes unseen
+    scaled = sigma.copy()
+    scaled[0] *= 2.0 ** np.arange(1, n + 1)
+    assert _residue_gap(scaled, n, d) <= 1e-12
+
+
+def test_root_gate_stops_the_spectra_of_large_linear_members():
+    # a known failure kept visible: at alpha = (0.01, 0, ...) the companion-matrix
+    # roots pass the gate up to n = 28 and fail it at n = 29, 30 and 40
+    params = FoliationParams(40, 1, (0.01,) + (0,) * 39)
+    coords = np.array([p.coords for p in track_singularities(params, CFG)])
+    sigma = char_poly_direct(family_field(params), coords)
+    with pytest.raises(ConvergenceError, match="relative residual"):
+        eigenvalues(sigma)
