@@ -42,7 +42,14 @@ from .jouanolou import (
     pushforward_factor,
     unit_root,
 )
-from .solver import RunConfig, first_order_point, newton_refine, track_one, track_singularities
+from .solver import (
+    RunConfig,
+    first_order_point,
+    newton_refine,
+    track_one,
+    track_singularities,
+    track_zeros,
+)
 from .spectral import (
     DEGENERATE,
     HYPERBOLIC,

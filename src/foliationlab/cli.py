@@ -29,8 +29,8 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import (
     FoliationParams,
     counts,
-    family_field,
     group_element,
+    jouanolou_field,
     pushforward_factor,
     unit_root,
 )
@@ -165,7 +165,8 @@ def _cmd_spectrum(args, cfg):
         points = [p for p in points if p.m == args.m]
         if not points:
             raise InputError(f"no zero with index m={args.m}")
-    reports = spectrum_reports(family_field(params), points, cfg)
+    # alpha is only a constant term, so every member's Jacobian is the base field's
+    reports = spectrum_reports(jouanolou_field(args.n, args.d), points, cfg)
     warnings = []
     for rep in reports:
         sep = min_separation(rep.eigenvalues)

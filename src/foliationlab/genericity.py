@@ -28,12 +28,11 @@ from .jouanolou import (
     SingularPoint,
     closed_form_sing,
     counts,
-    family_field,
     generator_weights,
     jouanolou_field,
     unit_root,
 )
-from .solver import RunConfig, track_one, track_singularities
+from .solver import RunConfig, track_one, track_singularities, track_zeros
 from .spectral import HYPERBOLIC, char_poly_direct, spectrum_reports
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
@@ -48,11 +47,11 @@ def char_coeff_map(n: int, d: int, m: int, alpha, cfg: RunConfig) -> np.ndarray:
     """Characteristic coefficients at the tracked continuation of zero m.
 
     This is the map whose parameter derivatives the submersion and
-    derivative-table reports probe.
+    derivative-table reports probe.  alpha is only a constant term, so the
+    member's Jacobian is the base field's.
     """
-    params = FoliationParams(n, d, alpha)
-    point = track_one(params, m, cfg)
-    return char_poly_direct(family_field(params), point.coords)
+    point = track_zeros(FoliationParams(n, d, alpha), [m], cfg)[0]
+    return char_poly_direct(jouanolou_field(n, d), point.coords)
 
 
 @dataclass
@@ -81,22 +80,51 @@ def expected_det_modulus(n: int, d: int) -> float:
     return (n + d) / big_n * float(d) ** ((n * n + 3 * n - 2) // 2)
 
 
-def _coeff_jacobian(n: int, d: int, m: int, cfg: RunConfig, stencil: str) -> np.ndarray:
+def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> list[SubmersionReport]:
+    """Reports at the zeros ms, in order: each probe member tracks all of
+    ms as one batch, with the base field's Jacobian (every member's) for
+    the coefficients, then the certificates are built index by index."""
     # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
     # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
     stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
     if stencil not in stencils:
         raise InputError(f"unknown stencil {stencil!r}")
+    nodes = stencils[stencil]
+    base = jouanolou_field(n, d)
     h = cfg.fd_step
-    cols = []
+    jacs = np.zeros((len(ms), n, n), dtype=complex)
     for j in range(n):
-        col = np.zeros(n, dtype=complex)
-        for node, weight in stencils[stencil]:
+        for node, weight in nodes:
             point = [0j] * n
             point[j] = h * node
-            col += char_coeff_map(n, d, m, point, cfg) * weight
-        cols.append(col / (len(stencils[stencil]) * h))
-    return np.column_stack(cols)
+            points = track_zeros(FoliationParams(n, d, point), ms, cfg)
+            jacs[:, :, j] += char_poly_direct(base, np.array([p.coords for p in points])) * weight
+        jacs[:, :, j] /= len(nodes) * h
+    expected = expected_det_modulus(n, d)
+    reports = []
+    for m, jac in zip(ms, jacs):
+        det = complex(np.linalg.det(jac))
+        rel_error = abs(abs(det) - expected) / expected
+        embed = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
+        svals = np.linalg.svd(embed, compute_uv=False)
+        report = SubmersionReport(
+            m=m,
+            jac=jac,
+            det=det,
+            expected_modulus=expected,
+            rel_error=rel_error,
+            fd_step=cfg.fd_step,
+            sv_min=float(svals[-1]),
+            sv_max=float(svals[0]),
+        )
+        if rel_error > 10 * SUBMERSION_RTOL:
+            raise VerificationError(
+                f"determinant modulus {abs(det):.6g} misses certified value "
+                f"{expected:.6g} (rel error {rel_error:.3e}) at m={m}",
+                payload=report,
+            )
+        reports.append(report)
+    return reports
 
 
 def submersion_report(
@@ -108,35 +136,20 @@ def submersion_report(
     modulus misses its certified value by more than ten times
     SUBMERSION_RTOL; smaller misses are left to the caller to flag.
     """
-    jac = _coeff_jacobian(n, d, m, cfg, stencil)
-    det = complex(np.linalg.det(jac))
-    expected = expected_det_modulus(n, d)
-    rel_error = abs(abs(det) - expected) / expected
-    embed = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
-    svals = np.linalg.svd(embed, compute_uv=False)
-    report = SubmersionReport(
-        m=m,
-        jac=jac,
-        det=det,
-        expected_modulus=expected,
-        rel_error=rel_error,
-        fd_step=cfg.fd_step,
-        sv_min=float(svals[-1]),
-        sv_max=float(svals[0]),
-    )
-    if rel_error > 10 * SUBMERSION_RTOL:
-        raise VerificationError(
-            f"determinant modulus {abs(det):.6g} misses certified value "
-            f"{expected:.6g} (rel error {rel_error:.3e}) at m={m}",
-            payload=report,
-        )
-    return report
+    return _submersion_reports(n, d, [m], cfg, stencil)[0]
 
 
 def submersion_all(n: int, d: int, cfg: RunConfig, stencil: str = "central") -> list[SubmersionReport]:
-    """Reports for every zero index, asserting the modulus is m-independent."""
+    """Reports for every zero index, asserting the modulus is m-independent.
+
+    Each report is bitwise ``submersion_report`` at its index.  The zeros
+    of each probe member are tracked as one batch, so when tracking fails
+    at several indices in different probe members, the ConvergenceError
+    names the smallest failing index of the first failing member, which
+    need not be the smallest failing index overall.
+    """
     big_n = counts(n, d).N
-    reports = [submersion_report(n, d, m, cfg, stencil) for m in range(1, big_n + 1)]
+    reports = _submersion_reports(n, d, range(1, big_n + 1), cfg, stencil)
     mods = np.array([abs(r.det) for r in reports])
     spread = float((mods.max() - mods.min()) / mods.max())
     if spread > 10 * SUBMERSION_RTOL:

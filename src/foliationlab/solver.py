@@ -132,17 +132,28 @@ def _newton_rows(
             step = np.array(steps).reshape(len(rows), field.n)
         t = np.ones(len(rows))
         pending = np.ones(len(rows), dtype=bool)
+        halving = pending.copy()
         for _ in range(21):
-            k = np.flatnonzero(pending)
+            k = np.flatnonzero(halving)
             if not len(k):
                 break
-            cand = x[rows[k]] - t[k, None] * step[k]
+            xk = x[rows[k]]
+            cand = xk - t[k, None] * step[k]
+            # once x - t step rounds to x, so does every smaller t, and x never
+            # lowers its own residual: the row stays pending without more evaluations
+            moved = (cand != xk).any(axis=1)
+            if not moved.all():
+                halving[k[~moved]] = False
+                k, cand = k[moved], cand[moved]
+                if not len(k):
+                    break
             fc = eval_field(field, cand)
             rc = np.max(np.abs(fc), axis=1)
             ok = rc < res[rows[k]]
-            better = rows[k[ok]]
+            done = k[ok]
+            better = rows[done]
             x[better], fx[better], res[better] = cand[ok], fc[ok], rc[ok]
-            pending[k[ok]] = False
+            pending[done] = halving[done] = False
             t[k[~ok]] *= 0.5
         live[rows[pending]] = False
         iters[rows[~pending]] += 1
@@ -163,10 +174,11 @@ def newton_refine(
     """Damped Newton iteration toward a zero of the field.
 
     Full steps are halved (up to 20 times) whenever the residual fails to
-    decrease.  Once the residual passes newton_tol one extra improving
-    step is taken if available, which polishes the iterate well below the
-    tolerance and makes downstream closed-form comparisons insensitive to
-    the stopping point.  Non-convergence and singular Jacobians are
+    decrease, and no further once x - t step rounds to x, which cannot
+    lower the residual.  Once the residual passes newton_tol one extra
+    improving step is taken if available, which polishes the iterate well
+    below the tolerance and makes downstream closed-form comparisons
+    insensitive to the stopping point.  Non-convergence and singular Jacobians are
     reported through the converged flag, not raised.
     """
     x = np.asarray(x0, dtype=complex)
@@ -184,20 +196,26 @@ def _refine_one(
     return [newton_refine(field, x[0], cfg, m=ms[0])]
 
 
-def _check_index(n: int, d: int, m: int) -> int:
-    """N at (n, d), after checking that m indexes one of the N zeros."""
+def _check_indices(n: int, d: int, ms) -> int:
+    """N at (n, d), after checking that ms is a non-empty list of indices of
+    the N zeros; only its smallest and largest entries are compared."""
     big_n = counts(n, d).N
-    if not 1 <= m <= big_n:
-        raise InputError(f"index m must lie in [1, {big_n}], got {m}")
+    if not len(ms):
+        raise InputError("no zero index given")
+    for m in (min(ms), max(ms)):
+        if not 1 <= m <= big_n:
+            raise InputError(f"index m must lie in [1, {big_n}], got {m}")
     return big_n
 
 
-def _check_radius(params: FoliationParams, cfg: RunConfig) -> None:
+def _check_member(params: FoliationParams, ms, cfg: RunConfig) -> None:
+    """The checks of every tracking call: alpha inside the polydisk, then the indices."""
     size = max((abs(a) for a in params.alpha), default=0.0)
     if size > cfg.radius:
         raise InputError(
             f"perturbation size {size:.3g} exceeds the tracked polydisk radius {cfg.radius:.3g}"
         )
+    _check_indices(params.n, params.d, ms)
 
 
 def _continue(
@@ -254,11 +272,23 @@ def track_one(params: FoliationParams, m: int, cfg: RunConfig) -> SingularPoint:
     each stage from the previous stage's zero.  On failure the step count
     escalates by factors of 4 (at most to 64) before a ConvergenceError
     naming the index is raised.  The result is bitwise the m-th entry of
-    ``track_singularities``.
+    ``track_singularities`` and of ``track_zeros``.
     """
-    _check_radius(params, cfg)
-    _check_index(params.n, params.d, m)
+    _check_member(params, [m], cfg)
     return _continue(params, [m], cfg, _refine_one)[0]
+
+
+def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoint]:
+    """Continue the unperturbed zeros of indices ms to the member as one batch.
+
+    Entry r is bitwise ``track_one(params, ms[r], cfg)``, for ms in any
+    order.  Only the rows that fail are run again with the step count
+    escalated; a ConvergenceError names the smallest failing index.  No
+    collision scan is made.  An empty ms or an index outside [1, N]
+    raises InputError.
+    """
+    _check_member(params, ms, cfg)
+    return _continue(params, list(ms), cfg, _newton_rows)
 
 
 def _closest_pair(coords: np.ndarray) -> tuple[int, int, float]:
@@ -282,16 +312,15 @@ def _closest_pair(coords: np.ndarray) -> tuple[int, int, float]:
 
 
 def track_singularities(params: FoliationParams, cfg: RunConfig) -> list[SingularPoint]:
-    """Track all N zeros of a family member, sorted by index m.
+    """Track all N zeros of a family member, sorted by index m: ``track_zeros``
+    over 1..N, then a scan for colliding zeros.
 
     Raises ConvergenceError when an index fails to continue (naming the
     smallest such index) and CollisionError when two tracked zeros come
     within dedup_tol of each other (the parameter left the polydisk where
     zeros stay simple).
     """
-    _check_radius(params, cfg)
-    big_n = counts(params.n, params.d).N
-    points = _continue(params, list(range(1, big_n + 1)), cfg, _newton_rows)
+    points = track_zeros(params, range(1, counts(params.n, params.d).N + 1), cfg)
     a, b, dist = _closest_pair(np.array([p.coords for p in points]))
     if dist <= cfg.dedup_tol:
         raise CollisionError(
@@ -312,7 +341,7 @@ def first_order_point(n: int, d: int, m: int, alpha) -> np.ndarray:
     exponents are exact integers reduced mod N.
     """
     alpha = FoliationParams(n, d, alpha).alpha
-    big_n = _check_index(n, d, m)
+    big_n = _check_indices(n, d, [m])
     table = unit_roots(big_n)
 
     def root(e: int) -> complex:

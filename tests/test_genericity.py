@@ -16,6 +16,7 @@ from foliationlab import (
     alignment_census,
     base_pattern_indices,
     char_coeff_map,
+    char_poly_direct,
     closed_form_sing,
     coeff_derivative_table,
     counts,
@@ -32,6 +33,7 @@ from foliationlab import (
     spectrum_report,
     submersion_all,
     submersion_report,
+    track_one,
     track_singularities,
     unit_root,
 )
@@ -102,6 +104,49 @@ def test_cauchy_stencil_beats_central():
 def test_submersion_rejects_unknown_stencil():
     with pytest.raises(InputError):
         submersion_report(2, 2, 7, CFG, stencil="forward")
+
+
+def _reference_jac(n, d, m, cfg, stencil):
+    # one zero at a time: track_one and the member's own field for every stencil node
+    nodes = {"central": ((1, 1), (-1, -1)),
+             "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}[stencil]
+    h = cfg.fd_step
+    cols = []
+    for j in range(n):
+        col = np.zeros(n, dtype=complex)
+        for node, weight in nodes:
+            point = [0j] * n
+            point[j] = h * node
+            params = FoliationParams(n, d, point)
+            col += char_poly_direct(family_field(params), track_one(params, m, cfg).coords) * weight
+        cols.append(col / (len(nodes) * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+def test_submersion_all_equals_one_zero_at_a_time_reference(n, d, stencil):
+    reports = submersion_all(n, d, CFG, stencil)
+    assert [r.m for r in reports] == list(range(1, counts(n, d).N + 1))
+    for r in reports:
+        assert r.jac.tobytes() == _reference_jac(n, d, r.m, CFG, stencil).tobytes()
+    one = submersion_report(n, d, 2, CFG, stencil)
+    assert (one.jac.tobytes(), one.det, one.sv_min) == (
+        reports[1].jac.tobytes(), reports[1].det, reports[1].sv_min)
+
+
+def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
+    calls = {"track_zeros": 0, "track_one": 0}
+    for name in calls:
+        real = getattr(genericity, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(genericity, name, spy)
+    submersion_all(3, 2, CFG)
+    assert calls == {"track_zeros": 6, "track_one": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Newton refinement, continuation tracking, and the first-order predictor."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from foliationlab import (
     pushforward_factor,
     track_one,
     track_singularities,
+    track_zeros,
 )
 
 DESK = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)]
@@ -172,6 +174,65 @@ def test_batch_failure_names_smallest_failing_index(params, cfg):
         track_singularities(params, cfg)
     assert str(info.value) == failing[0][1]
     assert str(info.value).startswith(f"tracking failed for index m={failing[0][0]} at steps=64:")
+
+
+def test_track_zeros_is_track_one_for_an_unsorted_index_list():
+    rng = np.random.default_rng(33)
+    params = FoliationParams(3, 3, tuple(0.04 * np.exp(2j * np.pi * rng.uniform(size=3))))
+    ms = [int(m) for m in rng.permutation(np.arange(1, 41))[:15]]
+    assert ms != sorted(ms)
+    assert [_fields(t) for t in track_zeros(params, ms, CFG)] == [
+        _fields(track_one(params, m, CFG)) for m in ms]
+
+
+STALLING = RunConfig(newton_tol=4e-16, max_iters=5)
+# draw 14 of genericity_sample(3, 2, STALLING): of its zeros only m=10 fails
+FAILING_DRAW = FoliationParams(3, 2, (
+    -0.0044178202749377 + 0.005877761587525191j,
+    -0.021156979053561144 + 0.03928111421904082j,
+    0.0025272702098147804 + 0.03643904703005435j))
+
+
+def test_track_zeros_fails_with_the_message_of_track_singularities():
+    with pytest.raises(ConvergenceError) as whole:
+        track_singularities(FAILING_DRAW, STALLING)
+    assert str(whole.value).startswith("tracking failed for index m=10 at steps=64:")
+    for ms in (range(1, 16), range(15, 0, -1)):
+        with pytest.raises(ConvergenceError) as batch:
+            track_zeros(FAILING_DRAW, ms, STALLING)
+        assert str(batch.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("ms,message", [
+    ([], "no zero index given"),
+    ([0], r"index m must lie in \[1, 7\], got 0"),
+    ([8], r"index m must lie in \[1, 7\], got 8"),
+    ([3, 8, 1], r"index m must lie in \[1, 7\], got 8"),
+])
+def test_track_zeros_rejects_indices_outside_the_member(ms, message):
+    with pytest.raises(InputError, match=message):
+        track_zeros(FoliationParams(2, 2, (0.01, 0)), ms, CFG)
+
+
+def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
+    # the polishing step of a converged row rounds to x, and so does every
+    # halved step after it: the row stops without evaluating them.  The
+    # digest was taken before the early stop, with 25 evaluations.
+    calls = []
+    real = solver.eval_field
+
+    def spy(field, x):
+        calls.append(len(x))
+        return real(field, x)
+
+    monkeypatch.setattr(solver, "eval_field", spy)
+    points = track_singularities(FoliationParams(3, 2, (0.03, 0.02j, -0.01)), CFG)
+    assert len(calls) == 6
+    coords = np.array([p.coords for p in points])
+    residuals = np.array([p.residual for p in points])
+    iters = np.array([p.newton_iters for p in points], dtype=np.int64)
+    digest = hashlib.sha256(coords.tobytes() + residuals.tobytes() + iters.tobytes())
+    assert digest.hexdigest() == "6275dc8d48d9ffb428480125fc84aaf9c53fb891de485f9d130e208eddf69505"
 
 
 def _dense_closest_pair(coords):
