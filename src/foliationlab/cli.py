@@ -284,20 +284,6 @@ def _cmd_sample(args, cfg):
     return stats, rows, [], 0
 
 
-_HANDLERS = {
-    "counts": _cmd_counts,
-    "sing": _cmd_sing,
-    "spectrum": _cmd_spectrum,
-    "submersion": _cmd_submersion,
-    "derivs": _cmd_derivs,
-    "align": _cmd_align,
-    "hyperplanes": _cmd_hyperplanes,
-    "defect": _cmd_defect,
-    "pushforward": _cmd_pushforward,
-    "sample": _cmd_sample,
-}
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foliationlab",
@@ -330,25 +316,26 @@ def make_parser() -> argparse.ArgumentParser:
         "counts", parents=[common],
         help="exact integer invariants N, M, K",
         description="Exact counts for (n, d). CSV columns: n,d,N,M,K.",
-    )
+    ).set_defaults(handler=_cmd_counts)
     sub.add_parser(
         "sing", parents=[common, alpha_parent],
         help="track all zeros of the perturbed member",
         description="Tracked zeros. CSV columns: m,converged,newton_iters,"
                     "residual,x1_re,x1_im,...,xn_re,xn_im.",
-    )
-    spectrum = sub.add_parser(
+    ).set_defaults(handler=_cmd_sing)
+    sub.add_parser(
         "spectrum", parents=[common, alpha_parent, index_parent],
         help="spectral reports at tracked zeros",
         description="Spectral reports. CSV columns: m,classification,resonant,"
                     "c_min,worst_j,worst_m,sigma*_re/im,lambda*_re/im.",
-    )
+    ).set_defaults(handler=_cmd_spectrum)
     submersion = sub.add_parser(
         "submersion", parents=[common, index_parent],
         help="parameter Jacobian of the coefficient map with certificates",
         description="Submersion reports. CSV columns: m,abs_det,expected_modulus,"
                     "rel_error,fd_step,sv_min,sv_max,jacij_re/im.",
     )
+    submersion.set_defaults(handler=_cmd_submersion)
     submersion.add_argument("--stencil", choices=("central", "cauchy4"),
                             default="central",
                             help="finite-difference stencil (default central)")
@@ -357,22 +344,23 @@ def make_parser() -> argparse.ArgumentParser:
         help="derivative table at the all-ones zero vs closed formulas",
         description="Derivative table. CSV columns: i,j,explicit,fd_re,fd_im,"
                     "formula_re,formula_im,rel_error.",
-    )
+    ).set_defaults(handler=_cmd_derivs)
     sub.add_parser(
         "align", parents=[common, alpha_parent],
         help="census of aligned zero subsets",
         description="Alignment census. CSV columns: record,size,indices(';'-joined),residual.",
-    )
+    ).set_defaults(handler=_cmd_align)
     sub.add_parser(
         "hyperplanes", parents=[common],
         help="base alignment hyperplane and its group images",
         description="Hyperplane normals. CSV columns: k,normal*_re,normal*_im.",
-    )
+    ).set_defaults(handler=_cmd_hyperplanes)
     defect = sub.add_parser(
         "defect", parents=[common],
         help="log-log slope of the alignment defect along a ray",
         description="Defect growth. CSV columns: mu,defect,slope (slope repeated).",
     )
+    defect.set_defaults(handler=_cmd_defect)
     defect.add_argument("--nu", action="append", type=_parse_complex, metavar="RE,IM",
                         required=True, help="ray direction coordinate as 're,im'; repeat n times")
     defect.add_argument("--mu-grid", type=_parse_mu_grid,
@@ -387,6 +375,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Pushforward factorization. CSV columns: k,c_re,c_im,residual,"
                     "matches_diagonal_guess,alpha_tilde*_re/im.",
     )
+    pushforward.set_defaults(handler=_cmd_pushforward)
     pushforward.add_argument("--k", type=int, default=1,
                              help="generator power (default 1)")
     sample = sub.add_parser(
@@ -396,6 +385,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "max_order,n_failed,n_all_hyperbolic,n_any_resonant,"
                     "frac_failures,frac_all_hyperbolic,frac_any_resonant.",
     )
+    sample.set_defaults(handler=_cmd_sample)
     sample.add_argument("--jobs", type=int, default=1,
                         help="at least 1; has no effect (every draw runs in one process)")
     return parser
@@ -430,7 +420,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         cfg = _make_cfg(args)
-        payload, rows, warnings, code = _HANDLERS[args.command](args, cfg)
+        payload, rows, warnings, code = args.handler(args, cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,10 +161,10 @@ def _newton_rows(
     notes = np.where(converged, "",
                      np.where(singular, "singular jacobian", "newton stalled above tolerance"))
     return [
-        SingularPoint(m=m, coords=tuple(x[r]), residual=float(res[r]),
+        SingularPoint(m=m, coords=tuple(row), residual=float(res[r]),
                       converged=bool(converged[r]), newton_iters=int(iters[r]),
                       note=str(notes[r]))
-        for r, m in enumerate(ms)
+        for r, (m, row) in enumerate(zip(ms, x.tolist()))
     ]
 
 
@@ -187,53 +187,39 @@ def newton_refine(
     return _newton_rows(field, x[None, :], cfg, [m])[0]
 
 
-def _refine_one(
-    field: PolyVectorField, x: np.ndarray, cfg: RunConfig, ms: list[int]
-) -> list[SingularPoint]:
-    """The one-row refine of ``track_one``: a single zero is refined through
-    the public ``newton_refine``, so wrappers around it see every one-point
-    refinement."""
-    return [newton_refine(field, x[0], cfg, m=ms[0])]
-
-
 def _check_indices(n: int, d: int, ms) -> int:
-    """N at (n, d), after checking that ms is a non-empty list of indices of
-    the N zeros; only its smallest and largest entries are compared."""
+    """N at (n, d), after checking that ms is a non-empty list of integer
+    indices of the N zeros (bool refused); only its smallest and largest
+    entries are compared with [1, N]."""
     big_n = counts(n, d).N
     if not len(ms):
         raise InputError("no zero index given")
+    for m in ms:
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+            raise InputError(f"index m must be an integer, got {m!r}")
     for m in (min(ms), max(ms)):
         if not 1 <= m <= big_n:
             raise InputError(f"index m must lie in [1, {big_n}], got {m}")
     return big_n
 
 
-def _check_member(params: FoliationParams, ms, cfg: RunConfig) -> None:
-    """The checks of every tracking call: alpha inside the polydisk, then the indices."""
-    size = max((abs(a) for a in params.alpha), default=0.0)
-    if size > cfg.radius:
-        raise InputError(
-            f"perturbation size {size:.3g} exceeds the tracked polydisk radius {cfg.radius:.3g}"
-        )
-    _check_indices(params.n, params.d, ms)
-
-
-def _continue(
-    params: FoliationParams, ms: list[int], cfg: RunConfig, refine
-) -> list[SingularPoint]:
+def _continue(params: FoliationParams, ms: list[int], cfg: RunConfig) -> list[SingularPoint]:
     """Continue the unperturbed zeros of indices ms to the member, in the order of ms.
 
     The parameter is ramped linearly in continuation steps; at each stage
-    the field is built once and every row still converging is refined by
-    ``refine(field, x, cfg, ms)`` from its previous stage's zero.  The rows
-    that fail are run again from their start points with the step count
-    escalated by a factor of 4 (at most to 64); then a ConvergenceError
-    names the smallest failing index.
+    the field is built once and every row still converging is refined from
+    its previous stage's zero.  A call with one index refines through the
+    public ``newton_refine``, so wrappers around it see every one-point
+    refinement; longer calls refine their rows as one ``_newton_rows``
+    stack.  The rows that fail are run again from their start points with
+    the step count escalated by a factor of 4 (at most to 64); then a
+    ConvergenceError names the smallest failing index.
     """
     alpha = np.asarray(params.alpha, dtype=complex)
     if not np.any(alpha):
         base = closed_form_sing(params.n, params.d)
         return [base[m - 1] for m in ms]
+    one = len(ms) == 1
     start = closed_form_coords(params.n, params.d)
     tracked = {}
     todo = ms
@@ -246,7 +232,9 @@ def _continue(
             stage_params = FoliationParams(
                 params.n, params.d, tuple(alpha * (stage / steps))
             )
-            points = refine(family_field(stage_params), x, cfg, active)
+            field = family_field(stage_params)
+            points = ([newton_refine(field, x[0], cfg, m=active[0])] if one
+                      else _newton_rows(field, x, cfg, active))
             failed += [p for p in points if not p.converged]
             points = [p for p in points if p.converged]
             if not points:
@@ -266,16 +254,13 @@ def _continue(
 
 
 def track_one(params: FoliationParams, m: int, cfg: RunConfig) -> SingularPoint:
-    """Continue the m-th unperturbed zero to the perturbed member.
+    """Continue the m-th unperturbed zero to the perturbed member: ``track_zeros``
+    on [m], so the result is bitwise the m-th entry of ``track_singularities``.
 
-    The parameter is ramped linearly in continuation steps, refining at
-    each stage from the previous stage's zero.  On failure the step count
-    escalates by factors of 4 (at most to 64) before a ConvergenceError
-    naming the index is raised.  The result is bitwise the m-th entry of
-    ``track_singularities`` and of ``track_zeros``.
+    On failure the step count escalates by factors of 4 (at most to 64)
+    before a ConvergenceError naming the index is raised.
     """
-    _check_member(params, [m], cfg)
-    return _continue(params, [m], cfg, _refine_one)[0]
+    return track_zeros(params, [m], cfg)[0]
 
 
 def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoint]:
@@ -284,11 +269,16 @@ def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoi
     Entry r is bitwise ``track_one(params, ms[r], cfg)``, for ms in any
     order.  Only the rows that fail are run again with the step count
     escalated; a ConvergenceError names the smallest failing index.  No
-    collision scan is made.  An empty ms or an index outside [1, N]
-    raises InputError.
+    collision scan is made.  An alpha outside the polydisk, an empty ms,
+    or an index that is not an integer in [1, N] raises InputError.
     """
-    _check_member(params, ms, cfg)
-    return _continue(params, list(ms), cfg, _newton_rows)
+    size = max((abs(a) for a in params.alpha), default=0.0)
+    if size > cfg.radius:
+        raise InputError(
+            f"perturbation size {size:.3g} exceeds the tracked polydisk radius {cfg.radius:.3g}"
+        )
+    _check_indices(params.n, params.d, ms)
+    return _continue(params, list(ms), cfg)
 
 
 def _closest_pair(coords: np.ndarray) -> tuple[int, int, float]:

@@ -24,6 +24,8 @@ from foliationlab import (
     jouanolou_field,
     newton_refine,
     pushforward_factor,
+    submersion_all,
+    submersion_report,
     track_one,
     track_singularities,
     track_zeros,
@@ -212,6 +214,62 @@ def test_track_zeros_fails_with_the_message_of_track_singularities():
 def test_track_zeros_rejects_indices_outside_the_member(ms, message):
     with pytest.raises(InputError, match=message):
         track_zeros(FoliationParams(2, 2, (0.01, 0)), ms, CFG)
+
+
+SMALL = FoliationParams(2, 2, (0.01, 0.02j))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: track_zeros(SMALL, [1.5], CFG),
+    lambda: track_one(SMALL, 2.0, CFG),
+    lambda: submersion_report(2, 2, 2.5, CFG),
+    lambda: first_order_point(2, 2, 1.5, (0.01, 0)),
+    lambda: track_zeros(SMALL, ["3"], CFG),
+    lambda: track_zeros(SMALL, [True, 3], CFG),
+    lambda: track_one(SMALL, np.bool_(True), CFG),
+], ids=["float-list", "float-one", "submersion", "first-order", "str", "bool", "numpy-bool"])
+def test_non_integer_indices_are_refused(call):
+    with pytest.raises(InputError, match="index m must be an integer"):
+        call()
+
+
+def test_numpy_integer_indices_are_accepted():
+    ms = np.arange(1, 8)[::-1]
+    assert [_fields(p) for p in track_zeros(SMALL, ms, CFG)] == [
+        _fields(track_one(SMALL, int(m), CFG)) for m in ms]
+    assert np.array_equal(first_order_point(2, 2, np.int64(3), (0.01, 0)),
+                          first_order_point(2, 2, 3, (0.01, 0)))
+
+
+@pytest.mark.parametrize("alpha", [(0, 0, 0), (0.03, 0.02j, -0.01)])
+def test_zero_coordinates_are_python_complex(alpha):
+    # tracked zeros hold the coordinate type of the closed-form zeros
+    for p in [*track_singularities(FoliationParams(3, 2, alpha), CFG),
+              track_one(FoliationParams(3, 2, alpha), 4, CFG), *closed_form_sing(3, 2)]:
+        assert {type(c) for c in p.coords} == {complex}
+
+
+def test_only_one_index_calls_refine_through_newton_refine(monkeypatch):
+    """perfbench's traced solver.stages_per_zero and solver.evals_per_step
+    count newton_refine calls under track_one; only a one-index call makes them."""
+    refined = []
+    real = solver.newton_refine
+
+    def spy(*args, **kwargs):
+        refined.append(real(*args, **kwargs))
+        return refined[-1]
+
+    monkeypatch.setattr(solver, "newton_refine", spy)
+    params = FoliationParams(3, 2, (0.03, 0.02j, -0.01))
+    cfg = RunConfig(continuation_steps=3)
+    point = track_one(params, 5, cfg)
+    assert len(refined) == 3 and refined[-1] == point
+    assert all(p.newton_iters > 0 for p in refined)
+    refined.clear()
+    track_zeros(params, [5, 2], cfg)
+    track_singularities(params, cfg)
+    submersion_all(2, 2, CFG)
+    assert refined == []
 
 
 def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
