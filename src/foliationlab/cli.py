@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -61,6 +62,23 @@ def _parse_complex(text: str) -> complex:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# argparse reads a token that starts with '-' and is not a plain number, such
+# as the value in "--alpha -0.03,0", as an option: such a value of a complex
+# option is joined to it, as in "--alpha=-0.03,0"
+_COMPLEX_OPTIONS = ("--alpha", "--nu")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_signed_values(argv) -> list[str]:
+    out = []
+    for token in argv:
+        if out and out[-1] in _COMPLEX_OPTIONS and _SIGNED_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_mu_grid(text: str) -> tuple[float, ...]:
@@ -415,7 +433,7 @@ def _emit(args, cfg, payload, rows, warnings) -> None:
 def run(argv) -> int:
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -86,8 +86,14 @@ class PolyVectorField:
         return self._tables
 
 
-def _evaluate(field_: PolyVectorField, x, which: int, width: int) -> np.ndarray:
-    """Sum table `which` of the field at x into `width` output slots per point."""
+def _evaluate(field_: PolyVectorField, x, which: int, width: int, const=None) -> np.ndarray:
+    """Sum table `which` of the field at x into `width` output slots per point.
+
+    With `const` (one row of `width` values per point), each point's row
+    enters its sum before the terms: the field plus that constant.  That is
+    where a member's zero-exponent term sits in its sorted table, so the
+    base field plus alpha is bitwise the member's own field.
+    """
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or x.shape[-1] != field_.n:
         raise InputError(
@@ -95,6 +101,8 @@ def _evaluate(field_: PolyVectorField, x, which: int, width: int) -> np.ndarray:
         )
     exps, coeffs, slots = field_._compiled()[which]
     out = np.zeros(x.shape[:-1] + (width,), dtype=complex)
+    if const is not None:
+        out += const
     if len(coeffs):
         vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
         np.add.at(out, (..., slots), vals)

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CollisionError, ConvergenceError, InputError, VerificationError
+from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import (
     FoliationParams,
     SingularPoint,
@@ -32,7 +32,8 @@ from .jouanolou import (
     jouanolou_field,
     unit_root,
 )
-from .solver import RunConfig, track_one, track_singularities, track_zeros
+from . import solver
+from .solver import RunConfig, _track_members, track_one, track_zeros
 from .spectral import HYPERBOLIC, char_poly_direct, spectrum_reports
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
@@ -558,31 +559,57 @@ class SampleStats:
     )
 
 
+def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> list[tuple[str, bool, bool]]:
+    """Per draw of ``genericity_sample``: (class name of the error that
+    failed it, or "", all zeros hyperbolic, some zero resonant)."""
+    base = jouanolou_field(n, d)
+    big_n = counts(n, d).N
+    rng = np.random.default_rng(cfg.seed)
+    draws = rng.random((cfg.samples, n, 2))
+    alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
+    # whole members' collision scans fit one COLLISION_BLOCK
+    block = max(1, solver.COLLISION_BLOCK // (big_n * big_n * n))
+    outcomes = []
+    for lo in range(0, cfg.samples, block):
+        results = _track_members([FoliationParams(n, d, tuple(alpha))
+                                  for alpha in alphas[lo:lo + block]], cfg)
+        tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
+        points = [p for s in tracked for p in results[s]]
+        try:
+            reports = spectrum_reports(base, points, cfg) if points else []
+            for k, s in enumerate(tracked):
+                results[s] = reports[k * big_n:(k + 1) * big_n]
+        except ConvergenceError:  # the eigenvalue gate: fail only the draws it fails alone
+            for s in tracked:
+                try:
+                    results[s] = spectrum_reports(base, results[s], cfg)
+                except ConvergenceError as exc:
+                    results[s] = exc
+        outcomes += [(type(r).__name__, False, False) if isinstance(r, Exception) else
+                     ("", all(rep.classification == HYPERBOLIC for rep in r),
+                      any(rep.divisor.resonant for rep in r)) for r in results]
+    return outcomes
+
+
 def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     """Sample the perturbation polydisk and summarize spectral behavior.
 
     Perturbations are drawn coordinatewise uniformly from the closed disk
-    of cfg.radius, pre-generated sequentially from cfg.seed, and run one
-    after another in this process.  Each draw's zeros are tracked as one
-    batch and their spectra computed as one stack from the base field,
-    whose Jacobian is every member's (alpha is only a constant term); a
-    draw that fails (ConvergenceError or CollisionError) is counted, never
-    raised.
+    of cfg.radius, pre-generated sequentially from cfg.seed, and run in
+    this process in blocks of draws, as many as the collision scan holds
+    at once (``solver.COLLISION_BLOCK`` entries, at least one draw).  A
+    block's zeros are tracked as one batch on the base field (a draw
+    differs from it only by its constant term alpha), scanned for
+    collisions as one stack, and their spectra computed as one stack from
+    the base field, whose Jacobian is every draw's.  Each draw's result is
+    bitwise that of running it alone.  A draw that fails (ConvergenceError
+    or CollisionError, including the eigenvalue gate, which re-runs the
+    block's spectra one draw at a time) is counted, never raised.
     """
-    base = jouanolou_field(n, d)
-    rng = np.random.default_rng(cfg.seed)
-    draws = rng.random((cfg.samples, n, 2))
-    alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
-    n_failed = n_all_hyp = n_any_res = 0
-    for alpha in alphas:
-        params = FoliationParams(n, d, tuple(alpha))
-        try:
-            reports = spectrum_reports(base, track_singularities(params, cfg), cfg)
-        except (ConvergenceError, CollisionError):
-            n_failed += 1
-            continue
-        n_all_hyp += all(rep.classification == HYPERBOLIC for rep in reports)
-        n_any_res += any(rep.divisor.resonant for rep in reports)
+    outcomes = _draw_outcomes(n, d, cfg)
+    n_failed = sum(bool(error) for error, _, _ in outcomes)
+    n_all_hyp = sum(hyp for _, hyp, _ in outcomes)
+    n_any_res = sum(res for _, _, res in outcomes)
     total = cfg.samples
     return SampleStats(
         n=n,

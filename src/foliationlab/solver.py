@@ -1,12 +1,17 @@
 """Newton refinement and continuation of the family's zeros.
 
-The zeros of the base field are continued to a perturbed member as one
-batch: an (R, n) array of rows started from the closed-form zeros and
-refined together by damped Newton iteration, with the parameter ramped in
-continuation steps.  Per-row masks decide which rows take the polishing
-step, how often each row's step is halved and when each row stops, so
-every row does exactly the arithmetic of a one-point refinement.  Only
-the rows that fail are run again with the step count escalated.  The
+The zeros of the base field are continued to perturbed members as one
+batch: an (R, n) array of rows, one per (member, zero) pair, started from
+the closed-form zeros and refined together by damped Newton iteration,
+with the parameter ramped in continuation steps.  A member differs from
+the base field only by its constant term alpha, and the Jacobian does not
+see it, so the base field is built once per call and each row's value is
+the base field's sum started from its member's ramped alpha.  Per-row
+masks decide which rows take the polishing step, how often each row's
+step is halved and when each row stops, so every row does exactly the
+arithmetic of a one-point refinement on its member's own field.  Only the
+rows that fail are run again, across members as one batch, with the step
+count escalated.  The
 perturbation is kept inside a small polydisk (RunConfig.radius) where the
 N zeros stay simple and separated; a collision of tracked zeros is
 reported as the parameter leaving that polydisk rather than as a
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import PolyVectorField, eval_field, jacobian
+from .cpoly import PolyVectorField, _evaluate, eval_field, jacobian
 from .errors import CollisionError, ConvergenceError, InputError
 from .jouanolou import (
     FoliationParams,
@@ -36,6 +41,7 @@ from .jouanolou import (
     closed_form_sing,
     counts,
     family_field,
+    jouanolou_field,
     unit_roots,
 )
 
@@ -88,23 +94,31 @@ class RunConfig:
 
 
 # Most complex entries of one block of the pairwise-difference array that
-# the collision check holds at a time (16 MB); rows are scanned in blocks.
+# the collision check holds at a time (16 MB); members, or the rows of one
+# member, are scanned in blocks.
 COLLISION_BLOCK = 1 << 20
 
 
 def _newton_rows(
-    field: PolyVectorField, x0: np.ndarray, cfg: RunConfig, ms: list[int]
+    field: PolyVectorField, x0: np.ndarray, cfg: RunConfig, ms: list[int], const=None
 ) -> list[SingularPoint]:
     """Damped Newton iteration on every row of an (R, n) stack of start points.
 
-    Row r takes exactly the steps a one-point run from x0[r] would take:
-    each row has its own polishing flag, step length, halving count and
-    stop, and the Jacobian systems are solved as one stack.  A stacked
-    solve fails as a whole when any matrix is singular; the rows are then
-    solved one at a time to find which ones stop on "singular jacobian".
+    With `const`, an (R, n) array, row r refines a zero of the field plus
+    the constant const[r]: its sum starts from const[r], and its Jacobian
+    is the field's.  Row r takes exactly the steps a one-point run from
+    x0[r] would take: each row has its own polishing flag, step length,
+    halving count and stop, and the Jacobian systems are solved as one
+    stack.  A stacked solve fails as a whole when any matrix is singular;
+    the rows are then solved one at a time to find which ones stop on
+    "singular jacobian".
     """
+
+    def value(rows, x):
+        return eval_field(field, x) if const is None else _evaluate(field, x, 0, field.n, const[rows])
+
     x = np.array(x0, dtype=complex)
-    fx = eval_field(field, x)
+    fx = value(slice(None), x)
     res = np.max(np.abs(fx), axis=1)
     iters = np.zeros(len(x), dtype=int)
     polished = np.zeros(len(x), dtype=bool)
@@ -147,7 +161,7 @@ def _newton_rows(
                 k, cand = k[moved], cand[moved]
                 if not len(k):
                     break
-            fc = eval_field(field, cand)
+            fc = value(rows[k], cand)
             rc = np.max(np.abs(fc), axis=1)
             ok = rc < res[rows[k]]
             done = k[ok]
@@ -203,54 +217,76 @@ def _check_indices(n: int, d: int, ms) -> int:
     return big_n
 
 
-def _continue(params: FoliationParams, ms: list[int], cfg: RunConfig) -> list[SingularPoint]:
-    """Continue the unperturbed zeros of indices ms to the member, in the order of ms.
+def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
+              cfg: RunConfig) -> list[list[SingularPoint] | ConvergenceError]:
+    """Continue the unperturbed zeros of indices ms to every member base + alphas[s].
 
-    The parameter is ramped linearly in continuation steps; at each stage
-    the field is built once and every row still converging is refined from
-    its previous stage's zero.  A call with one index refines through the
-    public ``newton_refine``, so wrappers around it see every one-point
-    refinement; longer calls refine their rows as one ``_newton_rows``
-    stack.  The rows that fail are run again from their start points with
-    the step count escalated by a factor of 4 (at most to 64); then a
-    ConvergenceError names the smallest failing index.
+    Entry s is member s's zeros in the order of ms, or the ConvergenceError
+    its tracking raises.  The rows are the (member, index) pairs, refined
+    as one batch.  The parameter is ramped linearly in continuation steps:
+    at stage k of `steps` every row still converging is refined from its
+    previous stage's zero, on the base field plus its member's
+    alpha * (k / steps), so the field is built once per call.  A call with
+    one row refines each stage through the public ``newton_refine`` on the
+    stage's ``family_field``, so wrappers around it see every one-point
+    refinement.  The rows that fail are run again from their start points,
+    as one batch across members, with the step count escalated by a factor
+    of 4 (at most to 64); then a member's error names its smallest failing
+    index.  A member with alpha = 0 takes the closed-form zeros.
     """
-    alpha = np.asarray(params.alpha, dtype=complex)
-    if not np.any(alpha):
-        base = closed_form_sing(params.n, params.d)
-        return [base[m - 1] for m in ms]
-    one = len(ms) == 1
-    start = closed_form_coords(params.n, params.d)
-    tracked = {}
-    todo = ms
+    count = len(ms)
+    one = len(alphas) * count == 1
+    base = None if one else jouanolou_field(n, d)
+    index = np.asarray(ms) - 1
+    start = closed_form_coords(n, d)
+    points = [None] * (len(alphas) * count)
+    perturbed = alphas.any(axis=1)
+    if not perturbed.all():
+        closed = closed_form_sing(n, d)
+        for s in np.flatnonzero(~perturbed).tolist():
+            points[s * count:(s + 1) * count] = [closed[i] for i in index.tolist()]
+    errors = {}
+    todo = np.flatnonzero(np.repeat(perturbed, count))  # row r is member r // count, ms[r % count]
     steps = cfg.continuation_steps
-    while True:
-        x = start[np.array(todo) - 1]
+    while len(todo):
         active = todo
+        x = start[index[active % count]]
         failed = []
         for stage in range(1, steps + 1):
-            stage_params = FoliationParams(
-                params.n, params.d, tuple(alpha * (stage / steps))
-            )
-            field = family_field(stage_params)
-            points = ([newton_refine(field, x[0], cfg, m=active[0])] if one
-                      else _newton_rows(field, x, cfg, active))
-            failed += [p for p in points if not p.converged]
-            points = [p for p in points if p.converged]
-            if not points:
+            labels = [ms[k] for k in (active % count).tolist()]
+            if one:
+                field = family_field(FoliationParams(n, d, tuple(alphas[0] * (stage / steps))))
+                refined = [newton_refine(field, x[0], cfg, m=labels[0])]
+            else:
+                refined = _newton_rows(base, x, cfg, labels, alphas[active // count] * (stage / steps))
+            ok = np.array([p.converged for p in refined])
+            failed += [(r, p) for r, p in zip(active.tolist(), refined) if not p.converged]
+            active = active[ok]
+            if not len(active):
                 break
-            active = [p.m for p in points]
-            x = np.array([p.coords for p in points])
-        tracked.update((p.m, p) for p in points)  # converged at every stage
+            refined = [p for p in refined if p.converged]
+            x = np.array([p.coords for p in refined])
+        for r, p in zip(active.tolist(), refined):  # converged at every stage
+            points[r] = p
         if not failed:
-            return [tracked[m] for m in ms]
+            break
         if steps * 4 > 64:
-            first = min(failed, key=lambda p: p.m)
-            raise ConvergenceError(
-                f"tracking failed for index m={first.m} at steps={steps}: {first.note}"
-            )
-        todo = sorted(p.m for p in failed)
+            for r, p in sorted(failed, key=lambda f: (f[0] // count, f[1].m)):
+                errors.setdefault(r // count, ConvergenceError(
+                    f"tracking failed for index m={p.m} at steps={steps}: {p.note}"))
+            break
+        todo = np.array(sorted(r for r, _ in failed))
         steps *= 4
+    return [errors[s] if s in errors else points[s * count:(s + 1) * count]
+            for s in range(len(alphas))]
+
+
+def _check_radius(params: FoliationParams, cfg: RunConfig) -> None:
+    size = max((abs(a) for a in params.alpha), default=0.0)
+    if size > cfg.radius:
+        raise InputError(
+            f"perturbation size {size:.3g} exceeds the tracked polydisk radius {cfg.radius:.3g}"
+        )
 
 
 def track_one(params: FoliationParams, m: int, cfg: RunConfig) -> SingularPoint:
@@ -272,52 +308,79 @@ def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoi
     collision scan is made.  An alpha outside the polydisk, an empty ms,
     or an index that is not an integer in [1, N] raises InputError.
     """
-    size = max((abs(a) for a in params.alpha), default=0.0)
-    if size > cfg.radius:
-        raise InputError(
-            f"perturbation size {size:.3g} exceeds the tracked polydisk radius {cfg.radius:.3g}"
-        )
+    _check_radius(params, cfg)
     _check_indices(params.n, params.d, ms)
-    return _continue(params, list(ms), cfg)
+    (result,) = _continue(params.n, params.d, np.array([params.alpha]), list(ms), cfg)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
-def _closest_pair(coords: np.ndarray) -> tuple[int, int, float]:
-    """Rows (a, b) of the closest pair in the sup-norm, and their distance.
+def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
+    """For each member of an (S, N, n) stack of zeros, the rows (a, b) of its
+    closest pair in the sup-norm and their distance.
 
     Ties go to the first pair in row-major order.  The pairwise
-    differences are formed COLLISION_BLOCK entries at a time.
+    differences are formed COLLISION_BLOCK entries at a time: as many
+    whole members as fit, or blocks of one member's rows.
     """
-    big_n, n = coords.shape
+    count, big_n, n = coords.shape
     block = max(1, COLLISION_BLOCK // (big_n * n))
-    best = (0, 0, np.inf)
-    for lo in range(0, big_n, block):
-        diff = coords[lo:lo + block, None, :] - coords[None, :, :]
-        dist = np.max(np.abs(diff), axis=2)
-        own = np.arange(len(dist))
-        dist[own, lo + own] = np.inf
-        a, b = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[a, b] < best[2]:
-            best = (lo + int(a), int(b), dist[a, b])
+    group = max(1, block // big_n)
+    best = [(0, 0, np.inf)] * count
+    for s0 in range(0, count, group):
+        stack = coords[s0:s0 + group]
+        for lo in range(0, big_n, block):
+            diff = stack[:, lo:lo + block, None, :] - stack[:, None, :, :]
+            dist = np.max(np.abs(diff), axis=3)
+            own = np.arange(dist.shape[1])
+            dist[:, own, lo + own] = np.inf
+            flat = dist.reshape(len(stack), -1)
+            for s, k in enumerate(np.argmin(flat, axis=1).tolist()):
+                if flat[s, k] < best[s0 + s][2]:
+                    best[s0 + s] = (lo + k // big_n, k % big_n, flat[s, k])
     return best
+
+
+def _track_members(members: list[FoliationParams],
+                   cfg: RunConfig) -> list[list[SingularPoint] | ConvergenceError | CollisionError]:
+    """``track_singularities`` of members of one (n, d), tracked as one batch
+    with one stacked collision scan.
+
+    Entry s is member s's zeros, or the ConvergenceError or CollisionError
+    that ``track_singularities`` raises for it; a member outside the
+    polydisk raises InputError for the whole call.
+    """
+    n, d = members[0].n, members[0].d
+    for params in members:
+        _check_radius(params, cfg)
+    big_n = counts(n, d).N
+    results = _continue(n, d, np.array([p.alpha for p in members]),
+                        list(range(1, big_n + 1)), cfg)
+    tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
+    coords = np.array([[p.coords for p in results[s]] for s in tracked])
+    for s, (a, b, dist) in zip(tracked, _closest_pair(coords.reshape(len(tracked), big_n, n))):
+        if dist <= cfg.dedup_tol:
+            results[s] = CollisionError(
+                f"tracked zeros m={results[s][a].m} and m={results[s][b].m} merged "
+                f"(separation {dist:.3e}); the perturbation left the safe polydisk"
+            )
+    return results
 
 
 def track_singularities(params: FoliationParams, cfg: RunConfig) -> list[SingularPoint]:
     """Track all N zeros of a family member, sorted by index m: ``track_zeros``
-    over 1..N, then a scan for colliding zeros.
+    over 1..N, then a scan for colliding zeros (``_track_members`` on one member).
 
     Raises ConvergenceError when an index fails to continue (naming the
     smallest such index) and CollisionError when two tracked zeros come
     within dedup_tol of each other (the parameter left the polydisk where
     zeros stay simple).
     """
-    points = track_zeros(params, range(1, counts(params.n, params.d).N + 1), cfg)
-    a, b, dist = _closest_pair(np.array([p.coords for p in points]))
-    if dist <= cfg.dedup_tol:
-        raise CollisionError(
-            f"tracked zeros m={points[a].m} and m={points[b].m} merged "
-            f"(separation {dist:.3e}); the perturbation left the safe polydisk"
-        )
-    return points
+    (result,) = _track_members([params], cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def first_order_point(n: int, d: int, m: int, alpha) -> np.ndarray:

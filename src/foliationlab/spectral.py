@@ -275,7 +275,7 @@ def _divisor_records(lams: np.ndarray, delta: float, max_order: int) -> list[Div
         for b, k in enumerate(np.argmin(table, axis=1).tolist()):
             c_min = float(table[b, k])
             records.append(DivisorRecord(float(delta), int(max_order), c_min, int(col[k]) + 1,
-                                         tuple(int(e) for e in m[row[k]]), c_min < RESONANCE_TOL))
+                                         tuple(m[row[k]].tolist()), c_min < RESONANCE_TOL))
     return records
 
 

@@ -149,6 +149,21 @@ def test_sample_deterministic(capsys):
     assert doc["payload"]["frac_failures"] == 0.0
 
 
+@pytest.mark.parametrize("head,values", [
+    (["sing", "--n", "2", "--d", "2"], ["--alpha", "-0.03,0", "--alpha", "-.01,-0.02"]),
+    (["spectrum", "--n", "2", "--d", "2", "--format", "csv"],
+     ["--alpha", "-0.03,0", "--alpha", "0,-0.02"]),
+    (["defect", "--n", "3", "--d", "2"], ["--nu", "-1,0", "--nu", "0,0", "--nu", "-.5,0.25"]),
+], ids=["sing", "spectrum", "defect"])
+def test_signed_complex_value_may_follow_its_option(capsys, head, values):
+    # argparse alone reads "-0.03,0" as an unknown option and exits 2
+    joined = [f"{option}={value}" for option, value in zip(values[::2], values[1::2])]
+    assert run(head + values) == 0
+    spaced = capsys.readouterr().out
+    assert run(head + joined) == 0
+    assert capsys.readouterr().out == spaced
+
+
 def test_bad_input_exits_two(capsys):
     assert run(["counts", "--n", "1", "--d", "2"]) == 2
     assert "error" in capsys.readouterr().err

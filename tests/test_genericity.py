@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from foliationlab import genericity
+from foliationlab import genericity, solver, spectral
 from foliationlab import (
     HYPERBOLIC,
     CollisionError,
@@ -598,31 +598,73 @@ def test_sample_note_text_is_fixed():
                       "not a proof of a full-measure statement")
 
 
-def _reference_sample(n, d, cfg):
-    # one draw at a time, one zero at a time: (failed, all hyperbolic, any resonant)
+def _alphas(n, cfg):
     u = np.random.default_rng(cfg.seed).random((cfg.samples, n, 2))
-    alphas = cfg.radius * np.sqrt(u[:, :, 0]) * np.exp(2j * np.pi * u[:, :, 1])
-    failed = hyp = res = 0
-    for alpha in alphas:
+    return cfg.radius * np.sqrt(u[:, :, 0]) * np.exp(2j * np.pi * u[:, :, 1])
+
+
+def _reference_sample(n, d, cfg):
+    # one draw at a time, one zero at a time; per draw (error class name or "",
+    # all hyperbolic, any resonant)
+    outcomes = []
+    for alpha in _alphas(n, cfg):
         params = FoliationParams(n, d, tuple(alpha))
         try:
             field = family_field(params)
             reports = [spectrum_report(field, p, cfg) for p in track_singularities(params, cfg)]
-        except (ConvergenceError, CollisionError):
-            failed += 1
+        except (ConvergenceError, CollisionError) as exc:
+            outcomes.append((type(exc).__name__, False, False))
             continue
-        hyp += all(r.classification == HYPERBOLIC for r in reports)
-        res += any(r.divisor.resonant for r in reports)
-    return failed, hyp, res
+        outcomes.append(("", all(r.classification == HYPERBOLIC for r in reports),
+                         any(r.divisor.resonant for r in reports)))
+    return outcomes
 
 
-@pytest.mark.parametrize("cfg,fails", [
-    (RunConfig(samples=20, max_order=6), "none"),
-    (RunConfig(samples=10, max_order=6, dedup_tol=10), "all"),  # every draw collides
-    (RunConfig(samples=20, max_order=6, newton_tol=4e-16, max_iters=5), "some"),
-], ids=["clean", "collisions", "some-fail"])
-def test_sample_equals_per_draw_reference(cfg, fails):
-    s = genericity_sample(3, 2, cfg)
-    assert (s.n_failed, s.n_all_hyperbolic, s.n_any_resonant) == _reference_sample(3, 2, cfg)
+@pytest.mark.parametrize("n,d,cfg,block,fails", [
+    (3, 2, RunConfig(samples=20, max_order=6), None, "none"),
+    (3, 2, RunConfig(samples=10, max_order=6, dedup_tol=10), None, "all"),  # every draw collides
+    (3, 2, RunConfig(samples=20, max_order=6, newton_tol=4e-16, max_iters=5), None, "some"),
+    (3, 3, RunConfig(samples=10, max_order=6, max_iters=3), None, "none"),  # 8 rows escalate x4
+    (3, 2, RunConfig(samples=20, max_order=6, radius=0.3), None, "none"),
+    (2, 2, RunConfig(samples=30, max_order=6), None, "none"),
+    (2, 5, RunConfig(samples=10, max_order=6), None, "none"),
+    (4, 3, RunConfig(samples=4, max_order=5, max_iters=3), None, "none"),
+    # blocks of 4 draws, the last one of 3, with failures in some blocks
+    (3, 2, RunConfig(samples=23, max_order=6, newton_tol=4e-16, max_iters=5), 4, "some"),
+], ids=["clean", "collisions", "some-fail", "escalation", "radius-0.3", "2-2", "2-5", "4-3",
+        "blocks"])
+def test_sample_equals_per_draw_reference(monkeypatch, n, d, cfg, block, fails):
+    if block is not None:
+        big_n = counts(n, d).N
+        monkeypatch.setattr(solver, "COLLISION_BLOCK", block * big_n * big_n * n + 1)
+    outcomes = genericity._draw_outcomes(n, d, cfg)
+    assert outcomes == _reference_sample(n, d, cfg)
+    s = genericity_sample(n, d, cfg)
+    assert (s.n_failed, s.n_all_hyperbolic, s.n_any_resonant) == (
+        sum(bool(e) for e, _, _ in outcomes), sum(h for _, h, _ in outcomes),
+        sum(r for _, _, r in outcomes))
     assert {"none": s.n_failed == 0, "all": s.n_failed == cfg.samples,
             "some": 0 < s.n_failed < cfg.samples}[fails]
+
+
+def test_sample_eigenvalue_gate_fails_only_its_draw(monkeypatch):
+    # the root finder is made to refuse one zero of draw 5, in the middle of a
+    # block of 4 draws: the block's stacked spectra fail, and only draw 5 counts
+    n, d, cfg = 3, 2, RunConfig(samples=12, max_order=6)
+    params = FoliationParams(n, d, tuple(_alphas(n, cfg)[5]))
+    coords = track_singularities(params, cfg)[7].coords
+    refused = char_poly_direct(family_field(params), coords)
+    real = spectral.eigenvalues
+
+    def gate(sigma):
+        if (np.atleast_2d(sigma) == refused).all(axis=1).any():
+            raise ConvergenceError("root finding refused")
+        return real(sigma)
+
+    monkeypatch.setattr(spectral, "eigenvalues", gate)
+    monkeypatch.setattr(solver, "COLLISION_BLOCK", 4 * 15 * 15 * 3)
+    outcomes = genericity._draw_outcomes(n, d, cfg)
+    assert [k for k, (error, _, _) in enumerate(outcomes) if error] == [5]
+    assert outcomes[5] == ("ConvergenceError", False, False)
+    assert outcomes == _reference_sample(n, d, cfg)
+    assert genericity_sample(n, d, cfg).n_failed == 1

@@ -16,6 +16,7 @@ from foliationlab import (
     RunConfig,
     closed_form_sing,
     counts,
+    defect_experiment,
     eval_field,
     family_field,
     first_order_point,
@@ -142,8 +143,8 @@ def test_only_failing_rows_escalate(monkeypatch):
     batches = []
     kernel = solver._newton_rows
 
-    def spy(field, x, cfg, ms):
-        points = kernel(field, x, cfg, ms)
+    def spy(field, x, cfg, ms, alpha):
+        points = kernel(field, x, cfg, ms, alpha)
         batches.append((len(ms), sum(p.converged for p in points)))
         return points
 
@@ -277,13 +278,13 @@ def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
     # halved step after it: the row stops without evaluating them.  The
     # digest was taken before the early stop, with 25 evaluations.
     calls = []
-    real = solver.eval_field
+    real = solver._evaluate  # the batch kernel's values: the base field plus each row's alpha
 
-    def spy(field, x):
+    def spy(field, x, *table):
         calls.append(len(x))
-        return real(field, x)
+        return real(field, x, *table)
 
-    monkeypatch.setattr(solver, "eval_field", spy)
+    monkeypatch.setattr(solver, "_evaluate", spy)
     points = track_singularities(FoliationParams(3, 2, (0.03, 0.02j, -0.01)), CFG)
     assert len(calls) == 6
     coords = np.array([p.coords for p in points])
@@ -293,6 +294,65 @@ def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
     assert digest.hexdigest() == "6275dc8d48d9ffb428480125fc84aaf9c53fb891de485f9d130e208eddf69505"
 
 
+def _shift_alphas(n):
+    """Random, exact-zero, signed-zero and defect-ray perturbations at dimension n."""
+    rng = np.random.default_rng(60 + n)
+    alpha = 0.04 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    zero = alpha.copy()
+    zero[::2] = 0
+    signed = alpha.copy()
+    signed.real[0] = -0.0
+    signed.imag[-1] = -0.0
+    nu = [0j] * n
+    nu[-1], nu[1] = -0.5 + 0j, 1j
+    # the members defect_experiment tracks along the ray nu
+    rays = [tuple(mu * v for v in nu) for mu in (1e-2, 3e-4)]
+    return [tuple(alpha), tuple(zero), tuple(signed)] + rays
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (5, 2)])
+def test_base_field_plus_alpha_is_the_member_field_bitwise(n, d):
+    # the kernel's route (the base field's sum started from alpha) against the
+    # member's own field, in values and in whole Newton runs
+    base = jouanolou_field(n, d)
+    start = np.array([p.coords for p in closed_form_sing(n, d)])
+    rng = np.random.default_rng(n * d)
+    x = np.vstack([start, rng.standard_normal(start.shape) + 1j * rng.standard_normal(start.shape),
+                   np.zeros((1, n))])
+    ms = list(range(1, len(start) + 1))
+    for alpha in _shift_alphas(n):
+        member = family_field(FoliationParams(n, d, alpha))
+        const = np.tile(np.array(alpha), (len(x), 1))
+        assert solver._evaluate(base, x, 0, n, const).tobytes() == eval_field(member, x).tobytes()
+        for cfg in (CFG, RunConfig(max_iters=3)):
+            shifted = solver._newton_rows(base, start, cfg, ms, const[:len(start)])
+            assert [_fields(p) for p in shifted] == [
+                _fields(p) for p in solver._newton_rows(member, start, cfg, ms)]
+
+
+def test_tracking_on_the_base_field_is_frozen():
+    # digest taken when every continuation stage built the member's own field
+    h = hashlib.sha256()
+    for n, d in [(2, 2), (3, 2), (3, 3), (5, 2)]:
+        big_n = counts(n, d).N
+        for alpha in _shift_alphas(n):
+            params = FoliationParams(n, d, alpha)
+            for p in track_singularities(params, CFG):
+                h.update(repr(_fields(p)).encode())
+            for p in track_zeros(params, [big_n, 2, 1, 2], RunConfig(continuation_steps=3, max_iters=3)):
+                h.update(repr(_fields(p)).encode())
+    for n, d in [(2, 2), (3, 2)]:
+        for stencil in ("central", "cauchy4"):
+            for r in submersion_all(n, d, CFG, stencil):
+                h.update(r.jac.tobytes())
+    for n, d in [(3, 2), (5, 2)]:
+        nu = np.zeros(n, dtype=complex)
+        nu[-1], nu[1] = -0.5, 1j
+        res = defect_experiment(n, d, nu, (1e-2, 3e-3, 1e-3), CFG)
+        h.update(np.array(res.defects).tobytes() + float(res.slope).hex().encode())
+    assert h.hexdigest() == "80e3354470892f80858dba1c085b602004b59d3c425cf598ea4d17dbb4a357d1"
+
+
 def _dense_closest_pair(coords):
     dist = np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=2)
     dist[np.diag_indices(len(coords))] = np.inf
@@ -300,15 +360,16 @@ def _dense_closest_pair(coords):
     return int(a), int(b), dist[a, b]
 
 
-@pytest.mark.parametrize("block", [1, 200, 1000, solver.COLLISION_BLOCK])
+@pytest.mark.parametrize("block", [1, 200, 1000, 3 * 30 * 30 * 3, solver.COLLISION_BLOCK])
 def test_chunked_collision_scan_matches_dense(monkeypatch, block):
     monkeypatch.setattr(solver, "COLLISION_BLOCK", block)
     rng = np.random.default_rng(block)
-    lattice = rng.integers(-2, 3, size=(30, 3)) + 1j * rng.integers(-2, 3, size=(30, 3))
-    assert solver._closest_pair(lattice) == _dense_closest_pair(lattice)  # many exact ties
+    lattice = rng.integers(-2, 3, size=(7, 30, 3)) + 1j * rng.integers(-2, 3, size=(7, 30, 3))
+    # many exact ties; a stack of members is scanned member by member
+    assert solver._closest_pair(lattice) == [_dense_closest_pair(c) for c in lattice]
     for n, d in [(2, 2), (3, 2), (3, 3)]:
         coords = np.array([p.coords for p in closed_form_sing(n, d)])
-        assert solver._closest_pair(coords) == _dense_closest_pair(coords)
+        assert solver._closest_pair(coords[None]) == [_dense_closest_pair(coords)]
     params = FoliationParams(2, 2, (0.01, 0.0))
     coords = np.array([p.coords for p in track_singularities(params, CFG)])
     a, b, dist = _dense_closest_pair(coords)
