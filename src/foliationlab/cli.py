@@ -35,7 +35,7 @@ from .jouanolou import (
     pushforward_factor,
     unit_root,
 )
-from .solver import RunConfig, track_singularities
+from .solver import RunConfig, _check_indices, track_singularities
 from .spectral import min_separation, spectrum_reports
 from .genericity import (
     DEFECT_NOISE_FLOOR,
@@ -178,11 +178,11 @@ def _cmd_sing(args, cfg):
 
 def _cmd_spectrum(args, cfg):
     params = _params_from(args)
+    if args.m != "all":
+        _check_indices(args.n, args.d, [args.m])
     points = track_singularities(params, cfg)
     if args.m != "all":
-        points = [p for p in points if p.m == args.m]
-        if not points:
-            raise InputError(f"no zero with index m={args.m}")
+        points = [points[args.m - 1]]
     # alpha is only a constant term, so every member's Jacobian is the base field's
     reports = spectrum_reports(jouanolou_field(args.n, args.d), points, cfg)
     warnings = []

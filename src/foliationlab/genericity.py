@@ -17,6 +17,7 @@ elements whose scalings produce the perturbation hyperplanes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -502,6 +503,8 @@ def defect_experiment(
     mu_grid = tuple(float(mu) for mu in mu_grid)
     if len(mu_grid) < 2:
         raise InputError("need at least two mu values to fit a slope")
+    if len(set(mu_grid)) < 2:
+        raise InputError("need at least two distinct mu values to fit a slope")
     for mu in mu_grid:
         if not 0 < mu <= cfg.radius / size:
             raise InputError(
@@ -559,20 +562,19 @@ class SampleStats:
     )
 
 
-def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> list[tuple[str, bool, bool]]:
-    """Per draw of ``genericity_sample``: (class name of the error that
-    failed it, or "", all zeros hyperbolic, some zero resonant)."""
+def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, bool]]:
+    """Per draw of ``genericity_sample``, yielded block by block: (class name
+    of the error that failed it, or "", all zeros hyperbolic, some zero
+    resonant).  Each block draws its (S, n, 2) share of the seeded stream."""
     base = jouanolou_field(n, d)
     big_n = counts(n, d).N
     rng = np.random.default_rng(cfg.seed)
-    draws = rng.random((cfg.samples, n, 2))
-    alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
     # whole members' collision scans fit one COLLISION_BLOCK
     block = max(1, solver.COLLISION_BLOCK // (big_n * big_n * n))
-    outcomes = []
     for lo in range(0, cfg.samples, block):
-        results = _track_members([FoliationParams(n, d, tuple(alpha))
-                                  for alpha in alphas[lo:lo + block]], cfg)
+        draws = rng.random((min(block, cfg.samples - lo), n, 2))
+        alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
+        results = _track_members(n, d, alphas, cfg)
         tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
         points = [p for s in tracked for p in results[s]]
         try:
@@ -585,31 +587,32 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> list[tuple[str, bool, bool
                     results[s] = spectrum_reports(base, results[s], cfg)
                 except ConvergenceError as exc:
                     results[s] = exc
-        outcomes += [(type(r).__name__, False, False) if isinstance(r, Exception) else
-                     ("", all(rep.classification == HYPERBOLIC for rep in r),
-                      any(rep.divisor.resonant for rep in r)) for r in results]
-    return outcomes
+        yield from ((type(r).__name__, False, False) if isinstance(r, Exception) else
+                    ("", all(rep.classification == HYPERBOLIC for rep in r),
+                     any(rep.divisor.resonant for rep in r)) for r in results)
 
 
 def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     """Sample the perturbation polydisk and summarize spectral behavior.
 
     Perturbations are drawn coordinatewise uniformly from the closed disk
-    of cfg.radius, pre-generated sequentially from cfg.seed, and run in
-    this process in blocks of draws, as many as the collision scan holds
-    at once (``solver.COLLISION_BLOCK`` entries, at least one draw).  A
-    block's zeros are tracked as one batch on the base field (a draw
-    differs from it only by its constant term alpha), scanned for
-    collisions as one stack, and their spectra computed as one stack from
-    the base field, whose Jacobian is every draw's.  Each draw's result is
-    bitwise that of running it alone.  A draw that fails (ConvergenceError
-    or CollisionError, including the eigenvalue gate, which re-runs the
+    of cfg.radius, sequentially from cfg.seed, in blocks of draws, as many
+    as the collision scan holds at once (``solver.COLLISION_BLOCK``
+    entries, at least one draw).  A block is drawn as one (S, n) alpha
+    array only when it runs, so memory does not grow with cfg.samples.
+    Its zeros are tracked as one batch on the base field (a draw differs
+    from it only by its constant term alpha), scanned for collisions as one
+    stack, and their spectra computed as one stack from the base field,
+    whose Jacobian is every draw's.  Each draw's result is bitwise that of
+    running it alone.  A draw that fails (ConvergenceError or
+    CollisionError, including the eigenvalue gate, which re-runs the
     block's spectra one draw at a time) is counted, never raised.
     """
-    outcomes = _draw_outcomes(n, d, cfg)
-    n_failed = sum(bool(error) for error, _, _ in outcomes)
-    n_all_hyp = sum(hyp for _, hyp, _ in outcomes)
-    n_any_res = sum(res for _, _, res in outcomes)
+    n_failed = n_all_hyp = n_any_res = 0
+    for error, hyp, res in _draw_outcomes(n, d, cfg):
+        n_failed += bool(error)
+        n_all_hyp += hyp
+        n_any_res += res
     total = cfg.samples
     return SampleStats(
         n=n,

@@ -281,12 +281,13 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
             for s in range(len(alphas))]
 
 
-def _check_radius(params: FoliationParams, cfg: RunConfig) -> None:
-    size = max((abs(a) for a in params.alpha), default=0.0)
-    if size > cfg.radius:
-        raise InputError(
-            f"perturbation size {size:.3g} exceeds the tracked polydisk radius {cfg.radius:.3g}"
-        )
+def _check_radius(alphas: np.ndarray, cfg: RunConfig) -> None:
+    """Refuse the first member of an (S, n) alpha stack outside the polydisk."""
+    sizes = np.hypot(alphas.real, alphas.imag).max(axis=1)  # bitwise abs(complex); np.abs is not
+    outside = np.flatnonzero(sizes > cfg.radius)
+    if len(outside):
+        raise InputError(f"perturbation size {sizes[outside[0]]:.3g} exceeds "
+                         f"the tracked polydisk radius {cfg.radius:.3g}")
 
 
 def track_one(params: FoliationParams, m: int, cfg: RunConfig) -> SingularPoint:
@@ -308,7 +309,7 @@ def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoi
     collision scan is made.  An alpha outside the polydisk, an empty ms,
     or an index that is not an integer in [1, N] raises InputError.
     """
-    _check_radius(params, cfg)
+    _check_radius(np.array([params.alpha]), cfg)
     _check_indices(params.n, params.d, ms)
     (result,) = _continue(params.n, params.d, np.array([params.alpha]), list(ms), cfg)
     if isinstance(result, ConvergenceError):
@@ -342,21 +343,18 @@ def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
     return best
 
 
-def _track_members(members: list[FoliationParams],
+def _track_members(n: int, d: int, alphas: np.ndarray,
                    cfg: RunConfig) -> list[list[SingularPoint] | ConvergenceError | CollisionError]:
-    """``track_singularities`` of members of one (n, d), tracked as one batch
-    with one stacked collision scan.
+    """``track_singularities`` of the members base + alphas[s] of one (n, d),
+    an (S, n) stack, tracked as one batch with one stacked collision scan.
 
     Entry s is member s's zeros, or the ConvergenceError or CollisionError
     that ``track_singularities`` raises for it; a member outside the
-    polydisk raises InputError for the whole call.
+    polydisk raises InputError for the whole call, naming its size.
     """
-    n, d = members[0].n, members[0].d
-    for params in members:
-        _check_radius(params, cfg)
+    _check_radius(alphas, cfg)
     big_n = counts(n, d).N
-    results = _continue(n, d, np.array([p.alpha for p in members]),
-                        list(range(1, big_n + 1)), cfg)
+    results = _continue(n, d, alphas, list(range(1, big_n + 1)), cfg)
     tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
     coords = np.array([[p.coords for p in results[s]] for s in tracked])
     for s, (a, b, dist) in zip(tracked, _closest_pair(coords.reshape(len(tracked), big_n, n))):
@@ -377,7 +375,7 @@ def track_singularities(params: FoliationParams, cfg: RunConfig) -> list[Singula
     within dedup_tol of each other (the parameter left the polydisk where
     zeros stay simple).
     """
-    (result,) = _track_members([params], cfg)
+    (result,) = _track_members(params.n, params.d, np.array([params.alpha]), cfg)
     if isinstance(result, Exception):
         raise result
     return result

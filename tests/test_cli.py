@@ -8,7 +8,8 @@ import json
 import pytest
 
 import foliationlab
-from foliationlab.cli import run
+from foliationlab import cli, defect_experiment, submersion_all
+from foliationlab.cli import _jsonable, run
 from foliationlab.errors import InputError
 from foliationlab.jouanolou import FoliationParams
 from foliationlab.solver import RunConfig
@@ -65,6 +66,24 @@ def test_submersion_payload(capsys):
     assert rep["rel_error"] < 1e-4
     det = complex(rep["det"][0], rep["det"][1])
     assert abs(abs(det) - 64 / 7) < 1e-3
+
+
+def test_submersion_all_payload(capsys):
+    code, doc = _json(capsys, ["submersion", "--n", "2", "--d", "2", "--m", "all"])
+    assert code == 0 and not doc["warnings"]
+    expected = json.loads(json.dumps(_jsonable(submersion_all(2, 2, RunConfig()))))
+    assert doc["payload"] == expected and [rep["m"] for rep in expected] == list(range(1, 8))
+
+
+@pytest.mark.parametrize("command", ["spectrum", "submersion"])
+@pytest.mark.parametrize("m", ["99", "0", "-1"])
+def test_index_outside_the_member_is_refused_before_tracking(capsys, monkeypatch, command, m):
+    calls = []
+    monkeypatch.setattr(cli, "track_singularities", lambda *args: calls.append(args))
+    assert run([command, "--n", "2", "--d", "2", "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: index m must lie in [1, 7], got {m}\n")
+    assert calls == []
 
 
 def test_derivs_csv_has_all_entries(capsys):
@@ -229,6 +248,10 @@ STILL_INVALID = [
     (["sing", "--n", "2", "--d", "2", "--alpha", "0.01,0"], "error: alpha has 1 entries, expected 2"),
     (["defect", "--n", "3", "--d", "2", *NU3, "--coord-pair", "1,2,3"],
      "error: argument --coord-pair: expected 'i,j'"),
+    (["defect", "--n", "3", "--d", "2", *NU3, "--mu-grid", "1e-2,1e-2"],
+     "error: need at least two distinct mu values to fit a slope"),
+    (["defect", "--n", "3", "--d", "2", *NU3, "--mu-grid", "1e-2,abc"],
+     "error: argument --mu-grid: could not convert string to float: 'abc'"),
 ]
 
 
@@ -237,6 +260,14 @@ def test_invalid_input_still_exits_two(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+
+def test_defect_takes_a_mu_grid(capsys):
+    code, doc = _json(capsys, ["defect", "--n", "3", "--d", "2", *NU3, "--mu-grid", "1e-2,1e-3"])
+    assert code == 0
+    assert doc["payload"]["mus"] == [1e-2, 1e-3]
+    assert doc["payload"] == json.loads(json.dumps(_jsonable(
+        defect_experiment(3, 2, (0, 1, 0), (1e-2, 1e-3), RunConfig()))))
 
 
 @pytest.mark.parametrize("argv", [["sing", "--n", "12", "--d", "4"],

@@ -1,5 +1,7 @@
 """Submersion checks, derivative tables, alignment census, defect slopes, sampling."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +247,11 @@ def test_census_translation_shifts_records():
 def test_census_rejects_d_one():
     with pytest.raises(InputError):
         alignment_census(closed_form_sing(2, 1), 1, CFG)
+
+
+def test_census_rejects_fewer_than_d_plus_one_points():
+    with pytest.raises(InputError, match=r"^need at least d \+ 1 = 3 points, got 2$"):
+        alignment_census(closed_form_sing(3, 2)[:2], 2, CFG)
 
 
 def test_census_rejects_too_many_points():
@@ -519,6 +526,21 @@ def test_defect_validation():
         defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=(1, 1))
 
 
+@pytest.mark.parametrize("nu,mus,message", [
+    ((0, 0, 0), MU_GRID, "^nu must be nonzero$"),
+    ((0, 1, 0), (1e-2,), "^need at least two mu values to fit a slope$"),
+    ((0, 1, 0), (1e-2, 1e-2), "^need at least two distinct mu values to fit a slope$"),
+    ((0, 1, 0), (1e-2, 0.06), r"^mu = 0\.06 outside \(0, 0\.05\] for this nu$"),
+    ((0, 2, 0), (1e-2, 3e-2), r"^mu = 0\.03 outside \(0, 0\.025\] for this nu$"),
+    ((0, 1, 0), (1e-2, 0.0), r"^mu = 0\.0 outside"),
+    ((0, 1, 0), (-1e-2, 1e-3), r"^mu = -0\.01 outside"),
+], ids=["zero-nu", "one-mu", "repeated-mu", "mu-too-big",
+        "mu-too-big-for-nu", "mu-zero", "mu-negative"])
+def test_defect_refuses_bad_rays(nu, mus, message):
+    with pytest.raises(InputError, match=message):
+        defect_experiment(3, 2, nu, mus, CFG)
+
+
 @pytest.mark.parametrize("pair", [(1, 2, 3), (1,), (1.0, 2), ("1", "2"), (0, 2), (1, 4)])
 def test_defect_rejects_a_coord_pair_that_is_not_two_indices(pair):
     with pytest.raises(InputError, match="must be two distinct integers in"):
@@ -637,7 +659,7 @@ def test_sample_equals_per_draw_reference(monkeypatch, n, d, cfg, block, fails):
     if block is not None:
         big_n = counts(n, d).N
         monkeypatch.setattr(solver, "COLLISION_BLOCK", block * big_n * big_n * n + 1)
-    outcomes = genericity._draw_outcomes(n, d, cfg)
+    outcomes = list(genericity._draw_outcomes(n, d, cfg))
     assert outcomes == _reference_sample(n, d, cfg)
     s = genericity_sample(n, d, cfg)
     assert (s.n_failed, s.n_all_hyperbolic, s.n_any_resonant) == (
@@ -645,6 +667,26 @@ def test_sample_equals_per_draw_reference(monkeypatch, n, d, cfg, block, fails):
         sum(r for _, _, r in outcomes))
     assert {"none": s.n_failed == 0, "all": s.n_failed == cfg.samples,
             "some": 0 < s.n_failed < cfg.samples}[fails]
+
+
+def test_sample_memory_does_not_grow_with_samples(monkeypatch):
+    # blocks of 32 draws at (2,1): each block's draws are made when it runs and
+    # nothing is kept per draw, so past two blocks the traced peak grows by far
+    # less than the 136 B a draw that keeping each draw's float64 draws, alpha
+    # and outcome tuple would cost (about 40 B a draw is measured here, with the
+    # free lists that Python keeps emptied by gc.collect() first)
+    monkeypatch.setattr(solver, "COLLISION_BLOCK", 32 * 3 * 3 * 2)
+    genericity_sample(2, 1, RunConfig(samples=64, max_order=2))
+    peaks = []
+    for samples in (64, 864):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            genericity_sample(2, 1, RunConfig(samples=samples, max_order=2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 96 * (864 - 64)
 
 
 def test_sample_eigenvalue_gate_fails_only_its_draw(monkeypatch):
@@ -663,7 +705,7 @@ def test_sample_eigenvalue_gate_fails_only_its_draw(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigenvalues", gate)
     monkeypatch.setattr(solver, "COLLISION_BLOCK", 4 * 15 * 15 * 3)
-    outcomes = genericity._draw_outcomes(n, d, cfg)
+    outcomes = list(genericity._draw_outcomes(n, d, cfg))
     assert [k for k, (error, _, _) in enumerate(outcomes) if error] == [5]
     assert outcomes[5] == ("ConvergenceError", False, False)
     assert outcomes == _reference_sample(n, d, cfg)

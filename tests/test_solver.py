@@ -41,6 +41,12 @@ def _fields(p):
             p.newton_iters, p.note)
 
 
+@pytest.mark.parametrize("start", [np.zeros(3), np.zeros((1, 2)), np.zeros(())])
+def test_newton_refuses_a_start_of_the_wrong_shape(start):
+    with pytest.raises(InputError, match=r"^start point has shape .*, expected \(2,\)$"):
+        newton_refine(jouanolou_field(2, 2), start, CFG)
+
+
 def test_newton_from_exact_point():
     f = jouanolou_field(2, 2)
     p = closed_form_sing(2, 2)[0]
@@ -215,6 +221,29 @@ def test_track_zeros_fails_with_the_message_of_track_singularities():
 def test_track_zeros_rejects_indices_outside_the_member(ms, message):
     with pytest.raises(InputError, match=message):
         track_zeros(FoliationParams(2, 2, (0.01, 0)), ms, CFG)
+
+
+OUTSIDE = FoliationParams(2, 2, (0.01, -0.06j))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: track_one(OUTSIDE, 1, CFG),
+    lambda: track_zeros(OUTSIDE, [3, 1], CFG),
+    lambda: track_singularities(OUTSIDE, CFG),
+], ids=["track_one", "track_zeros", "track_singularities"])
+def test_perturbation_outside_the_polydisk_is_refused(call):
+    with pytest.raises(InputError, match=r"^perturbation size 0\.06 exceeds the tracked "
+                                         r"polydisk radius 0\.05$"):
+        call()
+
+
+def test_member_stack_refuses_its_first_member_outside_the_polydisk():
+    alphas = np.array([[0.01, 0.02j], [0.03, 0.07j], [0.09, 0], [0.05, -0.05]])
+    with pytest.raises(InputError, match=r"^perturbation size 0\.07 exceeds"):
+        solver._track_members(2, 2, alphas, CFG)
+    (points,) = solver._track_members(2, 2, alphas[3:], CFG)  # on the boundary is inside
+    assert [_fields(p) for p in points] == [
+        _fields(p) for p in track_singularities(FoliationParams(2, 2, (0.05, -0.05)), CFG)]
 
 
 SMALL = FoliationParams(2, 2, (0.01, 0.02j))
@@ -468,6 +497,7 @@ def test_continuation_handles_radius_boundary():
 
 @pytest.mark.parametrize("field,value", [
     ("delta", 0.0), ("delta", -1.0), ("seed", -1), ("max_iters", 0), ("max_iters", -3),
+    ("max_order", 1), ("continuation_steps", 0), ("samples", 0),
 ])
 def test_run_config_rejects_values_that_fail_later(field, value):
     with pytest.raises(InputError, match=field):

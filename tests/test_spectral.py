@@ -163,6 +163,16 @@ def test_small_divisor_determinism():
     assert (a.worst_j, a.worst_m, a.c_min) == (b.worst_j, b.worst_m, b.c_min)
 
 
+@pytest.mark.parametrize("lams,delta,max_order,message", [
+    ([], 1.0, 6, "^need at least one eigenvalue$"),
+    ([1, 1j], 1.0, 1, "^max_order must be at least 2$"),
+    ([1, 1j], 0.0, 6, "^delta must be positive$"),
+], ids=["no-eigenvalue", "order-1", "delta-0"])
+def test_small_divisor_scan_refuses_bad_input(lams, delta, max_order, message):
+    with pytest.raises(InputError, match=message):
+        small_divisor_scan(lams, delta=delta, max_order=max_order)
+
+
 def test_small_divisor_candidate_guard():
     with pytest.raises(InputError):
         small_divisor_scan(np.ones(2), delta=1.0, max_order=20000)
