@@ -31,7 +31,7 @@ from .jouanolou import (
     counts,
     generator_weights,
     jouanolou_field,
-    unit_root,
+    unit_roots,
 )
 from . import solver
 from .solver import RunConfig, _track_members, track_one, track_zeros
@@ -85,7 +85,8 @@ def expected_det_modulus(n: int, d: int) -> float:
 def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> list[SubmersionReport]:
     """Reports at the zeros ms, in order: each probe member tracks all of
     ms as one batch, with the base field's Jacobian (every member's) for
-    the coefficients, then the certificates are built index by index."""
+    the coefficients, and the certificates come from the (len(ms), n, n)
+    stack of parameter Jacobians."""
     # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
     # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
     stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
@@ -103,29 +104,22 @@ def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> lis
             jacs[:, :, j] += char_poly_direct(base, np.array([p.coords for p in points])) * weight
         jacs[:, :, j] /= len(nodes) * h
     expected = expected_det_modulus(n, d)
-    reports = []
-    for m, jac in zip(ms, jacs):
-        det = complex(np.linalg.det(jac))
-        rel_error = abs(abs(det) - expected) / expected
-        embed = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
-        svals = np.linalg.svd(embed, compute_uv=False)
-        report = SubmersionReport(
-            m=m,
-            jac=jac,
-            det=det,
-            expected_modulus=expected,
-            rel_error=rel_error,
-            fd_step=cfg.fd_step,
-            sv_min=float(svals[-1]),
-            sv_max=float(svals[0]),
-        )
-        if rel_error > 10 * SUBMERSION_RTOL:
+    dets = np.linalg.det(jacs)
+    # np.hypot, not np.abs, is bitwise Python's abs of a complex
+    rel_errors = np.abs(np.hypot(dets.real, dets.imag) - expected) / expected
+    svals = np.linalg.svd(np.block([[jacs.real, -jacs.imag], [jacs.imag, jacs.real]]),
+                          compute_uv=False)
+    reports = [SubmersionReport(m=m, jac=jac, det=complex(det), expected_modulus=expected,
+                                rel_error=float(rel), fd_step=h, sv_min=float(sv[-1]),
+                                sv_max=float(sv[0]))
+               for m, jac, det, rel, sv in zip(ms, jacs, dets, rel_errors, svals)]
+    for report in reports:
+        if report.rel_error > 10 * SUBMERSION_RTOL:
             raise VerificationError(
-                f"determinant modulus {abs(det):.6g} misses certified value "
-                f"{expected:.6g} (rel error {rel_error:.3e}) at m={m}",
+                f"determinant modulus {abs(report.det):.6g} misses certified value "
+                f"{expected:.6g} (rel error {report.rel_error:.3e}) at m={report.m}",
                 payload=report,
             )
-        reports.append(report)
     return reports
 
 
@@ -200,24 +194,20 @@ def coeff_derivative_table(n: int, d: int, cfg: RunConfig) -> list[DerivativeEnt
     report = submersion_report(n, d, big_n, cfg)
     a_vals = sigma_at_ones(n, d)
     entries = []
-    failures = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             fd = complex(report.jac[i - 1, j - 1])
-            if j > i - 1:
-                formula = i * d * a_vals[i - 1] * d ** (j - 1) / big_n
-            elif j == i - 1:
-                formula = i * d * a_vals[i - 1] * d ** (i - 2) / big_n - d**i
-            else:
-                formula = None
-            if formula is None:
+            if j < i - 1:
                 entries.append(DerivativeEntry(i, j, fd, None, None))
                 continue
+            formula = i * d * a_vals[i - 1] * d ** (j - 1) / big_n
+            if j == i - 1:
+                formula -= d**i
             formula = complex(formula)
             rel = abs(fd - formula) / max(1.0, abs(formula))
             entries.append(DerivativeEntry(i, j, fd, formula, rel))
-            if rel > SUBMERSION_RTOL:
-                failures.append((i, j, rel))
+    failures = [(e.i, e.j, e.rel_error) for e in entries
+                if e.formula is not None and e.rel_error > SUBMERSION_RTOL]
     if failures:
         raise VerificationError(
             f"derivative table mismatches beyond {SUBMERSION_RTOL}: {failures}",
@@ -429,9 +419,6 @@ def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSe
             f"unperturbed census found {len(census)} aligned patterns, expected {c.K}",
             payload=census,
         )
-    weights = generator_weights(n, d)
-    images = []
-    powers = []
     for record in census:
         # the base set is every m = 0 mod K, so its k-th translate is the
         # residue class of k: the smallest k is read off any member
@@ -441,15 +428,9 @@ def hyperplane_set(n: int, d: int, cfg: RunConfig = RunConfig()) -> HyperplaneSe
                 f"census record {record.indices} is not a group translate of the base pattern",
                 payload=census,
             )
-        scalings = np.array([unit_root(-k * w, c.N) for w in weights])
-        images.append(base * scalings)
-        powers.append(k)
-    order = np.argsort(powers)
-    return HyperplaneSet(
-        base_normal=base,
-        images=[images[i] for i in order],
-        element_powers=[powers[i] for i in order],
-    )
+    powers = sorted(min(record.indices) % c.K for record in census)
+    images = base * unit_roots(c.N)[-np.outer(powers, generator_weights(n, d)) % c.N]
+    return HyperplaneSet(base_normal=base, images=list(images), element_powers=powers)
 
 
 @dataclass
@@ -497,6 +478,8 @@ def defect_experiment(
     nu = tuple(complex(v) for v in nu)
     if len(nu) != n:
         raise InputError(f"nu has {len(nu)} entries, expected {n}")
+    if not np.isfinite(nu).all():
+        raise InputError("nu entries must be finite")
     size = max(abs(v) for v in nu)
     if size == 0:
         raise InputError("nu must be nonzero")
@@ -513,7 +496,8 @@ def defect_experiment(
     if coord_pair is None:
         coord_pair = (1, n)
     if (len(coord_pair) != 2 or coord_pair[0] == coord_pair[1]
-            or not all(isinstance(i, (int, np.integer)) and 1 <= i <= n for i in coord_pair)):
+            or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= n
+                       for i in coord_pair)):
         raise InputError(f"coordinate pair {coord_pair} must be two distinct integers in [1, {n}]")
     u_idx, w_idx = coord_pair
 

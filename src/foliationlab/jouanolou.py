@@ -229,9 +229,11 @@ def _power(gen: tuple[int, ...], k: int, big_n: int) -> GroupElement:
 
 
 def group_element(n: int, d: int, k: int) -> GroupElement:
-    """Power k mod N of the generator (k = -1 is its inverse), built alone;
-    members above MEMBER_MAX_ENTRIES raise InputError."""
+    """Power k mod N of the generator (k = -1 is its inverse), built alone; a
+    non-integer k (or bool) and members above MEMBER_MAX_ENTRIES raise InputError."""
     _check_nd(n, d)
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise InputError(f"generator power k must be an integer, got {k!r}")
     big_n = _member_order(n, d)  # before generator_weights sums N
     return _power(generator_weights(n, d), k, big_n)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -177,19 +177,25 @@ def eigenvalues(sigma) -> np.ndarray:
     return np.sort(z, kind="stable").reshape(sigma.shape)
 
 
-def min_separation(lams) -> float:
-    """Smallest pairwise distance among the eigenvalues (proximity to a
-    repeated root; callers may flag near-zero values)."""
+def _one_spectrum(lams) -> np.ndarray:
+    """lams as a complex (n,) array; a stack (R, n) raises InputError, not flattened."""
     lams = np.asarray(lams, dtype=complex)
-    if lams.shape[0] < 2:
-        return float("inf")
+    if lams.ndim != 1:
+        raise InputError(f"eigenvalues have shape {lams.shape}, expected (n,) for one zero")
+    return lams
+
+
+def min_separation(lams) -> float:
+    """Smallest pairwise distance among one zero's (n,) eigenvalues (proximity
+    to a repeated root; callers may flag near-zero values)."""
+    lams = _one_spectrum(lams)
     diff = np.abs(lams[:, None] - lams[None, :])
     diff[np.diag_indices(lams.shape[0])] = np.inf
-    return float(diff.min())
+    return float(diff.min(initial=np.inf))  # inf for fewer than two eigenvalues
 
 
 def classify(lams, cfg: RunConfig) -> str:
-    """Spectral type of an eigenvalue tuple.
+    """Spectral type of one zero's (n,) eigenvalues.
 
     degenerate          some |lam_j| <= tol_nd
     hyperbolic          every pairwise ratio is non-real by more than tol_hyp
@@ -199,7 +205,7 @@ def classify(lams, cfg: RunConfig) -> str:
     Each ratio is evaluated with the larger-modulus eigenvalue in the
     denominator so its modulus stays at most one.
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
+    lams = _one_spectrum(lams)
     if np.any(np.abs(lams) <= cfg.tol_nd):
         return DEGENERATE
     exactly_real = False
@@ -287,15 +293,21 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     (n, m - e_j + e_n), so only the first candidate of each tie class in
     (lexicographic m, ascending j) order is kept (j = n or m_j = 0), and
     the first minimum among those is the witness: rounding does not choose
-    it, and it reproduces c_min.  Scans above SCAN_MAX_BYTES raise InputError.
+    it, and it reproduces c_min.  lams is one zero's (n,) eigenvalues
+    (``spectrum_reports`` scans a stack).  Other shapes, a non-integer
+    max_order, a non-finite delta and scans above SCAN_MAX_BYTES raise InputError.
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
+    lams = _one_spectrum(lams)
     if lams.shape[0] < 1:
         raise InputError("need at least one eigenvalue")
+    if not isinstance(max_order, (int, np.integer)):
+        raise InputError(f"max_order must be an integer, got {max_order!r}")
     if max_order < 2:
         raise InputError("max_order must be at least 2")
     if delta <= 0:
         raise InputError("delta must be positive")
+    if not isfinite(delta):
+        raise InputError("delta must be finite")
     return _divisor_records(lams[None], delta, max_order)[0]
 
 

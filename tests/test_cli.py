@@ -8,9 +8,9 @@ import json
 import pytest
 
 import foliationlab
-from foliationlab import cli, defect_experiment, submersion_all
+from foliationlab import cli, coeff_derivative_table, defect_experiment, submersion_all
 from foliationlab.cli import _jsonable, run
-from foliationlab.errors import InputError
+from foliationlab.errors import InputError, VerificationError
 from foliationlab.jouanolou import FoliationParams
 from foliationlab.solver import RunConfig
 
@@ -73,6 +73,26 @@ def test_submersion_all_payload(capsys):
     assert code == 0 and not doc["warnings"]
     expected = json.loads(json.dumps(_jsonable(submersion_all(2, 2, RunConfig()))))
     assert doc["payload"] == expected and [rep["m"] for rep in expected] == list(range(1, 8))
+
+
+def test_submersion_warns_and_exits_one_on_a_small_modulus_miss(capsys):
+    # 1.2751e-04 is above SUBMERSION_RTOL but below the library's 10x refusal
+    code, doc = _json(capsys, ["submersion", "--n", "2", "--d", "2", "--m", "7",
+                               "--fd-step", "2e-12"])
+    assert code == 1
+    assert doc["warnings"] == ["m=7: determinant modulus off by relative 1.275e-04"]
+    assert doc["payload"][0]["rel_error"] == pytest.approx(1.2751e-04, rel=1e-4)
+
+
+def test_derivs_mismatch_exits_one_with_the_table(capsys):
+    cfg = RunConfig(fd_step=0.04)
+    with pytest.raises(VerificationError) as info:
+        coeff_derivative_table(2, 2, cfg)
+    code, doc = _json(capsys, ["derivs", "--n", "2", "--d", "2", "--fd-step", "0.04"])
+    assert code == 1
+    assert doc["warnings"] == [str(info.value)]
+    assert doc["payload"] == json.loads(json.dumps(_jsonable(info.value.payload)))
+    assert [(e["i"], e["j"]) for e in doc["payload"]] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "submersion"])
@@ -252,6 +272,15 @@ STILL_INVALID = [
      "error: need at least two distinct mu values to fit a slope"),
     (["defect", "--n", "3", "--d", "2", *NU3, "--mu-grid", "1e-2,abc"],
      "error: argument --mu-grid: could not convert string to float: 'abc'"),
+    (["sing", "--n", "2", "--d", "2", "--alpha", "1,2,3", "--alpha", "0,0"],
+     "error: argument --alpha: expected 're,im' with two comma-separated reals, got '1,2,3'"),
+    (["sing", "--n", "2", "--d", "2", "--alpha", "a,b", "--alpha", "0,0"],
+     "error: argument --alpha: could not convert string to float: 'a'"),
+    (["counts", "--n", "2", "--d", "0"], "error: degree must be an integer >= 1, got 0"),
+    (["defect", "--n", "3", "--d", "2", "--nu", "inf,0", "--nu", "1,0", "--nu", "0,0"],
+     "error: nu entries must be finite"),
+    (["defect", "--n", "3", "--d", "2", "--nu", "0,0", "--nu", "nan,0", "--nu", "1,0"],
+     "error: nu entries must be finite"),
 ]
 
 
@@ -268,6 +297,14 @@ def test_defect_takes_a_mu_grid(capsys):
     assert doc["payload"]["mus"] == [1e-2, 1e-3]
     assert doc["payload"] == json.loads(json.dumps(_jsonable(
         defect_experiment(3, 2, (0, 1, 0), (1e-2, 1e-3), RunConfig()))))
+
+
+def test_defect_takes_a_coord_pair(capsys):
+    code, doc = _json(capsys, ["defect", "--n", "3", "--d", "2", *NU3, "--coord-pair", "1,2"])
+    assert code == 0
+    assert doc["payload"]["coord_pair"] == [1, 2]
+    assert doc["payload"] == json.loads(json.dumps(_jsonable(
+        defect_experiment(3, 2, (0, 1, 0), (1e-2, 3e-3, 1e-3, 3e-4), RunConfig(), coord_pair=(1, 2)))))
 
 
 @pytest.mark.parametrize("argv", [["sing", "--n", "12", "--d", "4"],

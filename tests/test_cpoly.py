@@ -87,6 +87,18 @@ def test_diagonal_pushforward_rejects_zero_scale():
         diagonal_pushforward(f, np.array([1.0, 0.0]))
 
 
+def test_diagonal_pushforward_rejects_a_scale_of_the_wrong_shape():
+    f = PolyVectorField(2, ({(1, 0): 1.0}, {(0, 1): 1.0}))
+    for scale in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(InputError, match=r"^scale has shape .*, expected \(2,\)$"):
+            diagonal_pushforward(f, scale)
+
+
+def test_field_distance_rejects_mismatched_dimensions():
+    with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
+        field_distance(jouanolou_field(2, 2), jouanolou_field(3, 2))
+
+
 def test_scale_and_distance():
     rng = np.random.default_rng(11)
     f = _random_field(rng, 3)

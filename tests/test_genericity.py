@@ -39,7 +39,8 @@ from foliationlab import (
     track_singularities,
     unit_root,
 )
-from foliationlab.genericity import CENSUS_MAX_POINTS
+from foliationlab.errors import VerificationError
+from foliationlab.genericity import CENSUS_MAX_POINTS, SUBMERSION_RTOL, SubmersionReport
 from foliationlab.jouanolou import FACTOR_TOL, SingularPoint
 
 CFG = RunConfig()
@@ -151,6 +152,37 @@ def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
     assert calls == {"track_zeros": 6, "track_one": 0}
 
 
+def test_submersion_all_refuses_its_first_modulus_miss():
+    # at fd_step = 1e-13 rounding swamps the step: m = 1 already misses by 1.9e-3
+    with pytest.raises(VerificationError, match=r"^determinant modulus 9\.12529 misses certified "
+                       r"value 9\.14286 \(rel error 1\.922e-03\) at m=1$") as info:
+        submersion_all(2, 2, RunConfig(fd_step=1e-13))
+    rep = info.value.payload
+    assert isinstance(rep, SubmersionReport)
+    assert (rep.m, rep.fd_step, f"{rep.rel_error:.3e}") == (1, 1e-13, "1.922e-03")
+    assert rep.rel_error == abs(abs(rep.det) - rep.expected_modulus) / rep.expected_modulus
+
+
+def test_submersion_report_names_its_index_when_the_modulus_misses():
+    with pytest.raises(VerificationError, match=r"\(rel error 1\.505e-03\) at m=7$") as info:
+        submersion_report(2, 2, 7, RunConfig(fd_step=1e-14))
+    assert info.value.payload.m == 7
+
+
+def test_submersion_all_refuses_a_modulus_spread():
+    # every zero is within 10 SUBMERSION_RTOL of the certified modulus (7.8e-4 at
+    # worst), but the moduli straddle it and spread by 1.126e-3
+    cfg = RunConfig(fd_step=2e-13)
+    with pytest.raises(VerificationError, match=r"^determinant modulus varies across zeros "
+                       r"\(relative spread 1\.126e-03\)$") as info:
+        submersion_all(2, 2, cfg)
+    reports = info.value.payload
+    assert [r.m for r in reports] == list(range(1, 8))
+    assert max(r.rel_error for r in reports) <= 10 * SUBMERSION_RTOL
+    one = submersion_report(2, 2, 3, cfg)
+    assert (one.det, one.jac.tobytes()) == (reports[2].det, reports[2].jac.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # derivative table
 
@@ -173,6 +205,19 @@ def test_derivative_table_3_2_formula_rows():
     for (i, j), entry in table.items():
         if entry.formula is not None:
             assert entry.rel_error < 1e-4
+
+
+def test_derivative_table_refuses_its_mismatches_with_the_full_table():
+    cfg = RunConfig(fd_step=0.04)
+    with pytest.raises(VerificationError) as info:
+        coeff_derivative_table(2, 2, cfg)
+    assert str(info.value) == ("derivative table mismatches beyond 0.0001: "
+                               "[(1, 2, 0.0001633741605197303), (2, 1, 0.0002611733229573865)]")
+    entries = info.value.payload
+    assert [(e.i, e.j) for e in entries] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    jac = submersion_report(2, 2, 7, cfg).jac
+    assert [e.fd for e in entries] == [complex(v) for v in jac.ravel()]
+    assert [e.rel_error > SUBMERSION_RTOL for e in entries] == [False, True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +479,19 @@ def test_hyperplane_powers_equal_search_over_k(n, d):
     assert [v.tobytes() for v in hset.images] == [want[k].tobytes() for k in sorted(want)]
 
 
+def test_hyperplane_set_refuses_a_record_that_is_not_a_translate(monkeypatch):
+    def census(points, d, cfg):
+        records = alignment_census(points, d, cfg)
+        records[2] = replace(records[2], indices=(1, 2, 3))
+        return records
+
+    monkeypatch.setattr(genericity, "alignment_census", census)
+    with pytest.raises(VerificationError, match=r"^census record \(1, 2, 3\) is not a group "
+                       "translate of the base pattern$") as info:
+        hyperplane_set(3, 2)
+    assert [r.indices for r in info.value.payload][2] == (1, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # defect slopes
 
@@ -534,14 +592,20 @@ def test_defect_validation():
     ((0, 2, 0), (1e-2, 3e-2), r"^mu = 0\.03 outside \(0, 0\.025\] for this nu$"),
     ((0, 1, 0), (1e-2, 0.0), r"^mu = 0\.0 outside"),
     ((0, 1, 0), (-1e-2, 1e-3), r"^mu = -0\.01 outside"),
+    ((np.inf, 1, 0), MU_GRID, "^nu entries must be finite$"),
+    ((np.nan, 1, 0), MU_GRID, "^nu entries must be finite$"),
+    ((0, np.nan, 1), MU_GRID, "^nu entries must be finite$"),
+    ((0, complex(0, np.inf), 1), MU_GRID, "^nu entries must be finite$"),
 ], ids=["zero-nu", "one-mu", "repeated-mu", "mu-too-big",
-        "mu-too-big-for-nu", "mu-zero", "mu-negative"])
+        "mu-too-big-for-nu", "mu-zero", "mu-negative", "nu-inf", "nu-nan", "nu-nan-after-one",
+        "nu-imaginary-inf"])
 def test_defect_refuses_bad_rays(nu, mus, message):
     with pytest.raises(InputError, match=message):
         defect_experiment(3, 2, nu, mus, CFG)
 
 
-@pytest.mark.parametrize("pair", [(1, 2, 3), (1,), (1.0, 2), ("1", "2"), (0, 2), (1, 4)])
+@pytest.mark.parametrize("pair", [(1, 2, 3), (1,), (1.0, 2), ("1", "2"), (0, 2), (1, 4), (True, 3),
+                                  (1, np.True_)])
 def test_defect_rejects_a_coord_pair_that_is_not_two_indices(pair):
     with pytest.raises(InputError, match="must be two distinct integers in"):
         defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=pair)

@@ -223,6 +223,28 @@ def test_pushforward_rejects_non_group_scaling():
         pushforward_factor(bogus, FoliationParams(2, 2, (0.01, 0.0)))
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "1", None], ids=repr)
+def test_group_element_refuses_a_power_that_is_not_an_integer(k):
+    with pytest.raises(InputError, match="^generator power k must be an integer, got "):
+        group_element(2, 2, k)
+
+
+def test_group_element_takes_numpy_integers():
+    assert group_element(2, 2, np.int64(3)) == group_element(2, 2, 3)
+
+
+def test_group_action_rejects_a_point_of_the_wrong_shape():
+    g = group_element(3, 2, 1)
+    for x in ([1.0, 1.0], np.ones((1, 3)), 1.0):
+        with pytest.raises(InputError, match=r"^point has shape .*, expected \(3,\)$"):
+            group_action(g, x)
+
+
+def test_pushforward_rejects_an_element_of_another_dimension():
+    with pytest.raises(InputError, match="^group element has 3 weights, expected 2$"):
+        pushforward_factor(group_element(3, 2, 1), FoliationParams(2, 2, (0.01, 0.0)))
+
+
 def test_unit_roots_table_is_read_only():
     before = unit_root(1, 13)
     table = unit_roots(13)

@@ -79,6 +79,12 @@ def test_closed_vs_direct_at_tracked_points():
                 assert np.max(np.abs(direct - closed)) < 1e-10
 
 
+def test_char_poly_closed_rejects_a_point_of_the_wrong_shape():
+    for p in ([1.0, 1.0], np.ones((2, 3))):
+        with pytest.raises(InputError, match=r"^point has shape .*, expected \(3,\)$"):
+            char_poly_closed(3, 2, p)
+
+
 def test_eigenvalues_quadratic_conjugate_pair():
     lams = eigenvalues(np.array([4.0, 7.0]))
     want = np.array([-2 - 1j * np.sqrt(3), -2 + 1j * np.sqrt(3)])
@@ -120,6 +126,17 @@ def test_eigenvalues_reject_non_finite_coefficients():
 
 def test_min_separation():
     assert min_separation(np.array([1.0, 1.0 + 1e-8, 5.0])) == pytest.approx(1e-8)
+
+
+def test_one_zero_helpers_refuse_a_stack_instead_of_flattening_it():
+    # flattened, [[1, 2j], [3, 4j]] read as one four-eigenvalue spectrum:
+    # nondegenerate_only with separation 2.0, though each row alone is hyperbolic
+    # (small_divisor_scan's case is in test_small_divisor_scan_refuses_bad_input)
+    stack = np.array([[1, 2j], [3, 4j]])
+    assert [classify(row, CFG) for row in stack] == [HYPERBOLIC, HYPERBOLIC]
+    for call in (lambda: classify(stack, CFG), lambda: min_separation(stack)):
+        with pytest.raises(InputError, match=r"^eigenvalues have shape \(2, 2\)"):
+            call()
 
 
 def test_classify_cases():
@@ -167,7 +184,13 @@ def test_small_divisor_determinism():
     ([], 1.0, 6, "^need at least one eigenvalue$"),
     ([1, 1j], 1.0, 1, "^max_order must be at least 2$"),
     ([1, 1j], 0.0, 6, "^delta must be positive$"),
-], ids=["no-eigenvalue", "order-1", "delta-0"])
+    ([[1, 2j], [3, 4j]], 1.0, 3, r"^eigenvalues have shape \(2, 2\), expected \(n,\) for one zero$"),
+    (1j, 1.0, 3, r"^eigenvalues have shape \(\), expected \(n,\)"),
+    ([1, 1j], float("nan"), 6, "^delta must be finite$"),
+    ([1, 1j], float("inf"), 6, "^delta must be finite$"),
+    ([1, 1j], 1.0, 3.5, "^max_order must be an integer, got 3.5$"),
+], ids=["no-eigenvalue", "order-1", "delta-0", "stack", "scalar", "delta-nan", "delta-inf",
+        "order-3.5"])
 def test_small_divisor_scan_refuses_bad_input(lams, delta, max_order, message):
     with pytest.raises(InputError, match=message):
         small_divisor_scan(lams, delta=delta, max_order=max_order)
