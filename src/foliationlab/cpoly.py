@@ -20,6 +20,7 @@ call, so row r of the result is bitwise the one-point result at row r.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,13 @@ class PolyVectorField:
         clean = []
         for comp in self.components:
             table: dict[Exponent, complex] = {}
-            for exps, coeff in comp.items():
-                exps = tuple(int(e) for e in exps)
+            for key, coeff in comp.items():
+                try:  # int() would truncate 2.5 and take '2'; operator.index refuses them
+                    exps = tuple(map(operator.index, key))
+                except TypeError:
+                    exps = None
+                if exps is None or bool in map(type, key):
+                    raise InputError(f"exponents must be integers, got {key!r}")
                 if len(exps) != self.n:
                     raise InputError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {self.n}"

@@ -34,7 +34,7 @@ from .jouanolou import (
     unit_roots,
 )
 from . import solver
-from .solver import RunConfig, _track_members, track_one, track_zeros
+from .solver import RunConfig, _check_real, _track_members, track_one, track_zeros
 from .spectral import HYPERBOLIC, char_poly_direct, spectrum_reports
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
@@ -483,7 +483,7 @@ def defect_experiment(
     size = max(abs(v) for v in nu)
     if size == 0:
         raise InputError("nu must be nonzero")
-    mu_grid = tuple(float(mu) for mu in mu_grid)
+    mu_grid = tuple(float(_check_real("mu", mu)) for mu in mu_grid)
     if len(mu_grid) < 2:
         raise InputError("need at least two mu values to fit a slope")
     if len(set(mu_grid)) < 2:

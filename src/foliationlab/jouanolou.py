@@ -58,9 +58,11 @@ def _geom(d: int, s: int) -> int:
 
 
 def _check_nd(n: int, d: int) -> None:
-    if not isinstance(n, int) or n < 2:
+    """Refuse an (n, d) other than Python ints n >= 2, d >= 1: bool too, and numpy
+    integers, since ``counts`` sums d**t as exact ints that an int64 would wrap."""
+    if type(n) is not int or n < 2:
         raise InputError(f"ambient dimension must be an integer >= 2, got {n!r}")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise InputError(f"degree must be an integer >= 1, got {d!r}")
 
 

@@ -77,25 +77,17 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("newton_tol", "dedup_tol", "radius", "fd_step",
-                     "tol_hyp", "tol_nd", "align_tol", "delta", "max_iters"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise InputError(f"{name} must be positive")
-            if not math.isfinite(value):  # nan and inf pass the sign test
-                raise InputError(f"{name} must be finite")
-        if self.seed < 0:
-            raise InputError("seed must be non-negative")
-        if self.max_order < 2:
-            raise InputError("max_order must be at least 2")
-        if self.continuation_steps < 1:
-            raise InputError("continuation_steps must be at least 1")
-        if self.samples < 1:
-            raise InputError("samples must be at least 1")
+                     "tol_hyp", "tol_nd", "align_tol", "delta"):
+            _check_positive(name, getattr(self, name))
+        for name, low in (("max_iters", 1), ("seed", 0), ("max_order", 2),
+                          ("continuation_steps", 1), ("samples", 1)):
+            _check_int(name, getattr(self, name))
+            if getattr(self, name) < low:
+                raise InputError(f"{name} must be at least {low}")
 
 
-# Most complex entries of one block of the pairwise-difference array that
-# the collision check holds at a time (16 MB); members, or the rows of one
-# member, are scanned in blocks.
+# Most complex entries of one block of rows of the pairwise-difference array
+# that the collision check holds at a time (16 MB).
 COLLISION_BLOCK = 1 << 20
 
 
@@ -144,31 +136,24 @@ def _newton_rows(
             live &= ~singular
             rows = rows[~singular[rows]]
             step = np.array(steps).reshape(len(rows), field.n)
-        t = np.ones(len(rows))
         pending = np.ones(len(rows), dtype=bool)
-        halving = pending.copy()
-        for _ in range(21):
-            k = np.flatnonzero(halving)
-            if not len(k):
-                break
+        k = np.arange(len(rows))  # the rows still halving, all at the same step length t
+        for t in 0.5 ** np.arange(21):  # up to 20 halvings
             xk = x[rows[k]]
-            cand = xk - t[k, None] * step[k]
+            cand = xk - t * step[k]
             # once x - t step rounds to x, so does every smaller t, and x never
             # lowers its own residual: the row stays pending without more evaluations
             moved = (cand != xk).any(axis=1)
-            if not moved.all():
-                halving[k[~moved]] = False
-                k, cand = k[moved], cand[moved]
-                if not len(k):
-                    break
+            k, cand = k[moved], cand[moved]
+            if not len(k):
+                break
             fc = value(rows[k], cand)
             rc = np.max(np.abs(fc), axis=1)
             ok = rc < res[rows[k]]
-            done = k[ok]
-            better = rows[done]
+            better = rows[k[ok]]
             x[better], fx[better], res[better] = cand[ok], fc[ok], rc[ok]
-            pending[done] = halving[done] = False
-            t[k[~ok]] *= 0.5
+            pending[k[ok]] = False
+            k = k[~ok]
         live[rows[pending]] = False
         iters[rows[~pending]] += 1
     converged = res < cfg.newton_tol
@@ -201,17 +186,35 @@ def newton_refine(
     return _newton_rows(field, x[None, :], cfg, [m])[0]
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse a value that is not an integer (numpy integers pass, bool does not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value):
+    """value, after refusing one that is not a real number (numpy reals pass, bool does not)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a value that is not a finite positive real number."""
+    if _check_real(name, value) <= 0:
+        raise InputError(f"{name} must be positive")
+    if not math.isfinite(value):  # nan and inf pass the sign test
+        raise InputError(f"{name} must be finite")
+
+
 def _check_indices(n: int, d: int, ms) -> int:
     """N at (n, d), after checking that ms is a non-empty list of integer
-    indices of the N zeros (bool refused); only its smallest and largest
-    entries are compared with [1, N]."""
+    indices of the N zeros in [1, N] (bool refused)."""
     big_n = counts(n, d).N
     if not len(ms):
         raise InputError("no zero index given")
     for m in ms:
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-            raise InputError(f"index m must be an integer, got {m!r}")
-    for m in (min(ms), max(ms)):
+        _check_int("index m", m)
         if not 1 <= m <= big_n:
             raise InputError(f"index m must lie in [1, {big_n}], got {m}")
     return big_n
@@ -321,25 +324,22 @@ def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
     """For each member of an (S, N, n) stack of zeros, the rows (a, b) of its
     closest pair in the sup-norm and their distance.
 
-    Ties go to the first pair in row-major order.  The pairwise
-    differences are formed COLLISION_BLOCK entries at a time: as many
-    whole members as fit, or blocks of one member's rows.
+    Ties go to the first pair in row-major order.  The pairwise differences
+    are formed in blocks of rows of the whole stack, of about COLLISION_BLOCK
+    entries (one row of each member at least); the caller sizes the stack.
     """
     count, big_n, n = coords.shape
-    block = max(1, COLLISION_BLOCK // (big_n * n))
-    group = max(1, block // big_n)
+    block = max(1, COLLISION_BLOCK // (max(count, 1) * big_n * n))
     best = [(0, 0, np.inf)] * count
-    for s0 in range(0, count, group):
-        stack = coords[s0:s0 + group]
-        for lo in range(0, big_n, block):
-            diff = stack[:, lo:lo + block, None, :] - stack[:, None, :, :]
-            dist = np.max(np.abs(diff), axis=3)
-            own = np.arange(dist.shape[1])
-            dist[:, own, lo + own] = np.inf
-            flat = dist.reshape(len(stack), -1)
-            for s, k in enumerate(np.argmin(flat, axis=1).tolist()):
-                if flat[s, k] < best[s0 + s][2]:
-                    best[s0 + s] = (lo + k // big_n, k % big_n, flat[s, k])
+    for lo in range(0, big_n, block):
+        diff = coords[:, lo:lo + block, None, :] - coords[:, None, :, :]
+        dist = np.max(np.abs(diff), axis=3)
+        own = np.arange(dist.shape[1])
+        dist[:, own, lo + own] = np.inf
+        flat = dist.reshape(count, len(own) * big_n)  # -1 cannot be inferred when count = 0
+        for s, k in enumerate(np.argmin(flat, axis=1).tolist()):
+            if flat[s, k] < best[s][2]:
+                best[s] = (lo + k // big_n, k % big_n, flat[s, k])
     return best
 
 

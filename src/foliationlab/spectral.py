@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isfinite
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .cpoly import PolyVectorField, jacobian
 from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import SingularPoint
-from .solver import RunConfig
+from .solver import RunConfig, _check_int, _check_positive
 
 DEGENERATE = "degenerate"
 NONDEGENERATE_ONLY = "nondegenerate_only"
@@ -208,26 +209,17 @@ def classify(lams, cfg: RunConfig) -> str:
     lams = _one_spectrum(lams)
     if np.any(np.abs(lams) <= cfg.tol_nd):
         return DEGENERATE
-    exactly_real = False
-    borderline = False
-    n = lams.shape[0]
-    for j in range(n):
-        for l in range(j + 1, n):
-            a, b = lams[j], lams[l]
-            if abs(a) > abs(b):
-                a, b = b, a
-            im = abs((a / b).imag)
-            if im > cfg.tol_hyp:
-                continue
-            if im == 0.0:
-                exactly_real = True
-            else:
-                borderline = True
-    if not exactly_real and not borderline:
+    near = []  # |Im| of the ratios within tol_hyp of the real axis
+    for j, l in combinations(range(lams.shape[0]), 2):
+        a, b = lams[j], lams[l]
+        if abs(a) > abs(b):
+            a, b = b, a
+        im = abs((a / b).imag)
+        if not im > cfg.tol_hyp:  # a nan ratio counts as near
+            near.append(im)
+    if not near:
         return HYPERBOLIC
-    if borderline:
-        return INCONCLUSIVE
-    return NONDEGENERATE_ONLY
+    return INCONCLUSIVE if any(near) else NONDEGENERATE_ONLY
 
 
 @lru_cache(maxsize=None)
@@ -295,19 +287,16 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     the first minimum among those is the witness: rounding does not choose
     it, and it reproduces c_min.  lams is one zero's (n,) eigenvalues
     (``spectrum_reports`` scans a stack).  Other shapes, a non-integer
-    max_order, a non-finite delta and scans above SCAN_MAX_BYTES raise InputError.
+    max_order, a delta that is not a finite positive real number and scans
+    above SCAN_MAX_BYTES raise InputError.
     """
     lams = _one_spectrum(lams)
     if lams.shape[0] < 1:
         raise InputError("need at least one eigenvalue")
-    if not isinstance(max_order, (int, np.integer)):
-        raise InputError(f"max_order must be an integer, got {max_order!r}")
+    _check_int("max_order", max_order)
     if max_order < 2:
         raise InputError("max_order must be at least 2")
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    if not isfinite(delta):
-        raise InputError("delta must be finite")
+    _check_positive("delta", delta)
     return _divisor_records(lams[None], delta, max_order)[0]
 
 

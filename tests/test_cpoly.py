@@ -129,6 +129,19 @@ def test_validation_rejects_bad_shapes():
         PolyVectorField(2, ({(-1, 0): 1.0}, {}))  # negative exponent
 
 
+@pytest.mark.parametrize("exponent", [2.5, 2.0, "2", True, np.True_, np.float64(2), None],
+                         ids=repr)
+def test_non_integer_exponents_are_refused_not_truncated(exponent):
+    with pytest.raises(InputError, match="^exponents must be integers, got "):
+        PolyVectorField(2, ({(exponent, 0): 1}, {(0, 0): 1}))
+
+
+def test_numpy_integer_exponents_are_python_ints():
+    f = PolyVectorField(2, ({(np.int64(2), np.uint8(0)): 1}, {(0, 0): 1}))
+    assert f == PolyVectorField(2, ({(2, 0): 1}, {(0, 0): 1}))
+    assert all(type(e) is int for e in next(iter(f.components[0])))
+
+
 def test_zero_coefficients_are_pruned():
     f = PolyVectorField(2, ({(1, 0): 0.0, (0, 1): 2.0}, {}))
     assert (1, 0) not in f.components[0]

@@ -596,9 +596,12 @@ def test_defect_validation():
     ((np.nan, 1, 0), MU_GRID, "^nu entries must be finite$"),
     ((0, np.nan, 1), MU_GRID, "^nu entries must be finite$"),
     ((0, complex(0, np.inf), 1), MU_GRID, "^nu entries must be finite$"),
+    ((0, 1, 0), (1e-2, "a"), "^mu must be a real number, got 'a'$"),
+    ((0, 1, 0), (1e-2, 1e-3j), r"^mu must be a real number, got 0\.001j$"),
+    ((0, 0.01, 0), (1e-3, True), "^mu must be a real number, got True$"),  # 1.0 fit
 ], ids=["zero-nu", "one-mu", "repeated-mu", "mu-too-big",
         "mu-too-big-for-nu", "mu-zero", "mu-negative", "nu-inf", "nu-nan", "nu-nan-after-one",
-        "nu-imaginary-inf"])
+        "nu-imaginary-inf", "mu-str", "mu-complex", "mu-bool"])
 def test_defect_refuses_bad_rays(nu, mus, message):
     with pytest.raises(InputError, match=message):
         defect_experiment(3, 2, nu, mus, CFG)

@@ -269,6 +269,19 @@ def test_params_reject_non_finite_alpha(slot, value):
         FoliationParams(3, 2, tuple(alpha))
 
 
+@pytest.mark.parametrize("n,d,message", [
+    (2, True, "^degree must be an integer >= 1, got True$"),
+    (True, 2, "^ambient dimension must be an integer >= 2, got True$"),
+    (2, 2.0, "^degree must be an integer >= 1, got 2.0$"),
+    (np.int64(2), 2, "^ambient dimension must be an integer >= 2, got np.int64"),
+    (2, np.int64(2), "^degree must be an integer >= 1, got np.int64"),
+], ids=["bool-d", "bool-n", "float-d", "numpy-n", "numpy-d"])
+def test_n_and_d_must_be_python_ints(n, d, message):
+    for call in (counts, FoliationParams):
+        with pytest.raises(InputError, match=message):
+            call(n, d)
+
+
 def test_params_keep_their_alpha_checks():
     assert FoliationParams(3, 2).alpha == (0j, 0j, 0j)
     assert FoliationParams(2, 2, (1, 2j)).alpha == (1 + 0j, 2j)

@@ -263,6 +263,13 @@ def test_non_integer_indices_are_refused(call):
         call()
 
 
+def test_the_first_bad_index_names_the_error():
+    with pytest.raises(InputError, match=r"^index m must lie in \[1, 7\], got 8$"):
+        track_zeros(SMALL, [1, 8, 2.5], CFG)
+    with pytest.raises(InputError, match="^index m must be an integer, got 2.5$"):
+        track_zeros(SMALL, [1, 2.5, 8], CFG)
+
+
 def test_numpy_integer_indices_are_accepted():
     ms = np.arange(1, 8)[::-1]
     assert [_fields(p) for p in track_zeros(SMALL, ms, CFG)] == [
@@ -321,6 +328,27 @@ def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
     iters = np.array([p.newton_iters for p in points], dtype=np.int64)
     digest = hashlib.sha256(coords.tobytes() + residuals.tobytes() + iters.tobytes())
     assert digest.hexdigest() == "6275dc8d48d9ffb428480125fc84aaf9c53fb891de485f9d130e208eddf69505"
+
+
+def test_line_search_of_rows_that_stall_above_tolerance_is_frozen(monkeypatch):
+    # below the rounding floor of (3,3) some rows never pass newton_tol: their
+    # halvings run out or stop once the candidate rounds to x
+    calls = []
+    real = solver._evaluate
+
+    def spy(field, x, *table):
+        calls.append(len(x))
+        return real(field, x, *table)
+
+    monkeypatch.setattr(solver, "_evaluate", spy)
+    start = np.array([p.coords for p in closed_form_sing(3, 3)])
+    const = np.tile(np.array([0.03, 0.02j, -0.01]), (len(start), 1))
+    points = solver._newton_rows(jouanolou_field(3, 3), start, RunConfig(newton_tol=4e-16, max_iters=5),
+                                 list(range(1, len(start) + 1)), const)
+    assert (len(calls), sum(calls)) == (46, 278)
+    assert sum(p.note == "newton stalled above tolerance" for p in points) == 8
+    digest = hashlib.sha256(b"".join(repr(_fields(p)).encode() for p in points))
+    assert digest.hexdigest() == "b5cfb7a3500993665619d44da10980f941b219e0fee590a71cb00d3e06c4b262"
 
 
 def _shift_alphas(n):
@@ -407,6 +435,11 @@ def test_chunked_collision_scan_matches_dense(monkeypatch, block):
     assert str(info.value) == (
         f"tracked zeros m={a + 1} and m={b + 1} merged (separation {dist:.3e}); "
         "the perturbation left the safe polydisk")
+
+
+def test_collision_scan_of_no_members_is_empty():
+    # _track_members scans an empty stack when no member of a block tracks
+    assert solver._closest_pair(np.zeros((0, 7, 2), dtype=complex)) == []
 
 
 def test_tracking_commutes_with_group():
@@ -498,10 +531,29 @@ def test_continuation_handles_radius_boundary():
 @pytest.mark.parametrize("field,value", [
     ("delta", 0.0), ("delta", -1.0), ("seed", -1), ("max_iters", 0), ("max_iters", -3),
     ("max_order", 1), ("continuation_steps", 0), ("samples", 0),
+    # each of these used to pass construction and then fail in the library, or pass
+    ("samples", 2.5), ("max_iters", 2.5), ("continuation_steps", 1.5), ("seed", 1.5),
+    ("max_order", 3.0), ("newton_tol", "a"), ("radius", 1j), ("max_iters", True),
+    ("continuation_steps", True), ("newton_tol", True), ("samples", np.float64(3)),
 ])
 def test_run_config_rejects_values_that_fail_later(field, value):
     with pytest.raises(InputError, match=field):
         RunConfig(**{field: value})
+
+
+def test_run_config_names_the_type_it_wants():
+    with pytest.raises(InputError, match="^samples must be an integer, got 2.5$"):
+        RunConfig(samples=2.5)
+    with pytest.raises(InputError, match="^newton_tol must be a real number, got True$"):
+        RunConfig(newton_tol=True)
+    with pytest.raises(InputError, match="^seed must be at least 0$"):
+        RunConfig(seed=-1)
+
+
+def test_run_config_takes_numpy_scalars():
+    cfg = RunConfig(max_iters=np.int64(5), samples=np.int32(3), radius=np.float64(0.01),
+                    tol_hyp=np.float32(1e-6), delta=2)
+    assert (cfg.max_iters, cfg.samples, cfg.radius, cfg.delta) == (5, 3, 0.01, 2)
 
 
 FLOAT_FIELDS = ("newton_tol", "dedup_tol", "radius", "fd_step", "tol_hyp", "tol_nd",

@@ -145,6 +145,15 @@ def test_classify_cases():
     assert classify(np.array([1.0, 2.0]), CFG) == NONDEGENERATE_ONLY
     # ratio imaginary part below tol_hyp but nonzero stays undecided
     assert classify(np.array([1.0, 1.0 + 1e-10j]), CFG) == INCONCLUSIVE
+    # an exactly real pair does not hide a borderline one
+    assert classify(np.array([1.0, 2.0, 2.0 + 1e-10j]), CFG) == INCONCLUSIVE
+    assert classify(np.array([1.0, 2.0, 3j]), CFG) == NONDEGENERATE_ONLY
+    assert classify(np.array([2.0]), CFG) == HYPERBOLIC
+    # |Im(small/big)| = 5e-10 but |Im(big/small)| = 5e-6: the larger modulus divides
+    big = 100 * np.exp(5e-8j)
+    for lams in ([big, 1.0], [1.0, big]):
+        assert classify(np.array(lams), CFG) == INCONCLUSIVE
+        assert classify(np.array(lams), RunConfig(tol_hyp=4e-10)) == HYPERBOLIC
 
 
 def test_small_divisor_resonance_witness():
@@ -189,8 +198,12 @@ def test_small_divisor_determinism():
     ([1, 1j], float("nan"), 6, "^delta must be finite$"),
     ([1, 1j], float("inf"), 6, "^delta must be finite$"),
     ([1, 1j], 1.0, 3.5, "^max_order must be an integer, got 3.5$"),
+    ([1, 1j], True, 3, "^delta must be a real number, got True$"),
+    ([1, 1j], 1j, 3, r"^delta must be a real number, got 1j$"),
+    ([1, 1j], "1", 3, "^delta must be a real number, got '1'$"),
+    ([1, 1j], 1.0, True, "^max_order must be an integer, got True$"),
 ], ids=["no-eigenvalue", "order-1", "delta-0", "stack", "scalar", "delta-nan", "delta-inf",
-        "order-3.5"])
+        "order-3.5", "delta-bool", "delta-complex", "delta-str", "order-bool"])
 def test_small_divisor_scan_refuses_bad_input(lams, delta, max_order, message):
     with pytest.raises(InputError, match=message):
         small_divisor_scan(lams, delta=delta, max_order=max_order)
