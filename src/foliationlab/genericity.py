@@ -27,6 +27,8 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import (
     FoliationParams,
     SingularPoint,
+    _check_complex,
+    _check_real,
     closed_form_sing,
     counts,
     generator_weights,
@@ -34,8 +36,8 @@ from .jouanolou import (
     unit_roots,
 )
 from . import solver
-from .solver import RunConfig, _check_real, _track_members, track_one, track_zeros
-from .spectral import HYPERBOLIC, char_poly_direct, spectrum_reports
+from .solver import RunConfig, _track_members, track_one, track_zeros
+from .spectral import _CLASSES, HYPERBOLIC, RESONANCE_TOL, _spectra, char_poly_direct
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
 SUBMERSION_RTOL = 1e-4
@@ -475,7 +477,7 @@ def defect_experiment(
     hyperplane is larger than the fixed set of g^K.
     """
     pattern = base_pattern_indices(n, d)
-    nu = tuple(complex(v) for v in nu)
+    nu = tuple(_check_complex("nu entry", v) for v in nu)
     if len(nu) != n:
         raise InputError(f"nu has {len(nu)} entries, expected {n}")
     if not np.isfinite(nu).all():
@@ -546,6 +548,15 @@ class SampleStats:
     )
 
 
+def _draw_flags(base, coords: np.ndarray, cfg: RunConfig) -> list[tuple[str, bool, bool]]:
+    """("", all zeros hyperbolic, some zero resonant) for each draw of an
+    (S, N, n) stack of zeros, from one stacked spectral kernel over its S N rows."""
+    codes, c_min = _spectra(base, coords.reshape(-1, coords.shape[-1]), cfg)[2:4]
+    hyperbolic = (codes.reshape(len(coords), -1) == _CLASSES.index(HYPERBOLIC)).all(axis=1)
+    resonant = (c_min.reshape(len(coords), -1) < RESONANCE_TOL).any(axis=1)
+    return [("", h, r) for h, r in zip(hyperbolic.tolist(), resonant.tolist())]
+
+
 def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, bool]]:
     """Per draw of ``genericity_sample``, yielded block by block: (class name
     of the error that failed it, or "", all zeros hyperbolic, some zero
@@ -560,20 +571,20 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
         alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
         results = _track_members(n, d, alphas, cfg)
         tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
-        points = [p for s in tracked for p in results[s]]
+        coords = np.array([[p.coords for p in results[s]] for s in tracked])
         try:
-            reports = spectrum_reports(base, points, cfg) if points else []
-            for k, s in enumerate(tracked):
-                results[s] = reports[k * big_n:(k + 1) * big_n]
+            flags = _draw_flags(base, coords, cfg) if tracked else []
         except ConvergenceError:  # the eigenvalue gate: fail only the draws it fails alone
-            for s in tracked:
+            flags = []
+            for one in coords[:, None]:
                 try:
-                    results[s] = spectrum_reports(base, results[s], cfg)
+                    flags += _draw_flags(base, one, cfg)
                 except ConvergenceError as exc:
-                    results[s] = exc
-        yield from ((type(r).__name__, False, False) if isinstance(r, Exception) else
-                    ("", all(rep.classification == HYPERBOLIC for rep in r),
-                     any(rep.divisor.resonant for rep in r)) for r in results)
+                    flags.append((type(exc).__name__, False, False))
+        for s, flag in zip(tracked, flags):
+            results[s] = flag
+        yield from ((type(r).__name__, False, False) if isinstance(r, Exception) else r
+                    for r in results)
 
 
 def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
@@ -587,10 +598,13 @@ def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     Its zeros are tracked as one batch on the base field (a draw differs
     from it only by its constant term alpha), scanned for collisions as one
     stack, and their spectra computed as one stack from the base field,
-    whose Jacobian is every draw's.  Each draw's result is bitwise that of
-    running it alone.  A draw that fails (ConvergenceError or
-    CollisionError, including the eigenvalue gate, which re-runs the
-    block's spectra one draw at a time) is counted, never raised.
+    whose Jacobian is every draw's, by the array kernel under
+    ``spectrum_reports``: a draw's two flags are reductions of the block's
+    class codes and c_min values, and no per-zero report is built.  Each
+    draw's result is bitwise that of running it alone.  A draw that fails
+    (ConvergenceError or CollisionError, including the eigenvalue gate,
+    which re-runs the block's spectra one draw at a time) is counted,
+    never raised.
     """
     n_failed = n_all_hyp = n_any_res = 0
     for error, hyp, res in _draw_outcomes(n, d, cfg):

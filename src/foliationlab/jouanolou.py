@@ -19,6 +19,7 @@ directly from the coefficient table.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -66,6 +67,28 @@ def _check_nd(n: int, d: int) -> None:
         raise InputError(f"degree must be an integer >= 1, got {d!r}")
 
 
+def _check_real(name: str, value):
+    """value, after refusing one that is not a real number (numpy reals pass, bool
+    does not) and an int beyond the float range, on which float() overflows."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise InputError(f"{name} must be finite")
+    return value
+
+
+def _check_complex(name: str, value) -> complex:
+    """complex(value), after refusing a str or bytes, which complex() would parse,
+    and a bool, which it would read as 1; what complex() refuses or overflows on
+    raises InputError too."""
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            return complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{name} must be a number, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def _member_order(n: int, d: int) -> int:
     """N of the member at (n, d), for an (n, d) that passed ``_check_nd``.
@@ -111,7 +134,7 @@ class FoliationParams:
     def __post_init__(self):
         _check_nd(self.n, self.d)
         _member_order(self.n, self.d)
-        alpha = tuple(complex(a) for a in self.alpha) or (0j,) * self.n
+        alpha = tuple(_check_complex("alpha entry", a) for a in self.alpha) or (0j,) * self.n
         if len(alpha) != self.n:
             raise InputError(
                 f"alpha has {len(alpha)} entries, expected {self.n}"

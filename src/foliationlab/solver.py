@@ -36,6 +36,7 @@ from .errors import CollisionError, ConvergenceError, InputError
 from .jouanolou import (
     FoliationParams,
     SingularPoint,
+    _check_real,
     _geom,
     closed_form_coords,
     closed_form_sing,
@@ -190,13 +191,6 @@ def _check_int(name: str, value) -> None:
     """Refuse a value that is not an integer (numpy integers pass, bool does not)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(name: str, value):
-    """value, after refusing one that is not a real number (numpy reals pass, bool does not)."""
-    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
-        raise InputError(f"{name} must be a real number, got {value!r}")
-    return value
 
 
 def _check_positive(name: str, value) -> None:

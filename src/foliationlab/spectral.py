@@ -31,6 +31,8 @@ DEGENERATE = "degenerate"
 NONDEGENERATE_ONLY = "nondegenerate_only"
 HYPERBOLIC = "hyperbolic"
 INCONCLUSIVE = "inconclusive"
+# The class names by code, as the stacked kernel returns them.
+_CLASSES = (HYPERBOLIC, NONDEGENERATE_ONLY, INCONCLUSIVE, DEGENERATE)
 
 # A divisor below this is treated as an exact resonance at the scanned order.
 RESONANCE_TOL = 1e-10
@@ -222,11 +224,29 @@ def classify(lams, cfg: RunConfig) -> str:
     return INCONCLUSIVE if any(near) else NONDEGENERATE_ONLY
 
 
+def _class_codes(lams: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """classify of every row of an (R, n) eigenvalue stack, as indices into
+    _CLASSES, bitwise the scalar rule: pairs in ``combinations`` order, a
+    swap only when the modulus (np.hypot, bitwise Python's abs of a complex)
+    is strictly larger, and a nan |Im| counted as near and as nonzero."""
+    j, l = np.triu_indices(lams.shape[1], 1)
+    a, b = lams[:, j], lams[:, l]
+    swap = np.hypot(a.real, a.imag) > np.hypot(b.real, b.imag)
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows divide by 0
+        im = np.abs((a / b).imag)
+    near = ~(im > cfg.tol_hyp)
+    codes = near.any(axis=1).astype(np.intp) + (near & (im != 0)).any(axis=1)
+    codes[(np.abs(lams) <= cfg.tol_nd).any(axis=1)] = _CLASSES.index(DEGENERATE)
+    return codes
+
+
 @lru_cache(maxsize=None)
 def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
     """Read-only exponent vectors m with 2 <= |m| <= max_order (lexicographic)
     and, per kept (m, j) candidate of small_divisor_scan in row-major
-    order, its row in that table, its 0-based j and |m|."""
+    order, its row in that table, its 0-based j and |m|; last, the
+    exponent table cast to complex once, for the scan's products."""
     m = np.zeros((1, 0), dtype=np.int64)
     for i in range(n):  # each prefix row spawns its next coordinates in ascending order
         total = m.sum(axis=1)
@@ -236,7 +256,7 @@ def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
         parent = np.repeat(np.arange(len(m)), count)
         m = np.column_stack((m[parent], last))
     row, col = np.nonzero(np.column_stack((m[:, :-1] == 0, np.ones(len(m), dtype=bool))))
-    tables = (m, row, col, m.sum(axis=1).astype(float)[row])
+    tables = (m, row, col, m.sum(axis=1).astype(float)[row], m.astype(complex))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -247,14 +267,17 @@ def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
 # scanned in blocks, and a row larger than this is one block of its own.
 SCAN_BLOCK = 1 << 20
 # Most bytes a small-divisor scan may take, counted before its tables are built:
-# 24 n |M_n| for the exponent table, 32 per kept candidate, 64 per block entry.
-# tracemalloc peaks: 504 of 653 MB counted at n = 15, max_order 8 (n <= 16 admitted).
+# 24 n |M_n| for the exponent table and its complex copy, 32 per kept candidate,
+# 64 per block entry.
+# tracemalloc peaks: 582 of 653 MB counted at n = 15, max_order 8 (n <= 16 admitted).
 SCAN_MAX_BYTES = 1 << 30
 
 
-def _divisor_records(lams: np.ndarray, delta: float, max_order: int) -> list[DivisorRecord]:
+def _divisor_scan(lams: np.ndarray, delta: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
     """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
-    blocks; only the kept candidates are evaluated, in row-major order."""
+    blocks, as arrays: c_min and the witness's index k among the kept
+    candidates of ``_multi_indices``; only those are evaluated, in
+    row-major order, and k is the first minimum."""
     n = lams.shape[1]
     rows = comb(max_order + n, n) - 1 - n  # |M_n|, vectors m in n variables
     kept = rows + (n - 1) * (comb(max_order + n - 1, n - 1) - n)  # j = n, or m_j = 0
@@ -262,19 +285,27 @@ def _divisor_records(lams: np.ndarray, delta: float, max_order: int) -> list[Div
     if need > SCAN_MAX_BYTES:
         raise InputError(f"scan at n = {n}, max_order = {max_order} would take about "
                          f"{need:.3g} bytes (> SCAN_MAX_BYTES = {SCAN_MAX_BYTES}); lower max_order")
-    m, row, col, abs_m = _multi_indices(n, max_order)
+    _, row, col, abs_m, m = _multi_indices(n, max_order)
     weights = abs_m ** float(delta)
-    records = []
+    c_min = np.empty(len(lams))
+    k = np.empty(len(lams), dtype=np.intp)
     step = max(1, SCAN_BLOCK // len(row))
     for start in range(0, len(lams), step):
         block = lams[start : start + step]
         sums = np.matmul(m, block[..., None])[..., 0]
         table = np.abs(block[:, col] - sums[:, row]) * weights
-        for b, k in enumerate(np.argmin(table, axis=1).tolist()):
-            c_min = float(table[b, k])
-            records.append(DivisorRecord(float(delta), int(max_order), c_min, int(col[k]) + 1,
-                                         tuple(m[row[k]].tolist()), c_min < RESONANCE_TOL))
-    return records
+        k[start : start + step] = best = np.argmin(table, axis=1)
+        c_min[start : start + step] = table[np.arange(len(block)), best]
+    return c_min, k
+
+
+def _divisor_records(n: int, delta: float, max_order: int, c_min: np.ndarray,
+                     k: np.ndarray) -> list[DivisorRecord]:
+    """The DivisorRecord of each row of a ``_divisor_scan`` result."""
+    m, row, col = _multi_indices(n, max_order)[:3]
+    return [DivisorRecord(float(delta), int(max_order), c, int(col[j]) + 1,
+                          tuple(m[row[j]].tolist()), c < RESONANCE_TOL)
+            for c, j in zip(c_min.tolist(), k.tolist())]
 
 
 def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
@@ -297,7 +328,8 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     if max_order < 2:
         raise InputError("max_order must be at least 2")
     _check_positive("delta", delta)
-    return _divisor_records(lams[None], delta, max_order)[0]
+    return _divisor_records(len(lams), delta, max_order,
+                            *_divisor_scan(lams[None], delta, max_order))[0]
 
 
 def spectrum_report(field: PolyVectorField, point: SingularPoint, cfg: RunConfig) -> SpectrumReport:
@@ -313,15 +345,24 @@ def spectrum_report(field: PolyVectorField, point: SingularPoint, cfg: RunConfig
     )
 
 
+def _spectra(field: PolyVectorField, coords: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, ...]:
+    """The spectral workup of every row of an (R, n) stack of points, as
+    arrays: sigma and lams (R, n), the class code (an index into _CLASSES),
+    c_min and the divisor witness's candidate index k, each (R,)."""
+    sigma = char_poly_direct(field, coords)
+    lams = eigenvalues(sigma)
+    return (sigma, lams, _class_codes(lams, cfg), *_divisor_scan(lams, cfg.delta, cfg.max_order))
+
+
 def spectrum_reports(field: PolyVectorField, points: list[SingularPoint],
                      cfg: RunConfig) -> list[SpectrumReport]:
-    """spectrum_report(field, p, cfg) for every p in points, bitwise, with the
-    coefficients, roots and divisor scans computed as (N, n) stacks."""
-    sigma = char_poly_direct(field, np.array([p.coords for p in points]))
-    lams = eigenvalues(sigma)
-    divisors = _divisor_records(lams, cfg.delta, cfg.max_order)
-    return [SpectrumReport(p.m, s, z, classify(z, cfg), rec)
-            for p, s, z, rec in zip(points, sigma, lams, divisors)]
+    """spectrum_report(field, p, cfg) for every p in points, bitwise: the
+    coefficients, roots, class codes and divisor scans are computed as
+    (N, n) stacks by one array kernel, and the reports built from them."""
+    sigma, lams, codes, c_min, k = _spectra(field, np.array([p.coords for p in points]), cfg)
+    divisors = _divisor_records(lams.shape[1], cfg.delta, cfg.max_order, c_min, k)
+    return [SpectrumReport(p.m, s, z, _CLASSES[c], rec)
+            for p, s, z, c, rec in zip(points, sigma, lams, codes.tolist(), divisors)]
 
 
 def linearizable_numerically(report: SpectrumReport) -> bool:

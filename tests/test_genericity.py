@@ -599,9 +599,14 @@ def test_defect_validation():
     ((0, 1, 0), (1e-2, "a"), "^mu must be a real number, got 'a'$"),
     ((0, 1, 0), (1e-2, 1e-3j), r"^mu must be a real number, got 0\.001j$"),
     ((0, 0.01, 0), (1e-3, True), "^mu must be a real number, got True$"),  # 1.0 fit
+    ((0, 1, 0), (1e-2, 10**400), "^mu must be finite$"),
+    (("0.01", 1, 0), MU_GRID, "^nu entry must be a number, got '0.01'$"),
+    ((0, True, 0), MU_GRID, "^nu entry must be a number, got True$"),
+    ((0, b"1", 0), MU_GRID, "^nu entry must be a number, got b'1'$"),
 ], ids=["zero-nu", "one-mu", "repeated-mu", "mu-too-big",
         "mu-too-big-for-nu", "mu-zero", "mu-negative", "nu-inf", "nu-nan", "nu-nan-after-one",
-        "nu-imaginary-inf", "mu-str", "mu-complex", "mu-bool"])
+        "nu-imaginary-inf", "mu-str", "mu-complex", "mu-bool", "mu-huge-int", "nu-str",
+        "nu-bool", "nu-bytes"])
 def test_defect_refuses_bad_rays(nu, mus, message):
     with pytest.raises(InputError, match=message):
         defect_experiment(3, 2, nu, mus, CFG)

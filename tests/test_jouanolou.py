@@ -289,6 +289,18 @@ def test_params_keep_their_alpha_checks():
         FoliationParams(2, 2, (0.01,))
 
 
+@pytest.mark.parametrize("alpha,bad", [
+    (("0.01", True), "'0.01'"), ((0.01, True), "True"), (("a", 0), "'a'"),
+    ((b"1", 0), "b'1'"), ((0, np.True_), r"np.True_"), ((10**400, 0), "1000"),
+    ((None, 0), "None"),
+], ids=["str", "bool", "bad-str", "bytes", "numpy-bool", "huge-int", "none"])
+def test_params_refuse_alpha_entries_that_are_not_numbers(alpha, bad):
+    # complex() would parse a string and read a bool as 1
+    with pytest.raises(InputError, match=f"^alpha entry must be a number, got {bad}"):
+        FoliationParams(2, 2, alpha)
+    assert FoliationParams(2, 2, (np.float32(0.5), np.complex64(1j))).alpha == (0.5 + 0j, 1j)
+
+
 # (n, d) pairs above MEMBER_MAX_ENTRIES: N = 22 369 621 zeros, n = 2000 with
 # N = n + 1 whose evaluator tables would not fit, and an n whose N is never summed.
 OVERSIZED = [(12, 4), (2000, 1), (10**6, 2)]

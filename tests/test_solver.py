@@ -550,6 +550,14 @@ def test_run_config_names_the_type_it_wants():
         RunConfig(seed=-1)
 
 
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+def test_run_config_refuses_an_int_beyond_the_float_range(value):
+    # float(value) overflows, so the finiteness check raised OverflowError
+    with pytest.raises(InputError, match="^radius must be finite$"):
+        RunConfig(radius=value)
+    assert RunConfig(radius=10**300).radius == 10**300  # within the float range
+
+
 def test_run_config_takes_numpy_scalars():
     cfg = RunConfig(max_iters=np.int64(5), samples=np.int32(3), radius=np.float64(0.01),
                     tol_hyp=np.float32(1e-6), delta=2)

@@ -348,6 +348,12 @@ def _reference_scan(lams, delta, max_order):
     return float(table[row, col]), col + 1, tuple(int(e) for e in m[row])
 
 
+def _stacked_records(lams, delta, max_order):
+    # the stacked scan's (c_min, k) arrays as records, as spectrum_reports builds them
+    scan = spectral._divisor_scan(lams, delta, max_order)
+    return spectral._divisor_records(lams.shape[1], delta, max_order, *scan)
+
+
 @pytest.mark.parametrize("n,d,seed", [(2, 2, 601), (3, 3, 602), (4, 3, 603)])
 def test_stacked_stages_equal_one_row_calls(n, d, seed):
     f, coords = _sigma_stack(n, d, seed)
@@ -359,7 +365,7 @@ def test_stacked_stages_equal_one_row_calls(n, d, seed):
     mixed = np.insert(sigma, [1, len(sigma) // 2], sigma_at_ones(n, d), axis=0)
     lams = eigenvalues(mixed)
     assert lams.shape == mixed.shape
-    records = spectral._divisor_records(lams, CFG.delta, 6)
+    records = _stacked_records(lams, CFG.delta, 6)
     for row, z, rec in zip(mixed, lams, records):
         assert z.tobytes() == eigenvalues(row).tobytes() == _np_roots_sorted(row).tobytes()
         assert _same_record(rec, small_divisor_scan(z, CFG.delta, 6))
@@ -395,17 +401,20 @@ def test_eigenvalues_reject_three_dimensional_sigma():
 def test_scan_blocks_do_not_change_records(monkeypatch, block):
     f, coords = _sigma_stack(2, 2, 604)
     lams = eigenvalues(char_poly_direct(f, np.concatenate([coords, coords[::-1] * 0.99])))
-    want = {order: spectral._divisor_records(lams, 1.0, order) for order in (2, 3, 6)}
+    want = {order: _stacked_records(lams, 1.0, order) for order in (2, 3, 6)}
     monkeypatch.setattr(spectral, "SCAN_BLOCK", block)
     for order, records in want.items():
-        got = spectral._divisor_records(lams, 1.0, order)
+        got = _stacked_records(lams, 1.0, order)
         assert len(got) == len(lams)
         assert all(_same_record(a, b) for a, b in zip(got, records))
 
 
 def test_scan_tables_are_read_only():
     before = small_divisor_scan([1, 1j], 1.0, 6)
-    for table in spectral._multi_indices(2, 6):
+    tables = spectral._multi_indices(2, 6)
+    # the exponent table, and its complex copy that the scan multiplies by
+    assert tables[-1].dtype == complex and np.array_equal(tables[-1], tables[0])
+    for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0
     after = small_divisor_scan([1, 1j], 1.0, 6)
@@ -427,6 +436,81 @@ def test_spectrum_reports_equal_one_report_each(n, d, seed):
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.classification == want.classification
         assert _same_record(got.divisor, want.divisor)
+
+
+def _kernel_classes(lams, cfg=CFG):
+    # the stacked kernel's class codes of an (R, n) stack, as class names
+    codes = spectral._class_codes(np.asarray(lams, dtype=complex), cfg)
+    return [spectral._CLASSES[c] for c in codes.tolist()]
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2),
+                                 (6, 2), (7, 2)])
+def test_kernel_class_codes_equal_classify_at_alpha_zero(n, d):
+    cfg = RunConfig(max_order=3)
+    coords = np.array([p.coords for p in closed_form_sing(n, d)])
+    lams, codes = spectral._spectra(jouanolou_field(n, d), coords, cfg)[1:3]
+    want = [classify(z, cfg) for z in lams]
+    assert [spectral._CLASSES[c] for c in codes.tolist()] == want
+    assert set(want) == {INCONCLUSIVE if (n, d) == (5, 2) else HYPERBOLIC}
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 2, 611), (3, 2, 612), (3, 3, 613), (4, 3, 614),
+                                      (5, 2, 615)])
+def test_kernel_class_codes_equal_classify_on_seeded_draws(n, d, seed):
+    f, coords = _sigma_stack(n, d, seed)
+    lams = spectral._spectra(f, coords, RunConfig(max_order=3))[1]
+    # wide thresholds move some zeros into the other classes
+    for cfg in (CFG, RunConfig(tol_hyp=0.3), RunConfig(tol_nd=2.0)):
+        assert _kernel_classes(lams, cfg) == [classify(z, cfg) for z in lams]
+
+
+def test_kernel_class_codes_equal_classify_on_random_stacks():
+    # moduli from e^-30 to e^30; a share of rows puts a pair on one ray, or next to it
+    rng = np.random.default_rng(616)
+    for n in (2, 3, 4):
+        lams = np.exp(rng.uniform(-30, 30, (3000, n)) + 1j * rng.uniform(-np.pi, np.pi, (3000, n)))
+        turn = rng.choice([1.0, -1.0, 2.5, 1 + 1e-10j, np.exp(3e-9j), np.exp(1e-9j)], 3000)
+        pick = rng.random(3000) < 0.5
+        lams[pick, -1] = lams[pick, 0] * turn[pick]
+        for cfg in (CFG, RunConfig(tol_hyp=1e-2)):
+            assert _kernel_classes(lams, cfg) == [classify(z, cfg) for z in lams]
+
+
+def test_kernel_class_codes_on_hand_made_rows():
+    a, b = 2.739233746429086 - 4.604265724722594j, 2.7392295194681906 - 4.6042682394822805j
+    assert np.hypot(a.real, a.imag) == np.hypot(b.real, b.imag)
+    # equal moduli: no swap, so [a, b] divides a / b and [b, a] divides b / a, which
+    # differ in their last bits; tol_hyp sits on |Im(a / b)|
+    tied = RunConfig(tol_hyp=float(abs((np.complex128(a) / np.complex128(b)).imag)))
+    cases = [
+        ([a, b], tied, INCONCLUSIVE),
+        ([b, a], tied, HYPERBOLIC),
+        ([0.0, 1.0], CFG, DEGENERATE),               # a zero eigenvalue
+        ([0.0, 0.0], CFG, DEGENERATE),               # 0 / 0, under the kernel's errstate
+        ([np.nan, 1.0], CFG, INCONCLUSIVE),          # a nan |Im| is near and nonzero
+        ([1.0, complex(np.nan, 1.0)], CFG, INCONCLUSIVE),
+        ([1.0, -2.0], CFG, NONDEGENERATE_ONLY),      # an exactly real ratio
+        ([3j, -1.5j], CFG, NONDEGENERATE_ONLY),
+        ([1.0, 1 + 1e-10j], CFG, INCONCLUSIVE),      # |Im| about 1e-10 < tol_hyp
+        ([1.0, 1 + 1e-10j], RunConfig(tol_hyp=1e-11), HYPERBOLIC),
+        ([1.0, 2.0, 2 + 1e-10j], CFG, INCONCLUSIVE),  # a real pair does not hide a near one
+        ([-2 + 3j, -2 - 3j], CFG, HYPERBOLIC),
+    ]
+    for lams, cfg, want in cases:
+        with np.errstate(invalid="ignore"):  # the scalar rule warns on a nan ratio
+            assert classify(np.array(lams), cfg) == want
+        with np.errstate(all="raise"):
+            assert _kernel_classes([lams], cfg) == [want], lams
+    im = float(abs((1 / np.complex128(1 + 1e-10j)).imag))
+    for tol in (im, np.nextafter(im, 0)):  # |Im| on tol_hyp is near; just above it is not
+        cfg = RunConfig(tol_hyp=tol)
+        assert _kernel_classes([[1.0, 1 + 1e-10j]], cfg) == [classify(np.array([1.0, 1 + 1e-10j]), cfg)]
+    assert _kernel_classes([[2.0], [0.0], [1j]]) == [HYPERBOLIC, DEGENERATE, HYPERBOLIC]  # n = 1
+    # one stack holding all four classes, in the stack order
+    mixed = [[-2 + 3j, -2 - 3j], [1.0, -2.0], [1.0, 1 + 1e-10j], [0.0, 1.0]]
+    assert _kernel_classes(mixed) == [HYPERBOLIC, NONDEGENERATE_ONLY, INCONCLUSIVE, DEGENERATE]
+    assert set(_kernel_classes(mixed)) == set(spectral._CLASSES)
 
 
 def _recursive_multi_indices(n, max_order):
@@ -478,7 +562,7 @@ def test_scan_is_refused_by_its_bytes_before_any_table_is_built(monkeypatch):
         tracemalloc.stop()
     assert elapsed < 1.0 and peak < 1 << 20
     with pytest.raises(InputError, match="SCAN_MAX_BYTES"):
-        spectral._divisor_records(np.ones((1, 17)), 1.0, 8)
+        spectral._divisor_scan(np.ones((1, 17)), 1.0, 8)
 
 
 def _partitions(n, largest=None):
