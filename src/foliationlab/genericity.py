@@ -27,8 +27,8 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import (
     FoliationParams,
     SingularPoint,
-    _check_complex,
     _check_real,
+    _check_vector,
     closed_form_sing,
     counts,
     generator_weights,
@@ -477,11 +477,7 @@ def defect_experiment(
     hyperplane is larger than the fixed set of g^K.
     """
     pattern = base_pattern_indices(n, d)
-    nu = tuple(_check_complex("nu entry", v) for v in nu)
-    if len(nu) != n:
-        raise InputError(f"nu has {len(nu)} entries, expected {n}")
-    if not np.isfinite(nu).all():
-        raise InputError("nu entries must be finite")
+    nu = _check_vector("nu", nu, n)
     size = max(abs(v) for v in nu)
     if size == 0:
         raise InputError("nu must be nonzero")
@@ -569,9 +565,10 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
     for lo in range(0, cfg.samples, block):
         draws = rng.random((min(block, cfg.samples - lo), n, 2))
         alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
-        results = _track_members(n, d, alphas, cfg)
-        tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
-        coords = np.array([[p.coords for p in results[s]] for s in tracked])
+        x, _, _, errors = _track_members(n, d, alphas, cfg)
+        outcomes = {s: (type(exc).__name__, False, False) for s, exc in errors.items()}
+        tracked = [s for s in range(len(alphas)) if s not in outcomes]
+        coords = x[tracked]
         try:
             flags = _draw_flags(base, coords, cfg) if tracked else []
         except ConvergenceError:  # the eigenvalue gate: fail only the draws it fails alone
@@ -581,10 +578,8 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
                     flags += _draw_flags(base, one, cfg)
                 except ConvergenceError as exc:
                     flags.append((type(exc).__name__, False, False))
-        for s, flag in zip(tracked, flags):
-            results[s] = flag
-        yield from ((type(r).__name__, False, False) if isinstance(r, Exception) else r
-                    for r in results)
+        outcomes.update(zip(tracked, flags))
+        yield from (outcomes[s] for s in range(len(alphas)))
 
 
 def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:

@@ -22,7 +22,7 @@ import cmath
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -89,6 +89,30 @@ def _check_complex(name: str, value) -> complex:
     raise InputError(f"{name} must be a number, got {value!r}")
 
 
+def _check_vector(name: str, values, n: int) -> tuple[complex, ...]:
+    """values as a tuple of n finite complex numbers, each checked by ``_check_complex``."""
+    vector = tuple(_check_complex(f"{name} entry", v) for v in values)
+    if len(vector) != n:
+        raise InputError(f"{name} has {len(vector)} entries, expected {n}")
+    if not all(map(cmath.isfinite, vector)):
+        raise InputError(f"{name} entries must be finite")
+    return vector
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a value that is not an integer (numpy integers pass, bool does not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a value that is not a finite positive real number."""
+    if _check_real(name, value) <= 0:
+        raise InputError(f"{name} must be positive")
+    if not isfinite(value):  # nan and inf pass the sign test
+        raise InputError(f"{name} must be finite")
+
+
 @lru_cache(maxsize=None)
 def _member_order(n: int, d: int) -> int:
     """N of the member at (n, d), for an (n, d) that passed ``_check_nd``.
@@ -134,14 +158,8 @@ class FoliationParams:
     def __post_init__(self):
         _check_nd(self.n, self.d)
         _member_order(self.n, self.d)
-        alpha = tuple(_check_complex("alpha entry", a) for a in self.alpha) or (0j,) * self.n
-        if len(alpha) != self.n:
-            raise InputError(
-                f"alpha has {len(alpha)} entries, expected {self.n}"
-            )
-        if not all(map(cmath.isfinite, alpha)):
-            raise InputError("alpha entries must be finite")
-        object.__setattr__(self, "alpha", alpha)
+        alpha = tuple(self.alpha) or (0j,) * self.n
+        object.__setattr__(self, "alpha", _check_vector("alpha", alpha, self.n))
 
 
 @dataclass
@@ -257,8 +275,7 @@ def group_element(n: int, d: int, k: int) -> GroupElement:
     """Power k mod N of the generator (k = -1 is its inverse), built alone; a
     non-integer k (or bool) and members above MEMBER_MAX_ENTRIES raise InputError."""
     _check_nd(n, d)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError(f"generator power k must be an integer, got {k!r}")
+    _check_int("generator power k", k)
     big_n = _member_order(n, d)  # before generator_weights sums N
     return _power(generator_weights(n, d), k, big_n)
 

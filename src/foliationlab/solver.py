@@ -11,10 +11,11 @@ masks decide which rows take the polishing step, how often each row's
 step is halved and when each row stops, so every row does exactly the
 arithmetic of a one-point refinement on its member's own field.  Only the
 rows that fail are run again, across members as one batch, with the step
-count escalated.  The
-perturbation is kept inside a small polydisk (RunConfig.radius) where the
-N zeros stay simple and separated; a collision of tracked zeros is
-reported as the parameter leaving that polydisk rather than as a
+count escalated.  The rows stay arrays; only ``newton_refine``,
+``track_zeros`` and ``track_singularities`` make ``SingularPoint``s of
+them.  The perturbation is kept inside a small polydisk (RunConfig.radius)
+where the N zeros stay simple and separated; a collision of tracked zeros
+is reported as the parameter leaving that polydisk rather than as a
 numerical failure.
 
 ``first_order_point`` evaluates the closed first-order expansion of a
@@ -26,7 +27,6 @@ remainder from quadratic to linear in the perturbation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +36,10 @@ from .errors import CollisionError, ConvergenceError, InputError
 from .jouanolou import (
     FoliationParams,
     SingularPoint,
-    _check_real,
+    _check_int,
+    _check_positive,
     _geom,
     closed_form_coords,
-    closed_form_sing,
     counts,
     family_field,
     jouanolou_field,
@@ -93,8 +93,8 @@ COLLISION_BLOCK = 1 << 20
 
 
 def _newton_rows(
-    field: PolyVectorField, x0: np.ndarray, cfg: RunConfig, ms: list[int], const=None
-) -> list[SingularPoint]:
+    field: PolyVectorField, x0: np.ndarray, cfg: RunConfig, const=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton iteration on every row of an (R, n) stack of start points.
 
     With `const`, an (R, n) array, row r refines a zero of the field plus
@@ -104,7 +104,8 @@ def _newton_rows(
     halving count and stop, and the Jacobian systems are solved as one
     stack.  A stacked solve fails as a whole when any matrix is singular;
     the rows are then solved one at a time to find which ones stop on
-    "singular jacobian".
+    "singular jacobian".  Returns the rows' end points (R, n), residuals,
+    Newton iteration counts and notes; a note of "" marks a converged row.
     """
 
     def value(rows, x):
@@ -157,15 +158,16 @@ def _newton_rows(
             k = k[~ok]
         live[rows[pending]] = False
         iters[rows[~pending]] += 1
-    converged = res < cfg.newton_tol
-    notes = np.where(converged, "",
+    notes = np.where(res < cfg.newton_tol, "",
                      np.where(singular, "singular jacobian", "newton stalled above tolerance"))
-    return [
-        SingularPoint(m=m, coords=tuple(row), residual=float(res[r]),
-                      converged=bool(converged[r]), newton_iters=int(iters[r]),
-                      note=str(notes[r]))
-        for r, (m, row) in enumerate(zip(ms, x.tolist()))
-    ]
+    return x, res, iters, notes
+
+
+def _points(ms, x, res, iters, notes) -> list[SingularPoint]:
+    """The rows of x (R, n), res, iters and notes as SingularPoints labelled ms;
+    a row whose note is "" converged."""
+    return [SingularPoint(m, tuple(row), r, not note, k, note) for m, row, r, k, note
+            in zip(ms, x.tolist(), res.tolist(), iters.tolist(), notes.tolist())]
 
 
 def newton_refine(
@@ -184,21 +186,7 @@ def newton_refine(
     x = np.asarray(x0, dtype=complex)
     if x.shape != (field.n,):
         raise InputError(f"start point has shape {x.shape}, expected ({field.n},)")
-    return _newton_rows(field, x[None, :], cfg, [m])[0]
-
-
-def _check_int(name: str, value) -> None:
-    """Refuse a value that is not an integer (numpy integers pass, bool does not)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    """Refuse a value that is not a finite positive real number."""
-    if _check_real(name, value) <= 0:
-        raise InputError(f"{name} must be positive")
-    if not math.isfinite(value):  # nan and inf pass the sign test
-        raise InputError(f"{name} must be finite")
+    return _points([m], *_newton_rows(field, x[None, :], cfg))[0]
 
 
 def _check_indices(n: int, d: int, ms) -> int:
@@ -215,11 +203,12 @@ def _check_indices(n: int, d: int, ms) -> int:
 
 
 def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
-              cfg: RunConfig) -> list[list[SingularPoint] | ConvergenceError]:
+              cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Continue the unperturbed zeros of indices ms to every member base + alphas[s].
 
-    Entry s is member s's zeros in the order of ms, or the ConvergenceError
-    its tracking raises.  The rows are the (member, index) pairs, refined
+    Returns the zeros (S, count, n) in the order of ms, their residuals and
+    Newton iteration counts (S, count), and {s: ConvergenceError} for the
+    members that fail.  The rows are the (member, index) pairs, refined
     as one batch.  The parameter is ramped linearly in continuation steps:
     at stage k of `steps` every row still converging is refined from its
     previous stage's zero, on the base field plus its member's
@@ -229,53 +218,47 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     refinement.  The rows that fail are run again from their start points,
     as one batch across members, with the step count escalated by a factor
     of 4 (at most to 64); then a member's error names its smallest failing
-    index.  A member with alpha = 0 takes the closed-form zeros.
+    index.  A member with alpha = 0 takes the closed-form zeros, with the
+    base field's residuals there and no iteration.
     """
     count = len(ms)
-    one = len(alphas) * count == 1
-    base = None if one else jouanolou_field(n, d)
-    index = np.asarray(ms) - 1
+    index = np.tile(np.asarray(ms) - 1, len(alphas))  # row r is member r // count, zero index[r]
     start = closed_form_coords(n, d)
-    points = [None] * (len(alphas) * count)
-    perturbed = alphas.any(axis=1)
-    if not perturbed.all():
-        closed = closed_form_sing(n, d)
-        for s in np.flatnonzero(~perturbed).tolist():
-            points[s * count:(s + 1) * count] = [closed[i] for i in index.tolist()]
+    perturbed = np.repeat(alphas.any(axis=1), count)
+    todo, closed = np.flatnonzero(perturbed), np.flatnonzero(~perturbed)
+    base = None if len(todo) == 1 and not len(closed) else jouanolou_field(n, d)
+    x, res, iters = start[index], np.zeros(len(index)), np.zeros(len(index), dtype=int)
+    if len(closed):
+        res[closed] = np.max(np.abs(eval_field(base, start)), axis=1)[index[closed]]
     errors = {}
-    todo = np.flatnonzero(np.repeat(perturbed, count))  # row r is member r // count, ms[r % count]
     steps = cfg.continuation_steps
     while len(todo):
         active = todo
-        x = start[index[active % count]]
-        failed = []
+        xs = start[index[active]]
+        failed = {}  # row: note
         for stage in range(1, steps + 1):
-            labels = [ms[k] for k in (active % count).tolist()]
-            if one:
+            if base is None:
                 field = family_field(FoliationParams(n, d, tuple(alphas[0] * (stage / steps))))
-                refined = [newton_refine(field, x[0], cfg, m=labels[0])]
+                p = newton_refine(field, xs[0], cfg, m=ms[0])
+                xs, r, k, note = (np.array([v]) for v in (p.coords, p.residual, p.newton_iters, p.note))
             else:
-                refined = _newton_rows(base, x, cfg, labels, alphas[active // count] * (stage / steps))
-            ok = np.array([p.converged for p in refined])
-            failed += [(r, p) for r, p in zip(active.tolist(), refined) if not p.converged]
-            active = active[ok]
+                xs, r, k, note = _newton_rows(base, xs, cfg, alphas[active // count] * (stage / steps))
+            ok = note == ""
+            failed.update(zip(active[~ok].tolist(), note[~ok].tolist()))
+            active, xs = active[ok], xs[ok]
             if not len(active):
                 break
-            refined = [p for p in refined if p.converged]
-            x = np.array([p.coords for p in refined])
-        for r, p in zip(active.tolist(), refined):  # converged at every stage
-            points[r] = p
+        x[active], res[active], iters[active] = xs, r[ok], k[ok]  # converged at every stage
         if not failed:
             break
         if steps * 4 > 64:
-            for r, p in sorted(failed, key=lambda f: (f[0] // count, f[1].m)):
-                errors.setdefault(r // count, ConvergenceError(
-                    f"tracking failed for index m={p.m} at steps={steps}: {p.note}"))
+            for row, note in sorted(failed.items(), key=lambda f: (f[0] // count, ms[f[0] % count])):
+                errors.setdefault(row // count, ConvergenceError(
+                    f"tracking failed for index m={ms[row % count]} at steps={steps}: {note}"))
             break
-        todo = np.array(sorted(r for r, _ in failed))
+        todo = np.array(sorted(failed))
         steps *= 4
-    return [errors[s] if s in errors else points[s * count:(s + 1) * count]
-            for s in range(len(alphas))]
+    return x.reshape(len(alphas), count, n), res.reshape(-1, count), iters.reshape(-1, count), errors
 
 
 def _check_radius(alphas: np.ndarray, cfg: RunConfig) -> None:
@@ -308,10 +291,11 @@ def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoi
     """
     _check_radius(np.array([params.alpha]), cfg)
     _check_indices(params.n, params.d, ms)
-    (result,) = _continue(params.n, params.d, np.array([params.alpha]), list(ms), cfg)
-    if isinstance(result, ConvergenceError):
-        raise result
-    return result
+    ms = [int(m) for m in ms]
+    x, res, iters, errors = _continue(params.n, params.d, np.array([params.alpha]), ms, cfg)
+    if errors:
+        raise errors[0]
+    return _points(ms, x[0], res[0], iters[0], np.full(len(ms), ""))
 
 
 def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
@@ -338,26 +322,25 @@ def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
 
 
 def _track_members(n: int, d: int, alphas: np.ndarray,
-                   cfg: RunConfig) -> list[list[SingularPoint] | ConvergenceError | CollisionError]:
+                   cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """``track_singularities`` of the members base + alphas[s] of one (n, d),
     an (S, n) stack, tracked as one batch with one stacked collision scan.
 
-    Entry s is member s's zeros, or the ConvergenceError or CollisionError
-    that ``track_singularities`` raises for it; a member outside the
-    polydisk raises InputError for the whole call, naming its size.
+    Returns ``_continue``'s arrays over the indices 1..N and {s: the
+    ConvergenceError or CollisionError that ``track_singularities`` raises
+    for member s}; a member outside the polydisk raises InputError for the
+    whole call, naming its size.
     """
     _check_radius(alphas, cfg)
-    big_n = counts(n, d).N
-    results = _continue(n, d, alphas, list(range(1, big_n + 1)), cfg)
-    tracked = [s for s, r in enumerate(results) if isinstance(r, list)]
-    coords = np.array([[p.coords for p in results[s]] for s in tracked])
-    for s, (a, b, dist) in zip(tracked, _closest_pair(coords.reshape(len(tracked), big_n, n))):
+    x, res, iters, errors = _continue(n, d, alphas, list(range(1, counts(n, d).N + 1)), cfg)
+    tracked = [s for s in range(len(alphas)) if s not in errors]
+    for s, (a, b, dist) in zip(tracked, _closest_pair(x[tracked])):
         if dist <= cfg.dedup_tol:
-            results[s] = CollisionError(
-                f"tracked zeros m={results[s][a].m} and m={results[s][b].m} merged "
+            errors[s] = CollisionError(
+                f"tracked zeros m={a + 1} and m={b + 1} merged "
                 f"(separation {dist:.3e}); the perturbation left the safe polydisk"
             )
-    return results
+    return x, res, iters, errors
 
 
 def track_singularities(params: FoliationParams, cfg: RunConfig) -> list[SingularPoint]:
@@ -369,10 +352,10 @@ def track_singularities(params: FoliationParams, cfg: RunConfig) -> list[Singula
     within dedup_tol of each other (the parameter left the polydisk where
     zeros stay simple).
     """
-    (result,) = _track_members(params.n, params.d, np.array([params.alpha]), cfg)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    x, res, iters, errors = _track_members(params.n, params.d, np.array([params.alpha]), cfg)
+    if errors:
+        raise errors[0]
+    return _points(range(1, len(x[0]) + 1), x[0], res[0], iters[0], np.full(len(x[0]), ""))
 
 
 def first_order_point(n: int, d: int, m: int, alpha) -> np.ndarray:

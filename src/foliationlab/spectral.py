@@ -24,8 +24,8 @@ import numpy as np
 
 from .cpoly import PolyVectorField, jacobian
 from .errors import ConvergenceError, InputError, VerificationError
-from .jouanolou import SingularPoint
-from .solver import RunConfig, _check_int, _check_positive
+from .jouanolou import SingularPoint, _check_int, _check_positive
+from .solver import RunConfig
 
 DEGENERATE = "degenerate"
 NONDEGENERATE_ONLY = "nondegenerate_only"
@@ -241,7 +241,9 @@ def _class_codes(lams: np.ndarray, cfg: RunConfig) -> np.ndarray:
     return codes
 
 
-@lru_cache(maxsize=None)
+# at most 8 pairs: more than the distinct n one run scans, and the tables of
+# n = 15, max_order 8 alone hold 296 MB
+@lru_cache(maxsize=8)
 def _multi_indices(n: int, max_order: int) -> tuple[np.ndarray, ...]:
     """Read-only exponent vectors m with 2 <= |m| <= max_order (lexicographic)
     and, per kept (m, j) candidate of small_divisor_scan in row-major

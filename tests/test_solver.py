@@ -41,6 +41,22 @@ def _fields(p):
             p.newton_iters, p.note)
 
 
+def _row_points(rows, ms):
+    """A ``solver._newton_rows`` result as SingularPoints labelled ms: the one
+    place these tests read the kernel's return shape."""
+    return solver._points(ms, *rows)
+
+
+def _member_results(n, d, alphas, cfg):
+    """``solver._track_members`` as one entry per member, its SingularPoints or
+    the error it fails with: the one place these tests read its return shape."""
+    x, res, iters, errors = solver._track_members(n, d, alphas, cfg)
+    ms = range(1, x.shape[1] + 1)
+    return [errors[s] if s in errors else
+            solver._points(ms, x[s], res[s], iters[s], np.full(len(ms), ""))
+            for s in range(len(alphas))]
+
+
 @pytest.mark.parametrize("start", [np.zeros(3), np.zeros((1, 2)), np.zeros(())])
 def test_newton_refuses_a_start_of_the_wrong_shape(start):
     with pytest.raises(InputError, match=r"^start point has shape .*, expected \(2,\)$"):
@@ -80,7 +96,7 @@ def test_newton_batch_rows_match_one_point_runs():
     starts = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     starts[[2, 7]] = 0
     for cfg in (CFG, RunConfig(max_iters=4)):
-        batch = solver._newton_rows(f, starts, cfg, list(range(12)))
+        batch = _row_points(solver._newton_rows(f, starts, cfg), range(12))
         single = [newton_refine(f, x, cfg, m=m) for m, x in enumerate(starts)]
         assert [_fields(p) for p in batch] == [_fields(p) for p in single]
         assert {p.note for p in batch[2::5]} == {"singular jacobian"}
@@ -149,10 +165,11 @@ def test_only_failing_rows_escalate(monkeypatch):
     batches = []
     kernel = solver._newton_rows
 
-    def spy(field, x, cfg, ms, alpha):
-        points = kernel(field, x, cfg, ms, alpha)
-        batches.append((len(ms), sum(p.converged for p in points)))
-        return points
+    def spy(field, x, cfg, alpha):
+        rows = kernel(field, x, cfg, alpha)
+        points = _row_points(rows, range(len(x)))
+        batches.append((len(points), sum(p.converged for p in points)))
+        return rows
 
     cfg = RunConfig(max_iters=3)
     params = FoliationParams(3, 3, (0.05, 0.05j, -0.05))
@@ -240,10 +257,36 @@ def test_perturbation_outside_the_polydisk_is_refused(call):
 def test_member_stack_refuses_its_first_member_outside_the_polydisk():
     alphas = np.array([[0.01, 0.02j], [0.03, 0.07j], [0.09, 0], [0.05, -0.05]])
     with pytest.raises(InputError, match=r"^perturbation size 0\.07 exceeds"):
-        solver._track_members(2, 2, alphas, CFG)
-    (points,) = solver._track_members(2, 2, alphas[3:], CFG)  # on the boundary is inside
+        _member_results(2, 2, alphas, CFG)
+    (points,) = _member_results(2, 2, alphas[3:], CFG)  # on the boundary is inside
     assert [_fields(p) for p in points] == [
         _fields(p) for p in track_singularities(FoliationParams(2, 2, (0.05, -0.05)), CFG)]
+
+
+@pytest.mark.parametrize("dedup_tol,outcomes", [
+    (1.45, [list, list, ConvergenceError, CollisionError, list]),
+    (10.0, [CollisionError, CollisionError, ConvergenceError, CollisionError, CollisionError]),
+])
+def test_a_mixed_member_stack_is_each_member_alone(dedup_tol, outcomes):
+    # alpha = 0, tracked, failing to converge (FAILING_DRAW) and colliding: at
+    # dedup_tol 1.45 only the fourth member has two zeros that close (1.42 apart)
+    cfg = dataclasses.replace(STALLING, dedup_tol=dedup_tol)
+    alphas = [(0, 0, 0), (0.01, 0.02j, -0.01), FAILING_DRAW.alpha,
+              (0.03 - 0.04j, -0.04 + 0.03j, -0.05), (0, 0, 0)]
+    stacked = _member_results(3, 2, np.array(alphas), cfg)
+    kinds = []
+    for alpha, got in zip(alphas, stacked):
+        try:
+            want = track_singularities(FoliationParams(3, 2, alpha), cfg)
+        except (ConvergenceError, CollisionError) as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            kinds.append(type(exc))
+        else:
+            assert [_fields(p) for p in got] == [_fields(p) for p in want]
+            if not any(alpha):
+                assert [_fields(p) for p in got] == [_fields(p) for p in closed_form_sing(3, 2)]
+            kinds.append(list)
+    assert kinds == outcomes
 
 
 SMALL = FoliationParams(2, 2, (0.01, 0.02j))
@@ -272,8 +315,11 @@ def test_the_first_bad_index_names_the_error():
 
 def test_numpy_integer_indices_are_accepted():
     ms = np.arange(1, 8)[::-1]
-    assert [_fields(p) for p in track_zeros(SMALL, ms, CFG)] == [
-        _fields(track_one(SMALL, int(m), CFG)) for m in ms]
+    for params in (SMALL, FoliationParams(2, 2)):
+        points = track_zeros(params, ms, CFG)
+        assert [_fields(p) for p in points] == [
+            _fields(track_one(params, int(m), CFG)) for m in ms]
+        assert {type(p.m) for p in points} == {int}  # json.dumps refuses an np.int64
     assert np.array_equal(first_order_point(2, 2, np.int64(3), (0.01, 0)),
                           first_order_point(2, 2, 3, (0.01, 0)))
 
@@ -343,8 +389,9 @@ def test_line_search_of_rows_that_stall_above_tolerance_is_frozen(monkeypatch):
     monkeypatch.setattr(solver, "_evaluate", spy)
     start = np.array([p.coords for p in closed_form_sing(3, 3)])
     const = np.tile(np.array([0.03, 0.02j, -0.01]), (len(start), 1))
-    points = solver._newton_rows(jouanolou_field(3, 3), start, RunConfig(newton_tol=4e-16, max_iters=5),
-                                 list(range(1, len(start) + 1)), const)
+    points = _row_points(solver._newton_rows(jouanolou_field(3, 3), start,
+                                             RunConfig(newton_tol=4e-16, max_iters=5), const),
+                         range(1, len(start) + 1))
     assert (len(calls), sum(calls)) == (46, 278)
     assert sum(p.note == "newton stalled above tolerance" for p in points) == 8
     digest = hashlib.sha256(b"".join(repr(_fields(p)).encode() for p in points))
@@ -382,9 +429,9 @@ def test_base_field_plus_alpha_is_the_member_field_bitwise(n, d):
         const = np.tile(np.array(alpha), (len(x), 1))
         assert solver._evaluate(base, x, 0, n, const).tobytes() == eval_field(member, x).tobytes()
         for cfg in (CFG, RunConfig(max_iters=3)):
-            shifted = solver._newton_rows(base, start, cfg, ms, const[:len(start)])
+            shifted = _row_points(solver._newton_rows(base, start, cfg, const[:len(start)]), ms)
             assert [_fields(p) for p in shifted] == [
-                _fields(p) for p in solver._newton_rows(member, start, cfg, ms)]
+                _fields(p) for p in _row_points(solver._newton_rows(member, start, cfg), ms)]
 
 
 def test_tracking_on_the_base_field_is_frozen():

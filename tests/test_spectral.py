@@ -422,6 +422,20 @@ def test_scan_tables_are_read_only():
     assert after.c_min == pytest.approx(2.0, abs=1e-12)
 
 
+def test_scan_table_cache_drops_the_oldest_pair():
+    spectral._multi_indices.cache_clear()
+    kept = spectral._multi_indices.cache_info().maxsize
+    assert kept is not None and 5 < kept <= 16  # more than the 5 pairs a benchmark run scans
+    pairs = [(n, 3) for n in range(2, kept + 3)]  # one more than it keeps
+    for pair in pairs:
+        spectral._multi_indices(*pair)
+    assert spectral._multi_indices.cache_info().currsize == kept
+    spectral._multi_indices(*pairs[-1])
+    assert spectral._multi_indices.cache_info().hits == 1
+    spectral._multi_indices(*pairs[0])  # built again: it was dropped
+    assert spectral._multi_indices.cache_info().misses == len(pairs) + 1
+
+
 @pytest.mark.parametrize("n,d,seed", [(3, 2, None), (3, 2, 605), (4, 3, 606)])
 def test_spectrum_reports_equal_one_report_each(n, d, seed):
     params = FoliationParams(n, d, (0j,) * n) if seed is None else _member(n, d, seed)
