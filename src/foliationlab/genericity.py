@@ -27,6 +27,7 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import (
     FoliationParams,
     SingularPoint,
+    _check_int,
     _check_real,
     _check_vector,
     closed_form_sing,
@@ -85,26 +86,28 @@ def expected_det_modulus(n: int, d: int) -> float:
 
 
 def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> list[SubmersionReport]:
-    """Reports at the zeros ms, in order: each probe member tracks all of
-    ms as one batch, with the base field's Jacobian (every member's) for
-    the coefficients, and the certificates come from the (len(ms), n, n)
-    stack of parameter Jacobians."""
+    """Reports at the zeros ms, in order: every probe member tracks ms, all
+    as one batch (a failure raises the first failing member's error), the
+    base field's Jacobian (every member's) gives the coefficients, and the
+    certificates come from the (len(ms), n, n) stack of parameter Jacobians."""
     # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
     # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
     stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
     if stencil not in stencils:
         raise InputError(f"unknown stencil {stencil!r}")
     nodes = stencils[stencil]
-    base = jouanolou_field(n, d)
+    base = jouanolou_field(n, d)  # refuses an oversized member before any n-sized array
     h = cfg.fd_step
-    jacs = np.zeros((len(ms), n, n), dtype=complex)
-    for j in range(n):
-        for node, weight in nodes:
-            point = [0j] * n
-            point[j] = h * node
-            points = track_zeros(FoliationParams(n, d, point), ms, cfg)
-            jacs[:, :, j] += char_poly_direct(base, np.array([p.coords for p in points])) * weight
-        jacs[:, :, j] /= len(nodes) * h
+    probes = np.zeros((n * len(nodes), n), dtype=complex)  # member j P + k: alpha_j = h nodes[k]
+    probes.reshape(n, len(nodes), n)[range(n), :, range(n)] = [h * node for node, _ in nodes]
+    solver._check_radius(probes, cfg)
+    solver._check_indices(n, d, ms)
+    x, _, _, errors = solver._continue(n, d, probes, ms, cfg)
+    if errors:
+        raise errors[min(errors)]
+    sigma = char_poly_direct(base, x.reshape(-1, n)).reshape(n, len(nodes), len(ms), n)
+    # each column summed node by node in stencil order; jacs[r, i, j] is at zero ms[r]
+    jacs = sum(s * w for s, (_, w) in zip(sigma.transpose(1, 2, 3, 0), nodes)) / (len(nodes) * h)
     expected = expected_det_modulus(n, d)
     dets = np.linalg.det(jacs)
     # np.hypot, not np.abs, is bitwise Python's abs of a complex
@@ -140,11 +143,9 @@ def submersion_report(
 def submersion_all(n: int, d: int, cfg: RunConfig, stencil: str = "central") -> list[SubmersionReport]:
     """Reports for every zero index, asserting the modulus is m-independent.
 
-    Each report is bitwise ``submersion_report`` at its index.  The zeros
-    of each probe member are tracked as one batch, so when tracking fails
-    at several indices in different probe members, the ConvergenceError
-    names the smallest failing index of the first failing member, which
-    need not be the smallest failing index overall.
+    Each report is bitwise ``submersion_report`` at its index.  A
+    ConvergenceError names the first failing probe member's smallest
+    failing index, which need not be the smallest failing index overall.
     """
     big_n = counts(n, d).N
     reports = _submersion_reports(n, d, range(1, big_n + 1), cfg, stencil)
@@ -308,8 +309,8 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     distance |r - <r, u> u|, r = p_c - p_a, is below align_tol.  Pairs
     are visited in (a, b) order, and a pair already inside an earlier
     record is skipped.  Each record keeps the first pair's p_a and u and
-    the largest member distance.  d >= 2 is required because two points
-    are always aligned.  Records are deduplicated by index set and sorted.
+    the largest member distance.  d must be an integer >= 2 (two points
+    are always aligned).  Records are deduplicated by index set and sorted.
 
     The pair test costs O(N n) and almost no pair passes it, so pairs are
     first screened with the Gram matrix G = P P^H of the points, scaled by
@@ -332,6 +333,7 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     Time is O(N^3) array work plus O(N n) per screened pair, memory about
     64 N^2 bytes; more than CENSUS_MAX_POINTS points raise InputError.
     """
+    _check_int("d", d)
     if d < 2:
         raise InputError("alignment census needs d >= 2 (every pair is a line)")
     if len(points) < d + 1:
@@ -508,13 +510,8 @@ def defect_experiment(
         defects.append(abs((u[1] - u[0]) * (w[2] - w[0]) - (u[2] - u[0]) * (w[1] - w[0])))
     with np.errstate(divide="ignore"):
         slope = float(np.polyfit(np.log(mu_grid), np.log(defects), 1)[0])
-    return DefectResult(
-        slope=slope,
-        mus=mu_grid,
-        defects=tuple(defects),
-        nu=nu,
-        coord_pair=(u_idx, w_idx),
-    )
+    return DefectResult(slope=slope, mus=mu_grid, defects=tuple(defects), nu=nu,
+                        coord_pair=(u_idx, w_idx))
 
 
 @dataclass

@@ -178,6 +178,13 @@ class SingularPoint:
     note: str = ""
 
 
+def _points(ms, x, res, iters, notes) -> list[SingularPoint]:
+    """The rows of x (R, n), res, iters and notes as SingularPoints labelled ms;
+    a row whose note is "" converged."""
+    return [SingularPoint(m, tuple(row), r, not note, k, note) for m, row, r, k, note
+            in zip(ms, x.tolist(), res.tolist(), iters.tolist(), notes.tolist())]
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Power k of the symmetry generator, acting by x_i -> xi^weights_i x_i.
@@ -248,11 +255,8 @@ def closed_form_sing(n: int, d: int) -> list[SingularPoint]:
     (see ``closed_form_coords``), with their residuals."""
     coords = closed_form_coords(n, d)
     residual = np.max(np.abs(eval_field(jouanolou_field(n, d), coords)), axis=1)
-    return [
-        SingularPoint(m=m, coords=tuple(row), residual=float(res), converged=True,
-                      newton_iters=0)
-        for m, (row, res) in enumerate(zip(coords.tolist(), residual), start=1)
-    ]
+    big_n = len(coords)
+    return _points(range(1, big_n + 1), coords, residual, np.zeros(big_n, int), np.full(big_n, ""))
 
 
 def generator_weights(n: int, d: int) -> tuple[int, ...]:

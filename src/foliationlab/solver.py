@@ -39,6 +39,7 @@ from .jouanolou import (
     _check_int,
     _check_positive,
     _geom,
+    _points,
     closed_form_coords,
     counts,
     family_field,
@@ -161,13 +162,6 @@ def _newton_rows(
     notes = np.where(res < cfg.newton_tol, "",
                      np.where(singular, "singular jacobian", "newton stalled above tolerance"))
     return x, res, iters, notes
-
-
-def _points(ms, x, res, iters, notes) -> list[SingularPoint]:
-    """The rows of x (R, n), res, iters and notes as SingularPoints labelled ms;
-    a row whose note is "" converged."""
-    return [SingularPoint(m, tuple(row), r, not note, k, note) for m, row, r, k, note
-            in zip(ms, x.tolist(), res.tolist(), iters.tolist(), notes.tolist())]
 
 
 def newton_refine(

@@ -1,6 +1,7 @@
 """Submersion checks, derivative tables, alignment census, defect slopes, sampling."""
 
 import gc
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -37,6 +38,7 @@ from foliationlab import (
     submersion_report,
     track_one,
     track_singularities,
+    track_zeros,
     unit_root,
 )
 from foliationlab.errors import VerificationError
@@ -138,8 +140,69 @@ def test_submersion_all_equals_one_zero_at_a_time_reference(n, d, stencil):
         reports[1].jac.tobytes(), reports[1].det, reports[1].sv_min)
 
 
+
+def test_probe_layer_is_frozen():
+    # digest taken when every probe member was tracked by its own track_zeros call
+    h = hashlib.sha256()
+    for n, d in [(2, 2), (3, 2)]:
+        for stencil in ("central", "cauchy4"):
+            for m in range(1, counts(n, d).N + 1):
+                r = submersion_report(n, d, m, CFG, stencil)
+                h.update(r.jac.tobytes() + np.array([r.det, r.sv_min, r.sv_max, r.rel_error]).tobytes())
+    for n, d in [(2, 2), (3, 2), (2, 3)]:
+        for e in coeff_derivative_table(n, d, CFG):
+            h.update(repr((e.i, e.j, e.fd, e.formula, e.rel_error)).encode())
+    for alpha in [(0, 0, 0), (0.01, 0.02j, -0.005)]:
+        h.update(char_coeff_map(3, 2, 4, alpha, CFG).tobytes())
+    assert h.hexdigest() == "10b7646086fee08e67073f367441d41f9913266b15b220b2413ac42fbd94a3eb"
+
+
+@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
+def test_submersion_refuses_a_step_outside_the_polydisk(stencil):
+    cfg = RunConfig(fd_step=0.06)
+    for call in (lambda: submersion_report(2, 2, 7, cfg, stencil), lambda: submersion_all(3, 2, cfg, stencil)):
+        with pytest.raises(InputError, match=r"^perturbation size 0\.06 exceeds "
+                           r"the tracked polydisk radius 0\.05$"):
+            call()
+
+
+@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
+def test_submersion_raises_the_first_probe_members_tracking_error(stencil):
+    # no probe member converges: the error is the first member's, alpha = (h, 0)
+    cfg = RunConfig(newton_tol=1e-17, max_iters=2)
+    first = FoliationParams(2, 2, (cfg.fd_step, 0))
+    for ms, call in (([7], lambda: submersion_report(2, 2, 7, cfg, stencil)),
+                     (range(1, 8), lambda: submersion_all(2, 2, cfg, stencil))):
+        with pytest.raises(ConvergenceError) as want:
+            track_zeros(first, ms, cfg)
+        assert str(want.value) == "tracking failed for index m=%d at steps=64: " \
+            "newton stalled above tolerance" % ms[0]
+        with pytest.raises(ConvergenceError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+def test_submersion_refuses_an_oversized_member_before_any_probe_array():
+    # an (n, n) complex probe stack at n = 3001 would take about 290 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"^member \(n, d\) = \(3001, 1\) is too large"):
+            submersion_report(3001, 1, 1, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
-    calls = {"track_zeros": 0, "track_one": 0}
+    batches, calls = [], {"track_zeros": 0, "track_one": 0}
+    real_continue = solver._continue
+
+    def continue_spy(n, d, alphas, ms, cfg):
+        batches.append((len(alphas), len(ms)))
+        return real_continue(n, d, alphas, ms, cfg)
+
+    monkeypatch.setattr(solver, "_continue", continue_spy)
     for name in calls:
         real = getattr(genericity, name)
 
@@ -149,7 +212,9 @@ def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
 
         monkeypatch.setattr(genericity, name, spy)
     submersion_all(3, 2, CFG)
-    assert calls == {"track_zeros": 6, "track_one": 0}
+    submersion_report(3, 2, 4, CFG, "cauchy4")
+    assert batches == [(6, 15), (12, 1)]
+    assert calls == {"track_zeros": 0, "track_one": 0}
 
 
 def test_submersion_all_refuses_its_first_modulus_miss():
@@ -293,6 +358,19 @@ def test_census_rejects_d_one():
     with pytest.raises(InputError):
         alignment_census(closed_form_sing(2, 1), 1, CFG)
 
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, "2", True])
+def test_census_refuses_a_d_that_is_not_an_integer(d):
+    with pytest.raises(InputError, match=r"^d must be an integer, got "):
+        alignment_census(closed_form_sing(3, 2), d, CFG)
+
+
+def test_census_takes_a_numpy_integer_d():
+    records = alignment_census(closed_form_sing(3, 2), np.int64(2), CFG)
+    assert [(r.indices, r.residual) for r in records] == [
+        (r.indices, r.residual) for r in alignment_census(closed_form_sing(3, 2), 2, CFG)]
+    assert len(records) == 5
 
 def test_census_rejects_fewer_than_d_plus_one_points():
     with pytest.raises(InputError, match=r"^need at least d \+ 1 = 3 points, got 2$"):

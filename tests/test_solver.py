@@ -15,6 +15,7 @@ from foliationlab import (
     InputError,
     RunConfig,
     closed_form_sing,
+    coeff_derivative_table,
     counts,
     defect_experiment,
     eval_field,
@@ -352,6 +353,8 @@ def test_only_one_index_calls_refine_through_newton_refine(monkeypatch):
     track_zeros(params, [5, 2], cfg)
     track_singularities(params, cfg)
     submersion_all(2, 2, CFG)
+    submersion_report(2, 2, 7, CFG)
+    coeff_derivative_table(2, 2, CFG)
     assert refined == []
 
 
