@@ -25,10 +25,12 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, VerificationError
 from .jouanolou import (
+    MEMBER_MAX_ENTRIES,
     FoliationParams,
     SingularPoint,
     _check_int,
     _check_real,
+    _check_sequence,
     _check_vector,
     closed_form_sing,
     counts,
@@ -86,10 +88,10 @@ def expected_det_modulus(n: int, d: int) -> float:
 
 
 def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> list[SubmersionReport]:
-    """Reports at the zeros ms, in order: every probe member tracks ms, all
-    as one batch (a failure raises the first failing member's error), the
-    base field's Jacobian (every member's) gives the coefficients, and the
-    certificates come from the (len(ms), n, n) stack of parameter Jacobians."""
+    """Reports at the zeros ms, in order: the probe members track ms in batches
+    of at most MEMBER_MAX_ENTRIES Jacobian entries (a failure raises the first
+    failing member's error), the base field's Jacobian gives the coefficients,
+    and the certificates come from the (len(ms), n, n) parameter Jacobians."""
     # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
     # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
     stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
@@ -100,12 +102,14 @@ def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> lis
     h = cfg.fd_step
     probes = np.zeros((n * len(nodes), n), dtype=complex)  # member j P + k: alpha_j = h nodes[k]
     probes.reshape(n, len(nodes), n)[range(n), :, range(n)] = [h * node for node, _ in nodes]
-    solver._check_radius(probes, cfg)
-    solver._check_indices(n, d, ms)
-    x, _, _, errors = solver._continue(n, d, probes, ms, cfg)
-    if errors:
-        raise errors[min(errors)]
-    sigma = char_poly_direct(base, x.reshape(-1, n)).reshape(n, len(nodes), len(ms), n)
+    sigma = np.empty((len(probes), len(ms), n), dtype=complex)
+    batch = max(1, MEMBER_MAX_ENTRIES // (len(ms) * n * n))  # no batch outgrows the largest member
+    for lo in range(0, len(probes), batch):
+        x, _, _, errors = solver._continue(n, d, probes[lo:lo + batch], ms, cfg)
+        if errors:
+            raise errors[min(errors)]
+        sigma[lo:lo + batch] = char_poly_direct(base, x.reshape(-1, n)).reshape(x.shape)
+    sigma = sigma.reshape(n, len(nodes), len(ms), n)
     # each column summed node by node in stencil order; jacs[r, i, j] is at zero ms[r]
     jacs = sum(s * w for s, (_, w) in zip(sigma.transpose(1, 2, 3, 0), nodes)) / (len(nodes) * h)
     expected = expected_det_modulus(n, d)
@@ -336,6 +340,7 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     _check_int("d", d)
     if d < 2:
         raise InputError("alignment census needs d >= 2 (every pair is a line)")
+    points = _check_sequence("points", points)
     if len(points) < d + 1:
         raise InputError(f"need at least d + 1 = {d + 1} points, got {len(points)}")
     if len(points) > CENSUS_MAX_POINTS:
@@ -483,7 +488,7 @@ def defect_experiment(
     size = max(abs(v) for v in nu)
     if size == 0:
         raise InputError("nu must be nonzero")
-    mu_grid = tuple(float(_check_real("mu", mu)) for mu in mu_grid)
+    mu_grid = tuple(float(_check_real("mu", mu)) for mu in _check_sequence("mu_grid", mu_grid))
     if len(mu_grid) < 2:
         raise InputError("need at least two mu values to fit a slope")
     if len(set(mu_grid)) < 2:
@@ -493,13 +498,12 @@ def defect_experiment(
             raise InputError(
                 f"mu = {mu} outside (0, {cfg.radius / size:.3g}] for this nu"
             )
-    if coord_pair is None:
-        coord_pair = (1, n)
-    if (len(coord_pair) != 2 or coord_pair[0] == coord_pair[1]
+    pair = (1, n) if coord_pair is None else _check_sequence("coordinate pair", coord_pair)
+    if (len(pair) != 2 or pair[0] == pair[1]
             or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= n
-                       for i in coord_pair)):
+                       for i in pair)):
         raise InputError(f"coordinate pair {coord_pair} must be two distinct integers in [1, {n}]")
-    u_idx, w_idx = coord_pair
+    u_idx, w_idx = pair
 
     defects = []
     for mu in mu_grid:

@@ -89,9 +89,17 @@ def _check_complex(name: str, value) -> complex:
     raise InputError(f"{name} must be a number, got {value!r}")
 
 
+def _check_sequence(name: str, values) -> tuple:
+    """tuple(values), after refusing a value that cannot be iterated, such as a scalar."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, got {values!r}") from None
+
+
 def _check_vector(name: str, values, n: int) -> tuple[complex, ...]:
     """values as a tuple of n finite complex numbers, each checked by ``_check_complex``."""
-    vector = tuple(_check_complex(f"{name} entry", v) for v in values)
+    vector = tuple(_check_complex(f"{name} entry", v) for v in _check_sequence(name, values))
     if len(vector) != n:
         raise InputError(f"{name} has {len(vector)} entries, expected {n}")
     if not all(map(cmath.isfinite, vector)):
@@ -158,7 +166,7 @@ class FoliationParams:
     def __post_init__(self):
         _check_nd(self.n, self.d)
         _member_order(self.n, self.d)
-        alpha = tuple(self.alpha) or (0j,) * self.n
+        alpha = _check_sequence("alpha", self.alpha) or (0j,) * self.n
         object.__setattr__(self, "alpha", _check_vector("alpha", alpha, self.n))
 
 

@@ -184,10 +184,14 @@ def newton_refine(
 
 
 def _check_indices(n: int, d: int, ms) -> int:
-    """N at (n, d), after checking that ms is a non-empty list of integer
+    """N at (n, d), after checking that ms is a non-empty sequence of integer
     indices of the N zeros in [1, N] (bool refused)."""
     big_n = counts(n, d).N
-    if not len(ms):
+    try:
+        size = len(ms)
+    except TypeError:  # a scalar, or an iterator that cannot be indexed
+        raise InputError(f"zero indices must be a sequence, got {ms!r}") from None
+    if not size:
         raise InputError("no zero index given")
     for m in ms:
         _check_int("index m", m)
@@ -202,9 +206,10 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
 
     Returns the zeros (S, count, n) in the order of ms, their residuals and
     Newton iteration counts (S, count), and {s: ConvergenceError} for the
-    members that fail.  The rows are the (member, index) pairs, refined
-    as one batch.  The parameter is ramped linearly in continuation steps:
-    at stage k of `steps` every row still converging is refined from its
+    members that fail; a member outside the polydisk, then a bad ms, raises
+    InputError first.  The rows are the (member, index) pairs, refined as
+    one batch.  The parameter is ramped linearly in continuation steps: at
+    stage k of `steps` every row still converging is refined from its
     previous stage's zero, on the base field plus its member's
     alpha * (k / steps), so the field is built once per call.  A call with
     one row refines each stage through the public ``newton_refine`` on the
@@ -212,9 +217,10 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     refinement.  The rows that fail are run again from their start points,
     as one batch across members, with the step count escalated by a factor
     of 4 (at most to 64); then a member's error names its smallest failing
-    index.  A member with alpha = 0 takes the closed-form zeros, with the
-    base field's residuals there and no iteration.
+    index.  An alpha = 0 member takes the closed-form zeros, no iteration.
     """
+    _check_radius(alphas, cfg)
+    _check_indices(n, d, ms)
     count = len(ms)
     index = np.tile(np.asarray(ms) - 1, len(alphas))  # row r is member r // count, zero index[r]
     start = closed_form_coords(n, d)
@@ -223,7 +229,7 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     base = None if len(todo) == 1 and not len(closed) else jouanolou_field(n, d)
     x, res, iters = start[index], np.zeros(len(index)), np.zeros(len(index), dtype=int)
     if len(closed):
-        res[closed] = np.max(np.abs(eval_field(base, start)), axis=1)[index[closed]]
+        res[closed] = np.max(np.abs(eval_field(base, start[index[closed]])), axis=1)
     errors = {}
     steps = cfg.continuation_steps
     while len(todo):
@@ -283,13 +289,10 @@ def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoi
     collision scan is made.  An alpha outside the polydisk, an empty ms,
     or an index that is not an integer in [1, N] raises InputError.
     """
-    _check_radius(np.array([params.alpha]), cfg)
-    _check_indices(params.n, params.d, ms)
-    ms = [int(m) for m in ms]
     x, res, iters, errors = _continue(params.n, params.d, np.array([params.alpha]), ms, cfg)
     if errors:
         raise errors[0]
-    return _points(ms, x[0], res[0], iters[0], np.full(len(ms), ""))
+    return _points([int(m) for m in ms], x[0], res[0], iters[0], np.full(len(ms), ""))
 
 
 def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
@@ -325,7 +328,6 @@ def _track_members(n: int, d: int, alphas: np.ndarray,
     for member s}; a member outside the polydisk raises InputError for the
     whole call, naming its size.
     """
-    _check_radius(alphas, cfg)
     x, res, iters, errors = _continue(n, d, alphas, list(range(1, counts(n, d).N + 1)), cfg)
     tracked = [s for s in range(len(alphas)) if s not in errors]
     for s, (a, b, dist) in zip(tracked, _closest_pair(x[tracked])):

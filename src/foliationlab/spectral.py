@@ -36,6 +36,8 @@ _CLASSES = (HYPERBOLIC, NONDEGENERATE_ONLY, INCONCLUSIVE, DEGENERATE)
 
 # A divisor below this is treated as an exact resonance at the scanned order.
 RESONANCE_TOL = 1e-10
+# A ratio's |Im| at or below this is rounding noise: the ratio is real.
+REAL_FLOOR = 64 * np.finfo(float).eps
 # Agreement required between the two closed coefficient routes.
 CLOSED_FORM_TOL = 1e-10
 
@@ -202,8 +204,8 @@ def classify(lams, cfg: RunConfig) -> str:
 
     degenerate          some |lam_j| <= tol_nd
     hyperbolic          every pairwise ratio is non-real by more than tol_hyp
-    inconclusive        some ratio sits inside (0, tol_hyp] of the real axis
-    nondegenerate_only  some ratio is exactly real, none merely borderline
+    inconclusive        some ratio sits inside (REAL_FLOOR, tol_hyp] of the real axis
+    nondegenerate_only  some ratio is real (|Im| <= REAL_FLOOR), none merely borderline
 
     Each ratio is evaluated with the larger-modulus eigenvalue in the
     denominator so its modulus stays at most one.
@@ -221,14 +223,14 @@ def classify(lams, cfg: RunConfig) -> str:
             near.append(im)
     if not near:
         return HYPERBOLIC
-    return INCONCLUSIVE if any(near) else NONDEGENERATE_ONLY
+    return INCONCLUSIVE if any(not im <= REAL_FLOOR for im in near) else NONDEGENERATE_ONLY
 
 
 def _class_codes(lams: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """classify of every row of an (R, n) eigenvalue stack, as indices into
     _CLASSES, bitwise the scalar rule: pairs in ``combinations`` order, a
     swap only when the modulus (np.hypot, bitwise Python's abs of a complex)
-    is strictly larger, and a nan |Im| counted as near and as nonzero."""
+    is strictly larger, and a nan |Im| counted as near and above REAL_FLOOR."""
     j, l = np.triu_indices(lams.shape[1], 1)
     a, b = lams[:, j], lams[:, l]
     swap = np.hypot(a.real, a.imag) > np.hypot(b.real, b.imag)
@@ -236,7 +238,7 @@ def _class_codes(lams: np.ndarray, cfg: RunConfig) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows divide by 0
         im = np.abs((a / b).imag)
     near = ~(im > cfg.tol_hyp)
-    codes = near.any(axis=1).astype(np.intp) + (near & (im != 0)).any(axis=1)
+    codes = near.any(axis=1).astype(np.intp) + (near & ~(im <= REAL_FLOOR)).any(axis=1)
     codes[(np.abs(lams) <= cfg.tol_nd).any(axis=1)] = _CLASSES.index(DEGENERATE)
     return codes
 

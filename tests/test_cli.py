@@ -84,6 +84,31 @@ def test_submersion_warns_and_exits_one_on_a_small_modulus_miss(capsys):
     assert doc["payload"][0]["rel_error"] == pytest.approx(1.2751e-04, rel=1e-4)
 
 
+def test_submersion_warns_and_exits_one_on_a_failed_rank_certificate(capsys, monkeypatch):
+    # sv_min <= RANK_GAP sv_max for every report once the gap is 1
+    monkeypatch.setattr(cli, "RANK_GAP", 1.0)
+    code, doc = _json(capsys, ["submersion", "--n", "2", "--d", "2", "--m", "all"])
+    assert code == 1
+    assert doc["warnings"] == [f"m={m}: rank certificate failed (singular value gap)"
+                               for m in range(1, 8)]
+    assert doc["payload"] == json.loads(json.dumps(_jsonable(submersion_all(2, 2, RunConfig()))))
+
+
+def test_spectrum_warns_on_nearly_repeated_eigenvalues(capsys, monkeypatch):
+    seen = []
+
+    def close(lams):
+        seen.append(len(lams))
+        return 2.5e-7
+
+    monkeypatch.setattr(cli, "min_separation", close)
+    code, doc = _json(capsys, ["spectrum", "--n", "2", "--d", "2", "--m", "3"])
+    assert (code, seen) == (0, [2])
+    assert doc["warnings"] == ["m=3: eigenvalues nearly repeated (separation 2.500e-07); "
+                               "root conditioning is poor near the discriminant"]
+    assert [rep["m"] for rep in doc["payload"]] == [3]
+
+
 def test_derivs_mismatch_exits_one_with_the_table(capsys):
     cfg = RunConfig(fd_step=0.04)
     with pytest.raises(VerificationError) as info:

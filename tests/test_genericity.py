@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -217,6 +218,79 @@ def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
     assert calls == {"track_zeros": 0, "track_one": 0}
 
 
+def _continue_batches(monkeypatch):
+    # the (members, indices) of every solver._continue call from here on
+    batches = []
+    real_continue = solver._continue
+
+    def continue_spy(n, d, alphas, ms, cfg):
+        batches.append((len(alphas), len(ms)))
+        return real_continue(n, d, alphas, ms, cfg)
+
+    monkeypatch.setattr(solver, "_continue", continue_spy)
+    return batches
+
+
+def _probe_outputs(cfg):
+    # every probe-layer result as bytes, or the class and text of its error
+    out = []
+    for call in (lambda: submersion_all(3, 2, cfg), lambda: submersion_all(2, 3, cfg, "cauchy4"),
+                 lambda: [submersion_report(3, 2, 4, cfg, "cauchy4")],
+                 lambda: [submersion_report(2, 2, 7, cfg)]):
+        try:
+            out += [(r.m, r.jac.tobytes(), r.det, r.rel_error, r.sv_min, r.sv_max) for r in call()]
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
+    try:
+        out += [(e.i, e.j, e.fd, e.formula, e.rel_error) for e in coeff_derivative_table(3, 2, cfg)]
+    except Exception as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("cfg", [CFG, RunConfig(fd_step=1e-3), RunConfig(newton_tol=1e-17, max_iters=2)],
+                         ids=["default", "wide-step", "stalling"])
+def test_probe_members_split_into_one_member_batches_bitwise(monkeypatch, cfg):
+    whole = _probe_outputs(cfg)
+    if cfg.max_iters == 2:
+        assert {o[0] for o in whole} == {"ConvergenceError"}
+    batches = _continue_batches(monkeypatch)
+    monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", 1)
+    assert _probe_outputs(cfg) == whole
+    if cfg.max_iters == 2:  # each report stops at its first member
+        assert batches == [(1, 15), (1, 13), (1, 1), (1, 1), (1, 1)]
+    else:  # submersion_all(3, 2), (2, 3) with cauchy4, two reports, the table at m = 15
+        assert batches == [(1, 15)] * 6 + [(1, 13)] * 8 + [(1, 1)] * (12 + 4 + 6)
+
+
+def test_probe_batches_hold_at_most_the_member_limit(monkeypatch):
+    # (3, 2) with cauchy4: 12 probe members of 15 zeros, 135 Jacobian entries each
+    batches = _continue_batches(monkeypatch)
+    for limit, want in [(135 * 12, [12]), (135 * 4, [4, 4, 4]), (135 * 5 - 1, [4, 4, 4]),
+                        (135 * 5, [5, 5, 2]), (134, [1] * 12)]:
+        monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", limit)
+        batches.clear()
+        submersion_all(3, 2, CFG, "cauchy4")
+        assert batches == [(members, 15) for members in want], limit
+
+
+def test_probe_memory_does_not_grow_with_the_stencil(monkeypatch):
+    # one member per batch: cauchy4's 8 members peak near central's 4 (about
+    # 3.5 against 3.3 MiB); one batch of all members would double the peak
+    n, d = 2, 60
+    monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", counts(n, d).N * n * n)
+    peaks = {}
+    for stencil in ("central", "cauchy4"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            submersion_all(n, d, CFG, stencil)
+            peaks[stencil] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["cauchy4"] <= 1.25 * peaks["central"], peaks
+
+
 def test_submersion_all_refuses_its_first_modulus_miss():
     # at fd_step = 1e-13 rounding swamps the step: m = 1 already misses by 1.9e-3
     with pytest.raises(VerificationError, match=r"^determinant modulus 9\.12529 misses certified "
@@ -371,6 +445,14 @@ def test_census_takes_a_numpy_integer_d():
     assert [(r.indices, r.residual) for r in records] == [
         (r.indices, r.residual) for r in alignment_census(closed_form_sing(3, 2), 2, CFG)]
     assert len(records) == 5
+
+def test_census_skips_a_pair_of_coincident_points():
+    # the pair (p1, p1 relabelled 99) spans no line; (p1, p2) then holds all three
+    p1, p2 = closed_form_sing(3, 2)[:2]
+    records = alignment_census([p1, replace(p1, m=99), p2], 2, CFG)
+    assert [r.indices for r in records] == [(1, 2, 99)]
+    assert records[0].line_point.tolist() == list(p1.coords)
+
 
 def test_census_rejects_fewer_than_d_plus_one_points():
     with pytest.raises(InputError, match=r"^need at least d \+ 1 = 3 points, got 2$"):
@@ -695,6 +777,31 @@ def test_defect_refuses_bad_rays(nu, mus, message):
 def test_defect_rejects_a_coord_pair_that_is_not_two_indices(pair):
     with pytest.raises(InputError, match="must be two distinct integers in"):
         defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=pair)
+
+
+@pytest.mark.parametrize("call,name,value", [
+    (lambda: FoliationParams(2, 2, 0.01), "alpha", "0.01"),
+    (lambda: defect_experiment(3, 2, 1, MU_GRID, CFG), "nu", "1"),
+    (lambda: defect_experiment(3, 2, (0, 1, 0), 0.01, CFG), "mu_grid", "0.01"),
+    (lambda: defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=5), "coordinate pair", "5"),
+    (lambda: track_zeros(FoliationParams(2, 2), 3, CFG), "zero indices", "3"),
+    (lambda: track_zeros(FoliationParams(2, 2), np.int64(3), CFG), "zero indices", repr(np.int64(3))),
+    (lambda: alignment_census(None, 2, CFG), "points", "None"),
+], ids=["alpha", "nu", "mu_grid", "coord_pair", "ms", "numpy-ms", "points"])
+def test_a_scalar_where_a_sequence_belongs_is_an_input_error(call, name, value):
+    with pytest.raises(InputError, match=f"^{name} must be a sequence, got {re.escape(value)}$"):
+        call()
+
+
+def test_an_index_iterator_without_a_length_is_an_input_error():
+    with pytest.raises(InputError, match="^zero indices must be a sequence, got <generator"):
+        track_zeros(FoliationParams(2, 2), (m for m in [1, 2]), CFG)
+
+
+def test_defect_reads_a_coord_pair_iterator_once():
+    want = defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=(1, 3))
+    got = defect_experiment(3, 2, (0, 1, 0), MU_GRID, CFG, coord_pair=iter([1, 3]))
+    assert (got.coord_pair, got.defects) == (want.coord_pair, want.defects)
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (3, 1)])

@@ -264,6 +264,19 @@ def test_member_stack_refuses_its_first_member_outside_the_polydisk():
         _fields(p) for p in track_singularities(FoliationParams(2, 2, (0.05, -0.05)), CFG)]
 
 
+@pytest.mark.parametrize("alphas,ms,message", [
+    (np.zeros((1, 2)), [0], r"^index m must lie in \[1, 7\], got 0$"),
+    (np.zeros((2, 2)), [8, 1], r"^index m must lie in \[1, 7\], got 8$"),
+    (np.zeros((1, 2)), [], "^no zero index given$"),
+    (np.zeros((1, 2)), [2.5], "^index m must be an integer, got 2.5$"),
+    (np.array([[0.01, 0], [0, 0.06]]), [0], r"^perturbation size 0\.06 exceeds"),  # radius first
+], ids=["zero", "past-N", "empty", "float", "radius"])
+def test_continue_checks_the_indices_it_tracks(alphas, ms, message):
+    # every tracked batch passes through _continue, which refuses before it indexes
+    with pytest.raises(InputError, match=message):
+        solver._continue(2, 2, alphas, ms, CFG)
+
+
 @pytest.mark.parametrize("dedup_tol,outcomes", [
     (1.45, [list, list, ConvergenceError, CollisionError, list]),
     (10.0, [CollisionError, CollisionError, ConvergenceError, CollisionError, CollisionError]),

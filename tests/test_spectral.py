@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -466,7 +467,66 @@ def test_kernel_class_codes_equal_classify_at_alpha_zero(n, d):
     lams, codes = spectral._spectra(jouanolou_field(n, d), coords, cfg)[1:3]
     want = [classify(z, cfg) for z in lams]
     assert [spectral._CLASSES[c] for c in codes.tolist()] == want
-    assert set(want) == {INCONCLUSIVE if (n, d) == (5, 2) else HYPERBOLIC}
+    assert set(want) == {NONDEGENERATE_ONLY if (n, d) == (5, 2) else HYPERBOLIC}
+
+
+def _exact_label_and_margin(n, d, cfg):
+    """The alpha = 0 label of (n, d) and the smallest |Im| of its ratios, from
+    60-digit roots of P_{n,d} (coefficients sigma_at_ones): the spectrum at
+    every zero is x_1(m)^d, of modulus 1, times these roots, so the ratios
+    and their order by modulus are the same at every zero."""
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([1, *(int(c) for c in sigma_at_ones(n, d))], maxsteps=200,
+                                 extraprec=200)
+        if min(abs(r) for r in roots) <= cfg.tol_nd:
+            return DEGENERATE, None
+        ims = []
+        for a, b in itertools.combinations(roots, 2):
+            a, b = (b, a) if abs(a) > abs(b) else (a, b)
+            ims.append(abs(mpmath.im(a / b)))
+        near = [im for im in ims if im <= cfg.tol_hyp]
+        if not near:
+            return HYPERBOLIC, float(min(ims))
+        exact = all(im < mpmath.mpf(10) ** -40 for im in near)
+        return (NONDEGENERATE_ONLY if exact else INCONCLUSIVE), float(min(ims))
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (4, 2), (5, 2), (6, 2),
+                                 (7, 2), (2, 3), (2, 5)])
+def test_alpha_zero_labels_equal_the_exact_labels_of_p_nd(n, d):
+    # only (5,2) has a real ratio, P_{5,2} = (l+3)(l^2+4l+7)(l^2+3) with roots +-i sqrt 3,
+    # whose computed ratios carry |Im| up to 2.3e-15; every other rung stays far off the axis
+    cfg = RunConfig(max_order=3)
+    want, margin = _exact_label_and_margin(n, d, cfg)
+    if (n, d) == (5, 2):
+        assert want == NONDEGENERATE_ONLY and margin < 1e-40
+    else:
+        assert want == HYPERBOLIC and margin >= 5.1e-2
+    coords = np.array([p.coords for p in closed_form_sing(n, d)])
+    lams, codes = spectral._spectra(jouanolou_field(n, d), coords, cfg)[1:3]
+    assert [classify(z, cfg) for z in lams] == [want] * len(coords)
+    assert _kernel_classes(lams, cfg) == [want] * len(coords)
+
+
+FLOOR = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("im,want", [
+    (0.0, NONDEGENERATE_ONLY),
+    (2.26e-15, NONDEGENERATE_ONLY),          # the largest rounding seen at (5,2)
+    (FLOOR, NONDEGENERATE_ONLY),
+    (np.nextafter(FLOOR, 1), INCONCLUSIVE),
+    (1e-10, INCONCLUSIVE),
+    (np.nan, INCONCLUSIVE),                  # a nan still counts as nonzero
+])
+def test_a_ratio_at_or_below_the_real_floor_is_real(im, want):
+    assert spectral.REAL_FLOOR == FLOOR
+    # dividing by 1 + 0j is exact, so the ratio's |Im| is im itself
+    lams = np.array([complex(0.5, im), 1.0])
+    with np.errstate(invalid="ignore"):  # the scalar rule warns on a nan ratio
+        assert classify(lams, CFG) == want
+    with np.errstate(all="raise"):
+        assert _kernel_classes([lams]) == [want]
 
 
 @pytest.mark.parametrize("n,d,seed", [(2, 2, 611), (3, 2, 612), (3, 3, 613), (4, 3, 614),
