@@ -48,6 +48,8 @@ SUBMERSION_RTOL = 1e-4
 DEFECT_NOISE_FLOOR = 1e-13
 # Rank certificate: smallest singular value must exceed this times the largest.
 RANK_GAP = 1e-6
+# Draws per sampler block: SAMPLE_BLOCK // (N^2 n), at least one.
+SAMPLE_BLOCK = 1 << 20
 
 
 def char_coeff_map(n: int, d: int, m: int, alpha, cfg: RunConfig) -> np.ndarray:
@@ -561,8 +563,7 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
     base = jouanolou_field(n, d)
     big_n = counts(n, d).N
     rng = np.random.default_rng(cfg.seed)
-    # whole members' collision scans fit one COLLISION_BLOCK
-    block = max(1, solver.COLLISION_BLOCK // (big_n * big_n * n))
+    block = max(1, SAMPLE_BLOCK // (big_n * big_n * n))
     for lo in range(0, cfg.samples, block):
         draws = rng.random((min(block, cfg.samples - lo), n, 2))
         alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
@@ -587,9 +588,8 @@ def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     """Sample the perturbation polydisk and summarize spectral behavior.
 
     Perturbations are drawn coordinatewise uniformly from the closed disk
-    of cfg.radius, sequentially from cfg.seed, in blocks of draws, as many
-    as the collision scan holds at once (``solver.COLLISION_BLOCK``
-    entries, at least one draw).  A block is drawn as one (S, n) alpha
+    of cfg.radius, sequentially from cfg.seed, in blocks of at least one
+    draw, SAMPLE_BLOCK // (N^2 n).  A block is drawn as one (S, n) alpha
     array only when it runs, so memory does not grow with cfg.samples.
     Its zeros are tracked as one batch on the base field (a draw differs
     from it only by its constant term alpha), scanned for collisions as one

@@ -32,8 +32,8 @@ from .errors import FactorizationError, InputError
 # Residual bound for matching a pushed-forward field to the family shape.
 FACTOR_TOL = 1e-12
 # Largest N n^2 (the entries of a member's N Jacobians) of a member.  Tracking
-# all N zeros peaks near 40 MB (the collision scan's blocks) plus 100 N n^2
-# bytes (the evaluator's power tables), about 0.46 GB at the limit.
+# all N zeros of (2, 1023), at the limit, peaked at 743 MiB under tracemalloc,
+# about 180 N n^2 bytes, nearly all of it the Newton batch.
 MEMBER_MAX_ENTRIES = 1 << 22
 
 

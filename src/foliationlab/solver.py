@@ -88,11 +88,6 @@ class RunConfig:
                 raise InputError(f"{name} must be at least {low}")
 
 
-# Most complex entries of one block of rows of the pairwise-difference array
-# that the collision check holds at a time (16 MB).
-COLLISION_BLOCK = 1 << 20
-
-
 def _newton_rows(
     field: PolyVectorField, x0: np.ndarray, cfg: RunConfig, const=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -295,27 +290,36 @@ def track_zeros(params: FoliationParams, ms, cfg: RunConfig) -> list[SingularPoi
     return _points([int(m) for m in ms], x[0], res[0], iters[0], np.full(len(ms), ""))
 
 
-def _closest_pair(coords: np.ndarray) -> list[tuple[int, int, float]]:
-    """For each member of an (S, N, n) stack of zeros, the rows (a, b) of its
-    closest pair in the sup-norm and their distance.
+def _closest_pair(coords: np.ndarray, tol: float) -> list[tuple[int, int, float]]:
+    """For each member of an (S, N, n) stack of zeros, (a, b, dist) of its
+    closest pair in the sup-norm, the first in row-major order at ties, if
+    dist <= tol; else (0, 0, inf).  An exact sort-and-sweep (Shamos and Hoey
+    1975): with the rows sorted by Re x_1, the pairs k = 1, 2, ... places
+    apart whose keys lie within tol are measured, up to the first k with none.
 
-    Ties go to the first pair in row-major order.  The pairwise differences
-    are formed in blocks of rows of the whole stack, of about COLLISION_BLOCK
-    entries (one row of each member at least); the caller sizes the stack.
+    The computed |Re(x_a1 - x_b1)| is at most the computed |x_a1 - x_b1|
+    (hypot never rounds below a float that bounds it), so at most the computed
+    sup-norm distance: the window drops no pair the distance test accepts.
+    Rounded differences of sorted keys do not decrease with k, so a row that
+    leaves the window at some k stays out, and stopping is safe.
     """
-    count, big_n, n = coords.shape
-    block = max(1, COLLISION_BLOCK // (max(count, 1) * big_n * n))
-    best = [(0, 0, np.inf)] * count
-    for lo in range(0, big_n, block):
-        diff = coords[:, lo:lo + block, None, :] - coords[:, None, :, :]
-        dist = np.max(np.abs(diff), axis=3)
-        own = np.arange(dist.shape[1])
-        dist[:, own, lo + own] = np.inf
-        flat = dist.reshape(count, len(own) * big_n)  # -1 cannot be inferred when count = 0
-        for s, k in enumerate(np.argmin(flat, axis=1).tolist()):
-            if flat[s, k] < best[s][2]:
-                best[s] = (lo + k // big_n, k % big_n, flat[s, k])
-    return best
+    order = np.argsort(coords[:, :, 0].real, axis=1, kind="stable")
+    keys = np.take_along_axis(coords[:, :, 0].real, order, axis=1)
+    best = np.tile([np.inf, 0, 0], (len(coords), 1))  # each member's (dist, a, b)
+    k, (s, i) = 1, np.nonzero(np.diff(keys, axis=1) <= tol)  # member s, sorted rows i, i + k
+    while len(s):
+        a, b = np.sort([order[s, i], order[s, i + k]], axis=0)
+        dist = np.max(np.abs(coords[s, a] - coords[s, b]), axis=1)
+        # each member's best pair so far and its pairs in this window, least first
+        owner = np.r_[np.arange(len(best)), s]
+        pairs = np.r_[best, np.c_[dist, a, b]]
+        least = np.lexsort((pairs[:, 2], pairs[:, 1], pairs[:, 0], owner))
+        best = pairs[least[np.searchsorted(owner[least], np.arange(len(best)))]]
+        k += 1  # the rows of this window are the only ones that can open the next
+        j = np.flatnonzero(i + k < keys.shape[1])
+        j = j[keys[s[j], i[j] + k] - keys[s[j], i[j]] <= tol]
+        s, i = s[j], i[j]
+    return [(int(a), int(b), dist) if dist <= tol else (0, 0, np.inf) for dist, a, b in best.tolist()]
 
 
 def _track_members(n: int, d: int, alphas: np.ndarray,
@@ -330,7 +334,7 @@ def _track_members(n: int, d: int, alphas: np.ndarray,
     """
     x, res, iters, errors = _continue(n, d, alphas, list(range(1, counts(n, d).N + 1)), cfg)
     tracked = [s for s in range(len(alphas)) if s not in errors]
-    for s, (a, b, dist) in zip(tracked, _closest_pair(x[tracked])):
+    for s, (a, b, dist) in zip(tracked, _closest_pair(x[tracked], cfg.dedup_tol)):
         if dist <= cfg.dedup_tol:
             errors[s] = CollisionError(
                 f"tracked zeros m={a + 1} and m={b + 1} merged "

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cpoly import PolyVectorField, jacobian
 from .errors import ConvergenceError, InputError, VerificationError
-from .jouanolou import SingularPoint, _check_int, _check_positive
+from .jouanolou import SingularPoint, _check_int, _check_positive, _check_sequence
 from .solver import RunConfig
 
 DEGENERATE = "degenerate"
@@ -363,6 +363,7 @@ def spectrum_reports(field: PolyVectorField, points: list[SingularPoint],
     """spectrum_report(field, p, cfg) for every p in points, bitwise: the
     coefficients, roots, class codes and divisor scans are computed as
     (N, n) stacks by one array kernel, and the reports built from them."""
+    points = _check_sequence("points", points)
     sigma, lams, codes, c_min, k = _spectra(field, np.array([p.coords for p in points]), cfg)
     divisors = _divisor_records(lams.shape[1], cfg.delta, cfg.max_order, c_min, k)
     return [SpectrumReport(p.m, s, z, _CLASSES[c], rec)

@@ -357,6 +357,19 @@ def test_convergence_failure_exits_three(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_root_gate_fails_before_the_scan_limit_from_n_29(capsys):
+    # the roots are computed before the divisor scan: at n = 29 they fail the
+    # gate (exit 3) although the order-8 scan is above SCAN_MAX_BYTES, which
+    # stops n = 17 (exit 2)
+    argv = ["spectrum", "--n", "29", "--d", "1", "--alpha", "0.01,0"] + ["--alpha", "0,0"] * 28
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "relative residual 1.590e-10" in captured.err
+    assert run(["spectrum", "--n", "17", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "SCAN_MAX_BYTES" in captured.err
+
+
 def test_argparse_errors_pass_through(capsys):
     assert run(["counts", "--n", "2"]) == 2          # missing --d
     assert run(["nonsense"]) == 2

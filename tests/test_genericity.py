@@ -787,7 +787,8 @@ def test_defect_rejects_a_coord_pair_that_is_not_two_indices(pair):
     (lambda: track_zeros(FoliationParams(2, 2), 3, CFG), "zero indices", "3"),
     (lambda: track_zeros(FoliationParams(2, 2), np.int64(3), CFG), "zero indices", repr(np.int64(3))),
     (lambda: alignment_census(None, 2, CFG), "points", "None"),
-], ids=["alpha", "nu", "mu_grid", "coord_pair", "ms", "numpy-ms", "points"])
+    (lambda: spectral.spectrum_reports(family_field(FoliationParams(2, 2)), None, CFG), "points", "None"),
+], ids=["alpha", "nu", "mu_grid", "coord_pair", "ms", "numpy-ms", "points", "report-points"])
 def test_a_scalar_where_a_sequence_belongs_is_an_input_error(call, name, value):
     with pytest.raises(InputError, match=f"^{name} must be a sequence, got {re.escape(value)}$"):
         call()
@@ -915,7 +916,7 @@ def _reference_sample(n, d, cfg):
 def test_sample_equals_per_draw_reference(monkeypatch, n, d, cfg, block, fails):
     if block is not None:
         big_n = counts(n, d).N
-        monkeypatch.setattr(solver, "COLLISION_BLOCK", block * big_n * big_n * n + 1)
+        monkeypatch.setattr(genericity, "SAMPLE_BLOCK", block * big_n * big_n * n + 1)
     outcomes = list(genericity._draw_outcomes(n, d, cfg))
     assert outcomes == _reference_sample(n, d, cfg)
     s = genericity_sample(n, d, cfg)
@@ -932,7 +933,7 @@ def test_sample_memory_does_not_grow_with_samples(monkeypatch):
     # less than the 136 B a draw that keeping each draw's float64 draws, alpha
     # and outcome tuple would cost (about 40 B a draw is measured here, with the
     # free lists that Python keeps emptied by gc.collect() first)
-    monkeypatch.setattr(solver, "COLLISION_BLOCK", 32 * 3 * 3 * 2)
+    monkeypatch.setattr(genericity, "SAMPLE_BLOCK", 32 * 3 * 3 * 2)
     genericity_sample(2, 1, RunConfig(samples=64, max_order=2))
     peaks = []
     for samples in (64, 864):
@@ -961,9 +962,21 @@ def test_sample_eigenvalue_gate_fails_only_its_draw(monkeypatch):
         return real(sigma)
 
     monkeypatch.setattr(spectral, "eigenvalues", gate)
-    monkeypatch.setattr(solver, "COLLISION_BLOCK", 4 * 15 * 15 * 3)
+    monkeypatch.setattr(genericity, "SAMPLE_BLOCK", 4 * 15 * 15 * 3)
     outcomes = list(genericity._draw_outcomes(n, d, cfg))
     assert [k for k, (error, _, _) in enumerate(outcomes) if error] == [5]
     assert outcomes[5] == ("ConvergenceError", False, False)
     assert outcomes == _reference_sample(n, d, cfg)
     assert genericity_sample(n, d, cfg).n_failed == 1
+
+
+def test_sample_eigenvalue_gate_fails_only_its_draws_unpatched():
+    # at (28,1) the root gate itself refuses draws 0, 1, 2 and 5 of one block
+    # of 6 (44 draws fit), whose zeros all track: the block's stacked spectra
+    # fail and are re-run draw by draw, with no patched root finder
+    n, d, cfg = 28, 1, RunConfig(samples=6, max_order=2, seed=1)
+    assert not solver._track_members(n, d, _alphas(n, cfg), cfg)[3]
+    outcomes = list(genericity._draw_outcomes(n, d, cfg))
+    assert [k for k, (error, _, _) in enumerate(outcomes) if error] == [0, 1, 2, 5]
+    assert {outcomes[k] for k in (0, 1, 2, 5)} == {("ConvergenceError", False, False)}
+    assert outcomes == _reference_sample(n, d, cfg)

@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from foliationlab import genericity, jouanolou, solver, spectral
+from foliationlab import genericity, jouanolou, spectral
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 LIMITS = {
     "MEMBER_MAX_ENTRIES": jouanolou.MEMBER_MAX_ENTRIES,
     "CENSUS_MAX_POINTS": genericity.CENSUS_MAX_POINTS,
     "SCAN_MAX_BYTES": spectral.SCAN_MAX_BYTES,
-    "COLLISION_BLOCK": solver.COLLISION_BLOCK,
+    "SAMPLE_BLOCK": genericity.SAMPLE_BLOCK,
     "DEFECT_NOISE_FLOOR": genericity.DEFECT_NOISE_FLOOR,
 }
 

@@ -473,26 +473,30 @@ def test_tracking_on_the_base_field_is_frozen():
     assert h.hexdigest() == "80e3354470892f80858dba1c085b602004b59d3c425cf598ea4d17dbb4a357d1"
 
 
-def _dense_closest_pair(coords):
+def _dense_closest_pair(coords, tol):
+    # every pair measured; the closest, if it lies within tol
     dist = np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=2)
     dist[np.diag_indices(len(coords))] = np.inf
     a, b = np.unravel_index(np.argmin(dist), dist.shape)
-    return int(a), int(b), dist[a, b]
+    return (int(a), int(b), dist[a, b]) if dist[a, b] <= tol else (0, 0, np.inf)
 
 
-@pytest.mark.parametrize("block", [1, 200, 1000, 3 * 30 * 30 * 3, solver.COLLISION_BLOCK])
-def test_chunked_collision_scan_matches_dense(monkeypatch, block):
-    monkeypatch.setattr(solver, "COLLISION_BLOCK", block)
-    rng = np.random.default_rng(block)
-    lattice = rng.integers(-2, 3, size=(7, 30, 3)) + 1j * rng.integers(-2, 3, size=(7, 30, 3))
-    # many exact ties; a stack of members is scanned member by member
-    assert solver._closest_pair(lattice) == [_dense_closest_pair(c) for c in lattice]
+@pytest.mark.parametrize("tol", [0, 1e-9, 1e-7, 0.5, 1, 3, 100])
+def test_chunked_collision_scan_matches_dense(tol):
+    rng = np.random.default_rng(7)
+    for scale in (1, 0.3, 1e-7):
+        for jitter in (0, 1e-9):
+            shape = (7, 30, 3)
+            lattice = scale * (rng.integers(-2, 3, size=shape) + 1j * rng.integers(-2, 3, size=shape))
+            lattice += jitter * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            # many exact ties, in keys and in distances; the members are scanned as one stack
+            assert solver._closest_pair(lattice, tol) == [_dense_closest_pair(c, tol) for c in lattice]
     for n, d in [(2, 2), (3, 2), (3, 3)]:
         coords = np.array([p.coords for p in closed_form_sing(n, d)])
-        assert solver._closest_pair(coords[None]) == [_dense_closest_pair(coords)]
+        assert solver._closest_pair(coords[None], tol) == [_dense_closest_pair(coords, tol)]
     params = FoliationParams(2, 2, (0.01, 0.0))
     coords = np.array([p.coords for p in track_singularities(params, CFG)])
-    a, b, dist = _dense_closest_pair(coords)
+    a, b, dist = _dense_closest_pair(coords, 10.0)
     with pytest.raises(CollisionError) as info:
         track_singularities(params, RunConfig(dedup_tol=10.0))
     assert str(info.value) == (
@@ -500,9 +504,31 @@ def test_chunked_collision_scan_matches_dense(monkeypatch, block):
         "the perturbation left the safe polydisk")
 
 
+def test_collision_scan_sweeps_wide_windows_of_tied_keys():
+    # at alpha = 0, 15 conjugate pairs m, N - m of (4,3) share Re x_1 exactly,
+    # so windows open at k = 1, but no pair lies within 0.5
+    coords = np.array([p.coords for p in closed_form_sing(4, 3)])
+    assert sum(np.diff(np.sort(coords[:, 0].real)) == 0) == 15
+    for tol in (0, 1e-6, 0.5):
+        assert solver._closest_pair(coords[None], tol) == [(0, 0, np.inf)]
+    assert solver._closest_pair(coords[None], 3) == [_dense_closest_pair(coords, 3)]
+    # every row of (3,2) given the same Re x_1: one window of all N rows at
+    # every k, with a pair 1e-9 apart 10 places apart, then two exact duplicates
+    near = np.array([p.coords for p in closed_form_sing(3, 2)])
+    near[:, 0] = 0.25 + 1j * near[:, 0].imag
+    near[12] = near[2] + [0, 1e-9, 0]
+    tied = near.copy()
+    tied[9], tied[14] = tied[3], tied[1]
+    stack = np.array([near, tied, tied[::-1], np.roll(tied, 5, axis=0)])
+    for tol in (0, 1e-9, 1e-6, 1):
+        assert solver._closest_pair(stack, tol) == [_dense_closest_pair(c, tol) for c in stack]
+    assert solver._closest_pair(near[None], 1e-6)[0][:2] == (2, 12)
+    assert solver._closest_pair(tied[None], 0) == [(1, 14, 0.0)]  # the first of two ties
+
+
 def test_collision_scan_of_no_members_is_empty():
     # _track_members scans an empty stack when no member of a block tracks
-    assert solver._closest_pair(np.zeros((0, 7, 2), dtype=complex)) == []
+    assert solver._closest_pair(np.zeros((0, 7, 2), dtype=complex), 1.0) == []
 
 
 def test_tracking_commutes_with_group():
