@@ -48,7 +48,9 @@ SUBMERSION_RTOL = 1e-4
 DEFECT_NOISE_FLOOR = 1e-13
 # Rank certificate: smallest singular value must exceed this times the largest.
 RANK_GAP = 1e-6
-# Draws per sampler block: SAMPLE_BLOCK // (N^2 n), at least one.
+# Array entries per block of work: the sampler draws SAMPLE_BLOCK // (N^2 n)
+# members at once, the census screen tests SAMPLE_BLOCK // (N n) pairs at
+# once, each at least one.
 SAMPLE_BLOCK = 1 << 20
 
 
@@ -91,9 +93,10 @@ def expected_det_modulus(n: int, d: int) -> float:
 
 def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> list[SubmersionReport]:
     """Reports at the zeros ms, in order: the probe members track ms in batches
-    of at most MEMBER_MAX_ENTRIES Jacobian entries (a failure raises the first
-    failing member's error), the base field's Jacobian gives the coefficients,
-    and the certificates come from the (len(ms), n, n) parameter Jacobians."""
+    of at most MEMBER_MAX_ENTRIES Jacobian entries on the one base field built
+    here (a failure raises the first failing member's error), the base field's
+    Jacobian gives the coefficients, and the certificates come from the
+    (len(ms), n, n) parameter Jacobians."""
     # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
     # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
     stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
@@ -107,7 +110,7 @@ def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> lis
     sigma = np.empty((len(probes), len(ms), n), dtype=complex)
     batch = max(1, MEMBER_MAX_ENTRIES // (len(ms) * n * n))  # no batch outgrows the largest member
     for lo in range(0, len(probes), batch):
-        x, _, _, errors = solver._continue(n, d, probes[lo:lo + batch], ms, cfg)
+        x, _, _, errors = solver._continue(n, d, probes[lo:lo + batch], ms, cfg, base)
         if errors:
             raise errors[min(errors)]
         sigma[lo:lo + batch] = char_poly_direct(base, x.reshape(-1, n)).reshape(x.shape)
@@ -240,71 +243,133 @@ class AlignmentRecord:
     residual: float
 
 
-# Most points the census accepts: its Gram matrix and per-anchor arrays
-# peak near 64 N^2 bytes, about 1 GB here.
+# Most points the census accepts: 4096 points in C^5 took 2.4 s and peaked at
+# 18.6 MiB under tracemalloc, 16 MiB of it the N^2 covered-pair bytes.
 CENSUS_MAX_POINTS = 4096
-# The prefilter's error bounds assume the largest |p|^2 lies in
+# The screen's error bounds assume the largest |p|^2 lies in
 # [2^-600, 2^600]; outside it every pair is a candidate.
-_GRAM_RANGE = (2.0**-600, 2.0**600)
+_SCREEN_RANGE = (2.0**-600, 2.0**600)
 # Bound on the underflow part of the pair test's distance, unscaled units.
 _UNDERFLOW = 2.0**-500
 
 
-def _census_candidates(coords: np.ndarray, tol: float, need: int):
+def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.ndarray):
     """For each anchor a, the b > a whose line might hold `need` points.
 
-    Yields (a, bs).  A pair is dropped only when the Gram test proves that
-    fewer than `need` points pass the pair test in `alignment_census`.
+    Yields (a, bs).  A pair is dropped only when `covered` holds it or a
+    screen proves that fewer than `need` points pass the pair test in
+    `alignment_census`: a sort-and-sweep over direction keys (Shamos and
+    Hoey 1975), then a test on inner products.
 
-    Error bounds, in scaled units (M = max |p|^2 in [1/4, 1), t = tol):
-    - a computed G entry is within (n + 2) eps M of the exact one, so the
-      four-term sums nb, nc and g = <p_c - p_a, p_b - p_a> are within
-      e = 8 (n + 4) eps M (four entries and three additions, twice over);
-    - the pair test's distance is within d1 = (4n + 32) eps |p_c - p_a|
-      + floor of the exact one (twice the rounding of its differences,
-      norms, division and projection; floor covers underflow), so a point
-      it accepts has nb (nc - t^2) - |g|^2 < nb (2 t d1 + d1^2);
-    - with nb' = nb + e and nc' = nc + e, the left side as computed here
-      is within 2e (nb' + nc') + e (t^2 + e) + 6 eps nb' nc'
-      + 2.1 eps nb' t^2 + 4.1 eps e^2 of the exact one.
-    margin = nb' phi + psi is at least twice the sum of the last two
-    bounds, which also covers rounding the comparison itself.  It is
-    folded into bound = nb (nc - t^2 - phi) - (e phi + psi), and c is
-    ruled out when |g|^2 <= bound.
+    The key.  w is a fixed real vector with distinct entries, proportional
+    to (i + 1)^-1/2, and W = |w|^2 as rounded, within (n + 4) eps of 1.
+    Seen from anchor a, point c has the key k_c = |<r_c, w>|^2 / |r_c|^2,
+    r_c = p_c - p_a, which lies in [0, W] and depends only on the complex
+    line through p_a and p_c.
+
+    The window.  Let c lie at distance delta from the line through p_a
+    along u = r_b / |r_b|.  Then r_c / |r_c| = c' u + s z with z a unit
+    orthogonal to u, s = delta / |r_c| and |c'|^2 = 1 - s^2.  With
+    A = <u, w> and B = <z, w>, k_c - k_b = s^2 (|B|^2 - |A|^2)
+    + 2 s Re(c' A B*), which by Cauchy-Schwarz in R^2 is at most
+    s (|A|^2 + |B|^2) <= s W in modulus (Bessel's inequality on the
+    orthonormal pair {u, z}); the bound is attained.  A point the pair
+    test accepts has delta < t + d1, where d1 = (4n + 32) eps |r_c| + floor
+    bounds the rounding of the test's own distance (twice the rounding of
+    its differences, norms, division and projection; floor covers
+    underflow), so |k_c - k_b| < W (t + floor) / |r_c| + W (4n + 32) eps.
+
+    Rounding, in scaled units (max |p|^2 in [1/4, 1), t = tol):
+    - once |r_c|^2 as computed exceeds 2^-900, underflow is negligible and
+      a computed key is within rho = (2n + 8) eps of the exact one (the
+      differences round by eps / 2 relatively, the dot product by gamma_n,
+      the squared norm by gamma_(n + 2), the quotient by eps / 2);
+    - the computed |r_c| is within (n + 3) eps of the exact one relatively.
+    The half-width h_c = (1 + (2n + 16) eps) (t + floor) / |r_c|
+    + (16n + 128) eps covers the bound above, 2 rho and the rounding of
+    h_c and of the window's ends k_c -+ h_c, the additive part twice over.
+    A point with |r_c|^2 <= 2^-900 as computed, such as a duplicate of the
+    anchor, gets an infinite half-width, and a b with |r_b|^2 <= 2^-900
+    always passes the sweep.
+
+    The sweep.  The points whose window [k_c - h_c, k_c + h_c] holds k_b
+    are those whose lower end is at most k_b, less those whose upper end
+    is below it: two sorted arrays and two binary searches per anchor.
+    Once tol is wide against the spacing of the points, most windows are
+    wide and the sweep keeps most pairs.  So after an anchor at which it
+    kept more than half its pairs, it is skipped, except at the anchors
+    a = 2^k - 1, until it drops at least half again.
+
+    The exact stage.  Pairs the `covered` matrix of the caller already
+    holds are dropped (the pair test skips them), and when more than one
+    pair is left it is tested again on inner products, which one key
+    cannot replace.  With nb = |r_b|^2, nc = |r_c|^2 and g = <r_c, r_b>,
+    nb delta^2 = nb nc - |g|^2, so a point the pair test accepts has
+    |g|^2 > nb (nc - T^2), T = t + d1.  As computed, nb and nc are within
+    (n + 2) eps relatively and |g| within (2n + 10) eps |r_b| |r_c| (the
+    differences, then a complex dot product of length n), so |g|^2 as
+    computed is at least |g|^2 - (4n + 22) eps nb nc.  With
+    T_c = (1 + (2n + 16) eps) (t + floor) + (4n + 40) eps |r_c| >= T and
+    lo_c = nc (1 - (8n + 48) eps) - T_c^2 (1 + (2n + 16) eps), the
+    product nb lo_c as computed is below nb (nc - T^2) - (6n + 41) eps
+    nb nc whatever the sign of lo_c, so c is flagged when |g|^2 - nb lo_c
+    as computed exceeds -2^-1000; that term covers underflow, which only
+    matters once nb nc is far below it.  One block of pairs holds at most
+    SAMPLE_BLOCK // (N n) of them.
+
+    Only pairs with at least `need` points flagged by each stage that ran
+    are candidates.  Time is O(N (n + log N)) per anchor for the sweep and
+    O(N n) per pair the exact stage tests, memory O(N n) per anchor plus
+    one block.
     """
     count, n = coords.shape
     eps = np.finfo(float).eps
     big = float(np.max(np.sum(coords.real**2 + coords.imag**2, axis=1)))
-    if not _GRAM_RANGE[0] <= big <= _GRAM_RANGE[1]:
+    if not _SCREEN_RANGE[0] <= big <= _SCREEN_RANGE[1]:
         for a in range(count):
             yield a, range(a + 1, count)
         return
     # a power-of-two scale is exact: max |p|^2 moves into [1/4, 1)
     scale = np.ldexp(1.0, -np.frexp(np.sqrt(big))[1])
     pts = coords * scale
-    t = tol * scale
-    t2 = t * t
-    gram = pts @ pts.conj().T
-    diag = gram.diagonal().real.copy()
-    # absolute error of Gram-derived <p_c-p_a, p_b-p_a> and |p_c-p_a|^2
-    e = 8.0 * (n + 4) * eps * float(np.max(diag))
-    floor = _UNDERFLOW * scale
+    w = 1.0 / np.sqrt(np.arange(2.0, n + 2.0))
+    w /= np.linalg.norm(w)
+    reach = (1.0 + (2 * n + 16) * eps) * ((tol + _UNDERFLOW) * scale)
+    slack = (16 * n + 128) * eps
+    rows = max(1, SAMPLE_BLOCK // (count * n))
+    sweep = True
     for a in range(count - 1):
-        row = gram[a]
-        nc = np.maximum(diag + diag[a] - 2.0 * row.real, 0.0)
-        upper = nc + e                  # nc' (and nb' for the rows b > a)
-        d1 = (4 * n + 32) * eps * np.sqrt(upper) + floor
-        phi = 4.0 * e + 16.0 * eps * (upper + t2) + 4.0 * t * d1 + 2.0 * d1 * d1
-        psi = 4.0 * e * upper + 2.0 * e * t2 + 4.0 * e * e
-        # row b - a, column c: <p_b - p_a, p_c - p_a>
-        inner = gram[a + 1:] - row
-        inner -= (gram[a + 1:, a] - gram[a, a])[:, None]
-        sq = inner.real * inner.real
-        sq += inner.imag * inner.imag
-        bound = np.multiply.outer(nc[a + 1:], nc - t2 - phi)
-        bound -= e * phi + psi
-        ruled_out = np.count_nonzero(sq <= bound, axis=1)
-        yield a, a + 1 + np.flatnonzero(count - ruled_out >= need)
+        rel = pts - pts[a]
+        dre, dim = rel.real, rel.imag
+        sq = np.sum(dre * dre + dim * dim, axis=1)
+        kept = np.arange(a + 1, count)
+        if sweep or not a & (a + 1):
+            near = sq <= 2.0**-900
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                key = ((dre @ w) ** 2 + (dim @ w) ** 2) / sq
+                half = reach / np.sqrt(sq) + slack
+            key[near], half[near] = 0.0, np.inf
+            kb = key[a + 1:]
+            flagged = (np.searchsorted(np.sort(key - half), kb, side="right")
+                       - np.searchsorted(np.sort(key + half), kb, side="left"))
+            flagged[near[a + 1:]] = count
+            kept = kept[flagged >= need]
+            sweep = 2 * len(kept) <= len(kb)
+        kept = kept[~covered[a, kept]]
+        if len(kept) <= 1:
+            yield a, kept
+            continue
+        reach_c = reach + (4 * n + 40) * eps * np.sqrt(sq)
+        lo = sq * (1.0 - (8 * n + 48) * eps) - (reach_c * reach_c) * (1.0 + (2 * n + 16) * eps)
+        blocks = []
+        for start in range(0, len(kept), rows):
+            bs = kept[start:start + rows]
+            g = (rel[bs].conj() @ rel.T).view(float)
+            g *= g
+            g2 = g[:, 0::2] + g[:, 1::2]
+            g2 -= np.multiply.outer(sq[bs], lo)
+            blocks.append(bs[np.count_nonzero(g2 > -2.0**-1000, axis=1) >= need])
+        yield a, np.concatenate(blocks)
 
 
 def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> list[AlignmentRecord]:
@@ -319,25 +384,28 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     are always aligned).  Records are deduplicated by index set and sorted.
 
     The pair test costs O(N n) and almost no pair passes it, so pairs are
-    first screened with the Gram matrix G = P P^H of the points, scaled by
-    a power of two so that max |p|^2 lies in [1/4, 1).  For anchor a the
-    entries <p_c - p_a, p_b - p_a>, |p_b - p_a|^2 and |p_c - p_a|^2 are
-    four-term sums of G for all b > a at once, and a point c is a possible
-    member when
+    first screened in two stages, on the points scaled by a power of two
+    so that max |p|^2 lies in [1/4, 1).  Seen from anchor a, each point c
+    has a key, the squared cosine between a fixed real vector w and the
+    complex line through p_a and p_c, and a point off the line through p_a
+    and p_b by delta has a key within delta / |p_c - p_a| of b's.  A
+    sort-and-sweep over the keys flags the points whose key lies within
+    that reach, with tol for delta, of b's.  The pairs it keeps that no
+    record covers yet are then tested on the inner products
+    <p_c - p_a, p_b - p_a>, in blocks: nb (nc - tol^2) < |g|^2 up to a
+    margin.  Each stage's margin bounds its own rounding plus the rounding
+    (and underflow) of the pair test's distance, so every point the pair
+    test accepts is flagged.  Only pairs with at least d + 1 flagged points
+    run the pair test, in the same order and under the same covered-pair
+    rule, so the records are bitwise those of running it on every pair.
+    The sweep is skipped while it keeps most pairs, as it does when tol is
+    wide against the spacing of the points.  If max |p|^2 falls outside
+    [2^-600, 2^600], every pair runs the pair test.
 
-        |p_b - p_a|^2 (|p_c - p_a|^2 - tol^2) - |<p_c - p_a, p_b - p_a>|^2 < margin,
-
-    which in exact arithmetic is the distance test.  margin is a
-    per-entry bound, from eps, max |p|^2 and the two squared lengths, on
-    the rounding of the left side from G plus the rounding (and underflow)
-    of the pair test's own distance, so every point the pair test accepts
-    is flagged.  Only pairs with at least d + 1 flagged points run the pair
-    test, in the same order and under the same covered-pair rule, so the
-    records are bitwise those of running it on every pair.  If max |p|^2
-    falls outside [2^-600, 2^600], every pair runs it.
-
-    Time is O(N^3) array work plus O(N n) per screened pair, memory about
-    64 N^2 bytes; more than CENSUS_MAX_POINTS points raise InputError.
+    Time is O(N^2 log N) for the sweep plus O(N n) per pair the second
+    stage or the pair test sees, memory O(N n) plus a few arrays of at
+    most SAMPLE_BLOCK entries plus N^2 bytes for the covered pairs; more than
+    CENSUS_MAX_POINTS points raise InputError.
     """
     _check_int("d", d)
     if d < 2:
@@ -354,7 +422,8 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     tol = cfg.align_tol
     found: dict[tuple[int, ...], AlignmentRecord] = {}
     covered = np.zeros((count, count), dtype=bool)
-    for a, candidates in _census_candidates(coords, tol, d + 1):
+    for a, candidates in _census_candidates(coords, tol, d + 1, covered):
+        rel = coords - coords[a]
         for b in candidates:
             if covered[a, b]:
                 continue
@@ -363,7 +432,6 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
             if norm == 0.0:
                 continue
             direction = direction / norm
-            rel = coords - coords[a]
             along = rel @ np.conj(direction)
             dist = np.linalg.norm(rel - along[:, None] * direction[None, :], axis=1)
             members = np.flatnonzero(dist < tol)

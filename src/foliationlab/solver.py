@@ -195,8 +195,8 @@ def _check_indices(n: int, d: int, ms) -> int:
     return big_n
 
 
-def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
-              cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int], cfg: RunConfig,
+              base: PolyVectorField | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Continue the unperturbed zeros of indices ms to every member base + alphas[s].
 
     Returns the zeros (S, count, n) in the order of ms, their residuals and
@@ -206,7 +206,8 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     one batch.  The parameter is ramped linearly in continuation steps: at
     stage k of `steps` every row still converging is refined from its
     previous stage's zero, on the base field plus its member's
-    alpha * (k / steps), so the field is built once per call.  A call with
+    alpha * (k / steps), so the field is built at most once per call, and
+    not at all when the caller passes it in as `base`.  A call with
     one row refines each stage through the public ``newton_refine`` on the
     stage's ``family_field``, so wrappers around it see every one-point
     refinement.  The rows that fail are run again from their start points,
@@ -221,7 +222,9 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     start = closed_form_coords(n, d)
     perturbed = np.repeat(alphas.any(axis=1), count)
     todo, closed = np.flatnonzero(perturbed), np.flatnonzero(~perturbed)
-    base = None if len(todo) == 1 and not len(closed) else jouanolou_field(n, d)
+    one_row = len(todo) == 1 and not len(closed)
+    if base is None and not one_row:
+        base = jouanolou_field(n, d)
     x, res, iters = start[index], np.zeros(len(index)), np.zeros(len(index), dtype=int)
     if len(closed):
         res[closed] = np.max(np.abs(eval_field(base, start[index[closed]])), axis=1)
@@ -232,7 +235,7 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
         xs = start[index[active]]
         failed = {}  # row: note
         for stage in range(1, steps + 1):
-            if base is None:
+            if one_row:
                 field = family_field(FoliationParams(n, d, tuple(alphas[0] * (stage / steps))))
                 p = newton_refine(field, xs[0], cfg, m=ms[0])
                 xs, r, k, note = (np.array([v]) for v in (p.coords, p.residual, p.newton_iters, p.note))

@@ -199,9 +199,9 @@ def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
     batches, calls = [], {"track_zeros": 0, "track_one": 0}
     real_continue = solver._continue
 
-    def continue_spy(n, d, alphas, ms, cfg):
+    def continue_spy(n, d, alphas, ms, cfg, base=None):
         batches.append((len(alphas), len(ms)))
-        return real_continue(n, d, alphas, ms, cfg)
+        return real_continue(n, d, alphas, ms, cfg, base)
 
     monkeypatch.setattr(solver, "_continue", continue_spy)
     for name in calls:
@@ -223,9 +223,9 @@ def _continue_batches(monkeypatch):
     batches = []
     real_continue = solver._continue
 
-    def continue_spy(n, d, alphas, ms, cfg):
+    def continue_spy(n, d, alphas, ms, cfg, base=None):
         batches.append((len(alphas), len(ms)))
-        return real_continue(n, d, alphas, ms, cfg)
+        return real_continue(n, d, alphas, ms, cfg, base)
 
     monkeypatch.setattr(solver, "_continue", continue_spy)
     return batches
@@ -272,6 +272,37 @@ def test_probe_batches_hold_at_most_the_member_limit(monkeypatch):
         batches.clear()
         submersion_all(3, 2, CFG, "cauchy4")
         assert batches == [(members, 15) for members in want], limit
+
+
+def test_a_submersion_report_builds_its_base_field_once(monkeypatch):
+    # the report builds the base field and passes it to every probe batch,
+    # however many batches the member limit makes
+    built = []
+    real = genericity.jouanolou_field
+
+    def field_spy(n, d):
+        built.append((n, d))
+        return real(n, d)
+
+    monkeypatch.setattr(genericity, "jouanolou_field", field_spy)
+    monkeypatch.setattr(solver, "jouanolou_field", field_spy)
+    whole = _probe_outputs(CFG)
+    assert built == [(3, 2), (2, 3), (3, 2), (2, 2), (3, 2)]
+    built.clear()
+    monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", 1)
+    assert _probe_outputs(CFG) == whole
+    assert built == [(3, 2), (2, 3), (3, 2), (2, 2), (3, 2)]
+
+
+def test_continue_on_a_given_base_field_is_bitwise_its_own():
+    alphas = np.array([[0.01, 0.0], [0.0, 0.02j], [0.0, 0.0], [-0.03, 0.01 + 0.01j]])
+    for ms in ([1, 2, 3, 4, 5, 6, 7], [4]):
+        for stack in (alphas, alphas[:1]):
+            own = solver._continue(2, 2, stack, ms, CFG)
+            given_base = solver._continue(2, 2, stack, ms, CFG, family_field(FoliationParams(2, 2)))
+            for a, b in zip(own[:3], given_base[:3]):
+                assert a.tobytes() == b.tobytes()
+            assert own[3] == given_base[3] == {}
 
 
 def test_probe_memory_does_not_grow_with_the_stencil(monkeypatch):
@@ -541,6 +572,49 @@ def _near_tolerance_set(scale=1.0):
     return _points(np.array(coords) * scale)
 
 
+EDGE_TOL = 1e-5
+
+
+def _window_edge_set(rho, duplicates=False):
+    # In C^3: the line through m=1 (the origin) and m=2 along u, with m=3 at
+    # EDGE_TOL (1 - 1e-6) from it and m=4 at EDGE_TOL (1 + 1e-6), both rho
+    # away from m=1.  u, and the side m=3 lies on, are chosen so that m=3's
+    # key, seen from m=1, differs from m=2's by sin(angle at m=1), the most a
+    # point at that distance can: the full half-width of m=3's window, which
+    # scales as 1 / rho.  With duplicates, m=5 repeats m=1 and m=6 repeats m=2.
+    w = 1.0 / np.sqrt([2.0, 3.0, 4.0])  # the screen's fixed vector, normalized below
+    w /= np.linalg.norm(w)
+    v = np.array([0.3 - 1j, 1.0, 0.2j])
+    z0 = v - np.vdot(w, v) * w
+    z0 /= np.linalg.norm(z0)  # a unit Hermitian-orthogonal to the real w
+    theta = np.arcsin(EDGE_TOL / rho)
+    beta = (theta + np.pi / 2) / 2
+    u = np.cos(beta) * w + np.sin(beta) * z0
+    z = -np.sin(beta) * w + np.cos(beta) * z0
+    coords = [0.0 * u, u]
+    for dist in (EDGE_TOL * (1 - 1e-6), EDGE_TOL * (1 + 1e-6)):
+        coords.append(-rho * np.sqrt(1 - (dist / rho) ** 2) * u + dist * z)
+    if duplicates:
+        coords += [0.0 * u, u.copy()]
+    return _points(coords)
+
+
+def _tied_key_set():
+    # Seen from m=1 (the origin), v 2^k and conj(v) 2^k have bitwise the same
+    # key for every v and k (the imaginary parts only change sign, and powers
+    # of two cancel exactly), so the keys fall into few exactly tied groups.
+    # Each line through the origin along v or conj(v) holds four points, and
+    # each axis three.
+    vs = np.random.default_rng(5).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    coords = [np.zeros(3)]
+    for v in vs:
+        for k in range(3):
+            coords += [v * 2.0**k, np.conj(v) * 2.0**k]
+    for j in range(3):
+        coords += [np.eye(3)[j], np.eye(3)[j] * -2j]
+    return _points(coords)
+
+
 def _census_cases():
     cases = {f"closed-{n}-{d}": (closed_form_sing(n, d), d, CFG)
              for n, d in [(2, 2), (4, 2), (3, 2), (3, 3), (5, 2)]}
@@ -557,19 +631,29 @@ def _census_cases():
     cases["near-tolerance-x1e3"] = (_near_tolerance_set(1e3), 2, RunConfig(align_tol=1e-5))
     cases["closed-3-3-x1e3"] = (_points(np.array([p.coords for p in closed_form_sing(3, 3)]) * 1e3),
                                 3, CFG)
-    # 2^+-250 are scaled inside the Gram screen; 2^+-320 fall outside its range
+    # 2^+-250 are scaled inside the screen; 2^+-320 fall outside its range
     for k in (-320, -250, 250, 320):
         coords = np.array([p.coords for p in closed_form_sing(3, 2)]) * 2.0**k
         cases[f"closed-3-2-x2^{k}"] = (_points(coords), 2, RunConfig(align_tol=1e-8 * 2.0**k))
+        coords = np.array([p.coords for p in _window_edge_set(1e3)]) * 2.0**k
+        cases[f"window-edge-1000-x2^{k}"] = (_points(coords), 2, RunConfig(align_tol=EDGE_TOL * 2.0**k))
+    edge = RunConfig(align_tol=EDGE_TOL)
+    for rho in (1e-3, 1e3):
+        cases[f"window-edge-{rho:g}"] = (_window_edge_set(rho), 2, edge)
+        cases[f"window-edge-{rho:g}-duplicates"] = (_window_edge_set(rho, duplicates=True), 2, edge)
+    cases["tied-keys"] = (_tied_key_set(), 2, CFG)
+    # m=2 lies 2^-470 from m=1, too close for its key to be trusted; the line
+    # it spans, tilted by 1e-12 from the one through m=3 and m=4, holds all four
+    u, z = np.array([0.6, 0.8j, 0.0]), np.array([0.0, 0.0, 1.0])
+    cases["near-anchor"] = (_points([0.0 * u, 2.0**-470 * (u + 1e-12 * z), u, 2.0 * u]), 2, CFG)
+    cases["tied-keys-d3"] = (_tied_key_set(), 3, CFG)
     return cases
 
 
 CENSUS_CASES = _census_cases()
 
 
-@pytest.mark.parametrize("name", sorted(CENSUS_CASES))
-def test_census_bitwise_equals_pair_sweep(name):
-    points, d, cfg = CENSUS_CASES[name]
+def _assert_census_equals_pair_sweep(points, d, cfg):
     got = alignment_census(points, d, cfg)
     want = _reference_census(points, d, cfg)
     assert len(got) == len(want)
@@ -580,6 +664,40 @@ def test_census_bitwise_equals_pair_sweep(name):
         assert rec.line_dir.dtype == line_dir.dtype
         assert rec.line_dir.tobytes() == line_dir.tobytes()
         assert np.float64(rec.residual).tobytes() == np.float64(residual).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+def test_census_bitwise_equals_pair_sweep(name):
+    _assert_census_equals_pair_sweep(*CENSUS_CASES[name])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_census_screens_pairs_in_small_blocks(monkeypatch, rows):
+    # the screen's second stage tests SAMPLE_BLOCK // (N n) pairs at once
+    for name in ["tracked-5-2-wide-tol", "closed-3-3", "window-edge-0.001-duplicates", "tied-keys-d3"]:
+        points, d, cfg = CENSUS_CASES[name]
+        monkeypatch.setattr(genericity, "SAMPLE_BLOCK", rows * len(points) * len(points[0].coords))
+        _assert_census_equals_pair_sweep(points, d, cfg)
+
+
+def test_window_edge_and_tied_key_sets_have_the_intended_records():
+    # guards the sets themselves: the record spanned by (m=1, m=2) holds m=3
+    # and not m=4 (lines through m=3 and m=4 hold records of their own), and
+    # the tied set holds its six lines through the origin and three axes
+    for rho in (1e-3, 1e3):
+        for duplicates, want in [(False, (1, 2, 3)), (True, (1, 2, 3, 5, 6))]:
+            points = _window_edge_set(rho, duplicates)
+            u = np.array(points[1].coords)
+            records = alignment_census(points, 2, RunConfig(align_tol=EDGE_TOL))
+            first = [r for r in records if r.line_dir.tobytes() == (u / np.linalg.norm(u)).tobytes()]
+            assert [r.indices for r in first] == [want]
+            assert first[0].line_point.tolist() == [0j] * 3
+            assert first[0].residual > EDGE_TOL * (1 - 2e-6)
+    records = {r.indices for r in alignment_census(_tied_key_set(), 2, CFG)}
+    lines = {(1, 2 + v + c, 4 + v + c, 6 + v + c) for v in (0, 6, 12) for c in (0, 1)}
+    axes = {(1, 20 + 2 * j, 21 + 2 * j) for j in range(3)}
+    assert lines | axes <= records
 
 
 def test_near_tolerance_set_has_the_intended_records():
