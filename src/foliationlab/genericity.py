@@ -49,8 +49,9 @@ DEFECT_NOISE_FLOOR = 1e-13
 # Rank certificate: smallest singular value must exceed this times the largest.
 RANK_GAP = 1e-6
 # Array entries per block of work: the sampler draws SAMPLE_BLOCK // (N^2 n)
-# members at once, the census screen tests SAMPLE_BLOCK // (N n) pairs at
-# once, each at least one.
+# members at once; the census screen takes the keys of SAMPLE_BLOCK // (32 N n)
+# anchors at once, a 32nd so that its (A, n, N) differences stay near 1/4 MiB,
+# and tests SAMPLE_BLOCK // (N n) pairs at once; each at least one.
 SAMPLE_BLOCK = 1 << 20
 
 
@@ -243,8 +244,8 @@ class AlignmentRecord:
     residual: float
 
 
-# Most points the census accepts: 4096 points in C^5 took 2.4 s and peaked at
-# 18.6 MiB under tracemalloc, 16 MiB of it the N^2 covered-pair bytes.
+# Most points the census accepts: 4096 points in C^5 took 0.9 s and peaked at
+# 19.4 MiB under tracemalloc, 16 MiB of it the N^2 covered-pair bytes.
 CENSUS_MAX_POINTS = 4096
 # The screen's error bounds assume the largest |p|^2 lies in
 # [2^-600, 2^600]; outside it every pair is a candidate.
@@ -256,10 +257,11 @@ _UNDERFLOW = 2.0**-500
 def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.ndarray):
     """For each anchor a, the b > a whose line might hold `need` points.
 
-    Yields (a, bs).  A pair is dropped only when `covered` holds it or a
-    screen proves that fewer than `need` points pass the pair test in
-    `alignment_census`: a sort-and-sweep over direction keys (Shamos and
-    Hoey 1975), then a test on inner products.
+    Yields (a, bs) for the anchors with at least one such b.  A pair is
+    dropped only when `covered` holds it or a screen proves that fewer than
+    `need` points pass the pair test in `alignment_census`: a coarse test
+    and then a sort-and-sweep over direction keys (Shamos and Hoey 1975),
+    then a test on inner products.
 
     The key.  w is a fixed real vector with distinct entries, proportional
     to (i + 1)^-1/2, and W = |w|^2 as rounded, within (n + 4) eps of 1.
@@ -279,7 +281,14 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
     its differences, norms, division and projection; floor covers
     underflow), so |k_c - k_b| < W (t + floor) / |r_c| + W (4n + 32) eps.
 
-    Rounding, in scaled units (max |p|^2 in [1/4, 1), t = tol):
+    The tolerance.  t is tol capped at 4 in scaled units.  Scaled,
+    max |p|^2 as computed is below 1, so every exact |p| is below
+    1 + (n + 1) eps and every |r_c| below 4; since delta <= |r_c|, a
+    tolerance above 4 accepts nothing that 4 does not, and the cap keeps
+    t, the windows and the squares below from overflowing.  The cap,
+    min(tol, 4 / scale), is exact, as is the power-of-two scaling.
+
+    Rounding, in scaled units (max |p|^2 in [1/4, 1)):
     - once |r_c|^2 as computed exceeds 2^-900, underflow is negligible and
       a computed key is within rho = (2n + 8) eps of the exact one (the
       differences round by eps / 2 relatively, the dot product by gamma_n,
@@ -289,16 +298,38 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
     + (16n + 128) eps covers the bound above, 2 rho and the rounding of
     h_c and of the window's ends k_c -+ h_c, the additive part twice over.
     A point with |r_c|^2 <= 2^-900 as computed, such as a duplicate of the
-    anchor, gets an infinite half-width, and a b with |r_b|^2 <= 2^-900
-    always passes the sweep.
+    anchor, is near: it gets an infinite half-width, and a near b always
+    passes both key stages.
+
+    The coarse test.  Let H_a be the largest half-width among anchor a's
+    points that are not near, m the most near points an anchor of the
+    block has (the anchor itself is one) and q = need - m.  A b, not near,
+    that the sweep below keeps has at least q flagged points c that are not
+    near, each with k_c - h_c <= k_b <= k_c + h_c as computed.  The ends
+    round by eps / 2 of |k_c -+ h_c| <= W + H_a, so |k_c - k_b| <= R
+    = (1 + eps / 2) H_a + eps W / 2.  The sorted keys in [k_b - R, k_b + R]
+    are a run that holds b's place and at least q keys, so some q
+    consecutive sorted keys that hold b's place span at most 2 R, at most
+    (1 + eps / 2) 2 R as computed, and that is below 2 (1 + 4 eps) H_a
+    + 8 eps as computed, since W < 2.  The test keeps a pair when some q
+    consecutive sorted keys that hold b's place span at most that, and
+    every near b: one row-wise sort and q shifted comparisons per block.
+    With q <= 1 it would keep every pair and is not run.  One bound per
+    anchor is loose when tol is wide, which makes the half-widths of one
+    anchor differ widely.
 
     The sweep.  The points whose window [k_c - h_c, k_c + h_c] holds k_b
     are those whose lower end is at most k_b, less those whose upper end
-    is below it: two sorted arrays and two binary searches per anchor.
+    is below it: two sorted arrays per anchor, and two binary searches on
+    the keys of the pairs the coarse test kept.
+
     Once tol is wide against the spacing of the points, most windows are
-    wide and the sweep keeps most pairs.  So after an anchor at which it
-    kept more than half its pairs, it is skipped, except at the anchors
-    a = 2^k - 1, until it drops at least half again.
+    wide, and the key stages keep most pairs.  So the coarse test is
+    skipped after a block of anchors in which it kept more than half of
+    the block's pairs, and the sweep after an anchor that it left with
+    more than half of its pairs, each until it drops at least half again.
+    Both are retried at the anchors a = 2^k - 1, the coarse test at the
+    blocks that hold one.
 
     The exact stage.  Pairs the `covered` matrix of the caller already
     holds are dropped (the pair test skips them), and when more than one
@@ -318,58 +349,92 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
     SAMPLE_BLOCK // (N n) of them.
 
     Only pairs with at least `need` points flagged by each stage that ran
-    are candidates.  Time is O(N (n + log N)) per anchor for the sweep and
-    O(N n) per pair the exact stage tests, memory O(N n) per anchor plus
-    one block.
+    are candidates.  The keys, half-widths and coarse test take the anchors
+    in blocks of SAMPLE_BLOCK // (32 N n), at least one, as (A, n, N)
+    differences and (A, N) arrays.  Time is O(N (n + log N)) per anchor for
+    the keys and the coarse test, in a few dozen array operations per
+    block, O(N log N) per anchor the sweep runs at plus O(log N) per pair
+    it sees, and O(N n) per pair the exact stage tests.  Memory is a few
+    arrays of max(N n, SAMPLE_BLOCK // 32) entries plus one block of pairs.
     """
     count, n = coords.shape
     eps = np.finfo(float).eps
     big = float(np.max(np.sum(coords.real**2 + coords.imag**2, axis=1)))
     if not _SCREEN_RANGE[0] <= big <= _SCREEN_RANGE[1]:
-        for a in range(count):
+        for a in range(count - 1):
             yield a, range(a + 1, count)
         return
     # a power-of-two scale is exact: max |p|^2 moves into [1/4, 1)
-    scale = np.ldexp(1.0, -np.frexp(np.sqrt(big))[1])
+    scale = float(np.ldexp(1.0, -np.frexp(np.sqrt(big))[1]))
     pts = coords * scale
+    re_t, im_t = pts.real.T.copy(), pts.imag.T.copy()
     w = 1.0 / np.sqrt(np.arange(2.0, n + 2.0))
     w /= np.linalg.norm(w)
-    reach = (1.0 + (2 * n + 16) * eps) * ((tol + _UNDERFLOW) * scale)
+    reach = (1.0 + (2 * n + 16) * eps) * ((min(tol, 4.0 / scale) + _UNDERFLOW) * scale)
     slack = (16 * n + 128) * eps
     rows = max(1, SAMPLE_BLOCK // (count * n))
-    sweep = True
-    for a in range(count - 1):
-        rel = pts - pts[a]
-        dre, dim = rel.real, rel.imag
-        sq = np.sum(dre * dre + dim * dim, axis=1)
-        kept = np.arange(a + 1, count)
-        if sweep or not a & (a + 1):
+    step = max(1, SAMPLE_BLOCK // (32 * count * n))
+    coarse = sweep = True
+    for start in range(0, count - 1, step):
+        anchors = np.arange(start, min(start + step, count - 1))
+        # the block holds an anchor 2^k - 1
+        retry = (start + len(anchors)).bit_length() > start.bit_length()
+        # (A, n, N) differences: sums over the coordinates run along rows
+        dre = re_t - pts.real[anchors, :, None]
+        dim = im_t - pts.imag[anchors, :, None]
+        sq = np.einsum("acp,acp->ap", dre, dre) + np.einsum("acp,acp->ap", dim, dim)
+        keep = np.arange(count) > anchors[:, None]
+        if coarse or sweep or retry:
             near = sq <= 2.0**-900
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                key = ((dre @ w) ** 2 + (dim @ w) ** 2) / sq
+                key = ((w @ dre) ** 2 + (w @ dim) ** 2) / sq
                 half = reach / np.sqrt(sq) + slack
-            key[near], half[near] = 0.0, np.inf
-            kb = key[a + 1:]
-            flagged = (np.searchsorted(np.sort(key - half), kb, side="right")
-                       - np.searchsorted(np.sort(key + half), kb, side="left"))
-            flagged[near[a + 1:]] = count
-            kept = kept[flagged >= need]
-            sweep = 2 * len(kept) <= len(kb)
-        kept = kept[~covered[a, kept]]
-        if len(kept) <= 1:
-            yield a, kept
-            continue
-        reach_c = reach + (4 * n + 40) * eps * np.sqrt(sq)
-        lo = sq * (1.0 - (8 * n + 48) * eps) - (reach_c * reach_c) * (1.0 + (2 * n + 16) * eps)
-        blocks = []
-        for start in range(0, len(kept), rows):
-            bs = kept[start:start + rows]
-            g = (rel[bs].conj() @ rel.T).view(float)
-            g *= g
-            g2 = g[:, 0::2] + g[:, 1::2]
-            g2 -= np.multiply.outer(sq[bs], lo)
-            blocks.append(bs[np.count_nonzero(g2 > -2.0**-1000, axis=1) >= need])
-        yield a, np.concatenate(blocks)
+            key[near] = 0.0
+            widest = np.max(half, axis=1, where=~near, initial=0.0)
+            half[near] = np.inf
+            q = need - int(np.max(np.count_nonzero(near, axis=1)))
+        if (coarse or retry) and q > 1:
+            order = np.argsort(key, axis=1)
+            ranked = np.take_along_axis(key, order, axis=1)
+            limit = (2.0 * (1.0 + 4 * eps)) * widest + 8 * eps
+            short = ranked[:, q - 1:] - ranked[:, :count - q + 1] <= limit[:, None]
+            run = np.zeros(keep.shape, dtype=bool)
+            for i in range(q):
+                run[:, i:i + count - q + 1] |= short
+            hit = np.empty_like(run)
+            np.put_along_axis(hit, order, run, axis=1)
+            pairs = np.count_nonzero(keep)
+            keep &= hit | near
+            coarse = 2 * np.count_nonzero(keep) <= pairs
+        live = np.flatnonzero(keep.any(axis=1))
+        if sweep or retry:
+            lows = np.sort(key[live] - half[live], axis=1)
+            highs = np.sort(key[live] + half[live], axis=1)
+        for i, r in enumerate(live.tolist()):
+            a = start + r
+            kept = np.flatnonzero(keep[r])
+            if sweep or not a & (a + 1):
+                kb = key[r, kept]
+                flagged = (np.searchsorted(lows[i], kb, side="right")
+                           - np.searchsorted(highs[i], kb, side="left"))
+                kept = kept[(flagged >= need) | near[r, kept]]
+                sweep = 2 * len(kept) <= count - a - 1
+            kept = kept[~covered[a, kept]]
+            if len(kept) > 1:
+                rel = pts - pts[a]
+                reach_c = reach + (4 * n + 40) * eps * np.sqrt(sq[r])
+                lo = sq[r] * (1.0 - (8 * n + 48) * eps) - (reach_c * reach_c) * (1.0 + (2 * n + 16) * eps)
+                blocks = []
+                for begin in range(0, len(kept), rows):
+                    bs = kept[begin:begin + rows]
+                    g = (rel[bs].conj() @ rel.T).view(float)
+                    g *= g
+                    g2 = g[:, 0::2] + g[:, 1::2]
+                    g2 -= np.multiply.outer(sq[r, bs], lo)
+                    blocks.append(bs[np.count_nonzero(g2 > -2.0**-1000, axis=1) >= need])
+                kept = np.concatenate(blocks)
+            if len(kept):
+                yield a, kept
 
 
 def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> list[AlignmentRecord]:
@@ -384,28 +449,35 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     are always aligned).  Records are deduplicated by index set and sorted.
 
     The pair test costs O(N n) and almost no pair passes it, so pairs are
-    first screened in two stages, on the points scaled by a power of two
+    first screened in three stages, on the points scaled by a power of two
     so that max |p|^2 lies in [1/4, 1).  Seen from anchor a, each point c
     has a key, the squared cosine between a fixed real vector w and the
     complex line through p_a and p_c, and a point off the line through p_a
-    and p_b by delta has a key within delta / |p_c - p_a| of b's.  A
-    sort-and-sweep over the keys flags the points whose key lies within
-    that reach, with tol for delta, of b's.  The pairs it keeps that no
-    record covers yet are then tested on the inner products
-    <p_c - p_a, p_b - p_a>, in blocks: nb (nc - tol^2) < |g|^2 up to a
-    margin.  Each stage's margin bounds its own rounding plus the rounding
-    (and underflow) of the pair test's distance, so every point the pair
-    test accepts is flagged.  Only pairs with at least d + 1 flagged points
-    run the pair test, in the same order and under the same covered-pair
-    rule, so the records are bitwise those of running it on every pair.
-    The sweep is skipped while it keeps most pairs, as it does when tol is
-    wide against the spacing of the points.  If max |p|^2 falls outside
-    [2^-600, 2^600], every pair runs the pair test.
+    and p_b by delta has a key within delta / |p_c - p_a| of b's, its
+    half-width, with tol (capped at the largest distance two points can
+    have) for delta.  A coarse test, for a block of anchors at once, keeps
+    a pair only when d consecutive keys in sorted order around b's (fewer
+    beside repeated points) span at most twice the anchor's widest
+    half-width.  A sort-and-sweep over the
+    keys then flags, for the pairs it kept, the points whose key lies
+    within its half-width of b's.  The pairs left that no record covers
+    yet are tested on the inner products <p_c - p_a, p_b - p_a>, in
+    blocks: nb (nc - tol^2) < |g|^2 up to a margin.  Each stage's margin
+    bounds its own rounding plus the rounding (and underflow) of the pair
+    test's distance, so every point the pair test accepts is flagged.
+    Only pairs with at least d + 1 flagged points run the pair test, in
+    the same order and under the same covered-pair rule, so the records are
+    bitwise those of running it on every pair.  The key stages are skipped
+    while they keep most pairs, as they do when tol is wide against the
+    spacing of the points.  If max |p|^2 falls outside [2^-600, 2^600],
+    every pair runs the pair test.
 
-    Time is O(N^2 log N) for the sweep plus O(N n) per pair the second
-    stage or the pair test sees, memory O(N n) plus a few arrays of at
-    most SAMPLE_BLOCK entries plus N^2 bytes for the covered pairs; more than
-    CENSUS_MAX_POINTS points raise InputError.
+    Time is O(N^2 (n + log N)) for the key stages, in a few dozen array
+    operations per block of SAMPLE_BLOCK // (32 N n) anchors, plus
+    O(log N) per pair the sweep sees and O(N n) per pair the inner-product
+    stage or the pair test sees.  Memory is O(N n) plus a few arrays of at
+    most SAMPLE_BLOCK entries plus N^2 bytes for the covered pairs; more
+    than CENSUS_MAX_POINTS points raise InputError.
     """
     _check_int("d", d)
     if d < 2:

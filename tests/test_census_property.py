@@ -16,7 +16,7 @@ from foliationlab import RunConfig
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(2, 3), d=st.integers(2, 3), lines=st.integers(1, 3),
+@given(n=st.integers(2, 5), d=st.integers(2, 3), lines=st.integers(1, 3),
        per_line=st.integers(2, 4), extra=st.integers(0, 4),
        tol=st.sampled_from([1e-8, 1e-3, 0.05]), seed=st.integers(0, 2**32 - 1))
 def test_census_of_planted_lines_equals_pair_sweep(n, d, lines, per_line, extra, tol, seed):

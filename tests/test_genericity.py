@@ -599,6 +599,25 @@ def _window_edge_set(rho, duplicates=False):
     return _points(coords)
 
 
+def _coarse_edge_set(rho):
+    # In C^3, for d = 3: the line through m=1 (the origin) and m=2 = 2 rho u
+    # holds m=3 and m=4, rho from m=1 and EDGE_TOL (1 - 1e-6) from the line,
+    # on either side of it in the plane of u and the screen's fixed vector.
+    # Seen from m=1 their keys differ from m=2's by about -+ EDGE_TOL / rho,
+    # the half-width of their windows and the widest of the anchor, so the
+    # three keys span almost twice it.  No other pair's line holds four.
+    w = 1.0 / np.sqrt([2.0, 3.0, 4.0])
+    w /= np.linalg.norm(w)
+    v = np.array([0.3 - 1j, 1.0, 0.2j])
+    z0 = v - np.vdot(w, v) * w
+    z0 /= np.linalg.norm(z0)
+    theta = np.arcsin(EDGE_TOL * (1 - 1e-6) / rho)
+    coords = [0.0 * w, 2 * rho * (w + z0) / np.sqrt(2.0)]
+    for phi in (np.pi / 4 - theta, np.pi / 4 + theta):
+        coords.append(rho * (np.cos(phi) * w + np.sin(phi) * z0))
+    return _points(coords)
+
+
 def _tied_key_set():
     # Seen from m=1 (the origin), v 2^k and conj(v) 2^k have bitwise the same
     # key for every v and k (the imaginary parts only change sign, and powers
@@ -647,6 +666,20 @@ def _census_cases():
     u, z = np.array([0.6, 0.8j, 0.0]), np.array([0.0, 0.0, 1.0])
     cases["near-anchor"] = (_points([0.0 * u, 2.0**-470 * (u + 1e-12 * z), u, 2.0 * u]), 2, CFG)
     cases["tied-keys-d3"] = (_tied_key_set(), 3, CFG)
+    for rho in (1.0, 1e3):
+        cases[f"coarse-edge-{rho:g}"] = (_coarse_edge_set(rho), 3, edge)
+    # past the largest distance between two points every point is on every
+    # line: one record of all 15, and no overflow in the screen's margins
+    for tol in (1e150, 1e200, 1e300):
+        cases[f"closed-3-2-tol-{tol:g}"] = (closed_form_sing(3, 2), 2, RunConfig(align_tol=tol))
+    # m=3 lies 1.98 from the line through m=1 and m=2, near the largest
+    # distance two of these points can have, along the screen's fixed vector
+    # w, and that line is orthogonal to w: m=3's key differs from m=2's by 1
+    w = 1.0 / np.sqrt([2.0, 3.0, 4.0])
+    w /= np.linalg.norm(w)
+    z = np.array([0.0, 1.0, -np.sqrt(4.0 / 3.0)]) / np.sqrt(7.0 / 3.0)
+    cases["far-point-tol-1e300"] = (_points([-0.99 * w, -0.99 * w + 0.1 * z, 0.99 * w]), 2,
+                                    RunConfig(align_tol=1e300))
     return cases
 
 
@@ -672,19 +705,54 @@ def test_census_bitwise_equals_pair_sweep(name):
     _assert_census_equals_pair_sweep(*CENSUS_CASES[name])
 
 
-@pytest.mark.parametrize("rows", [1, 2])
-def test_census_screens_pairs_in_small_blocks(monkeypatch, rows):
-    # the screen's second stage tests SAMPLE_BLOCK // (N n) pairs at once
-    for name in ["tracked-5-2-wide-tol", "closed-3-3", "window-edge-0.001-duplicates", "tied-keys-d3"]:
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_census_screens_pairs_in_small_blocks(monkeypatch, size):
+    # the screen takes the keys of SAMPLE_BLOCK // (32 N n) anchors at once
+    # and tests SAMPLE_BLOCK // (N n) pairs at once: blocks of `size` anchors,
+    # then of `size` pairs (and one anchor)
+    names = ["closed-3-2", "tracked-5-2-wide-tol", "closed-3-3", "window-edge-0.001-duplicates",
+             "tied-keys-d3", "duplicate-3-2", "near-anchor"]
+    for name in names:
         points, d, cfg = CENSUS_CASES[name]
-        monkeypatch.setattr(genericity, "SAMPLE_BLOCK", rows * len(points) * len(points[0].coords))
-        _assert_census_equals_pair_sweep(points, d, cfg)
+        entries = len(points) * len(points[0].coords)
+        for block in (32 * size * entries, size * entries):
+            monkeypatch.setattr(genericity, "SAMPLE_BLOCK", block)
+            _assert_census_equals_pair_sweep(points, d, cfg)
+    # a block boundary falls between two anchors of one record
+    records = alignment_census(*CENSUS_CASES["closed-3-2"])
+    assert any(len({(m - 1) // size for m in r.indices}) > 1 for r in records)
+
+
+def test_census_peak_memory_at_5_3():
+    # keys for SAMPLE_BLOCK entries' worth of anchors, the whole set at
+    # (5,3), peaked at 18.3 MiB; blocks of a 32nd of that at 1.6 MiB
+    points = closed_form_sing(5, 3)
+    alignment_census(points, 3, RunConfig())
+    tracemalloc.start()
+    try:
+        alignment_census(points, 3, RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_census_past_the_largest_distance_is_one_record():
+    for tol in (1e150, 1e200, 1e300):
+        records = alignment_census(closed_form_sing(3, 2), 2, RunConfig(align_tol=tol))
+        assert [r.indices for r in records] == [tuple(range(1, 16))]
+    # the far point's record is spanned by the first pair
+    points, d, cfg = CENSUS_CASES["far-point-tol-1e300"]
+    records = alignment_census(points, d, cfg)
+    assert [r.indices for r in records] == [(1, 2, 3)]
+    assert abs(records[0].line_dir[0]) < 1e-12
 
 
 def test_window_edge_and_tied_key_sets_have_the_intended_records():
     # guards the sets themselves: the record spanned by (m=1, m=2) holds m=3
-    # and not m=4 (lines through m=3 and m=4 hold records of their own), and
-    # the tied set holds its six lines through the origin and three axes
+    # and not m=4 (lines through m=3 and m=4 hold records of their own), the
+    # coarse-edge sets hold one record of all four points, and the tied set
+    # holds its six lines through the origin and three axes
     for rho in (1e-3, 1e3):
         for duplicates, want in [(False, (1, 2, 3)), (True, (1, 2, 3, 5, 6))]:
             points = _window_edge_set(rho, duplicates)
@@ -694,6 +762,10 @@ def test_window_edge_and_tied_key_sets_have_the_intended_records():
             assert [r.indices for r in first] == [want]
             assert first[0].line_point.tolist() == [0j] * 3
             assert first[0].residual > EDGE_TOL * (1 - 2e-6)
+    for rho in (1.0, 1e3):
+        records = alignment_census(_coarse_edge_set(rho), 3, RunConfig(align_tol=EDGE_TOL))
+        assert [r.indices for r in records] == [(1, 2, 3, 4)]
+        assert records[0].residual > EDGE_TOL * (1 - 2e-6)
     records = {r.indices for r in alignment_census(_tied_key_set(), 2, CFG)}
     lines = {(1, 2 + v + c, 4 + v + c, 6 + v + c) for v in (0, 6, 12) for c in (0, 1)}
     axes = {(1, 20 + 2 * j, 21 + 2 * j) for j in range(3)}
