@@ -316,20 +316,13 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
     every near b: one row-wise sort and q shifted comparisons per block.
     With q <= 1 it would keep every pair and is not run.  One bound per
     anchor is loose when tol is wide, which makes the half-widths of one
-    anchor differ widely.
+    anchor differ widely.  The test drops only pairs the sweep would drop,
+    so the candidates do not depend on how the anchors are blocked.
 
     The sweep.  The points whose window [k_c - h_c, k_c + h_c] holds k_b
     are those whose lower end is at most k_b, less those whose upper end
     is below it: two sorted arrays per anchor, and two binary searches on
     the keys of the pairs the coarse test kept.
-
-    Once tol is wide against the spacing of the points, most windows are
-    wide, and the key stages keep most pairs.  So the coarse test is
-    skipped after a block of anchors in which it kept more than half of
-    the block's pairs, and the sweep after an anchor that it left with
-    more than half of its pairs, each until it drops at least half again.
-    Both are retried at the anchors a = 2^k - 1, the coarse test at the
-    blocks that hold one.
 
     The exact stage.  Pairs the `covered` matrix of the caller already
     holds are dropped (the pair test skips them), and when more than one
@@ -348,14 +341,15 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
     matters once nb nc is far below it.  One block of pairs holds at most
     SAMPLE_BLOCK // (N n) of them.
 
-    Only pairs with at least `need` points flagged by each stage that ran
-    are candidates.  The keys, half-widths and coarse test take the anchors
+    Only pairs with at least `need` points flagged by each stage are
+    candidates.  The keys, half-widths and coarse test take the anchors
     in blocks of SAMPLE_BLOCK // (32 N n), at least one, as (A, n, N)
     differences and (A, N) arrays.  Time is O(N (n + log N)) per anchor for
     the keys and the coarse test, in a few dozen array operations per
-    block, O(N log N) per anchor the sweep runs at plus O(log N) per pair
-    it sees, and O(N n) per pair the exact stage tests.  Memory is a few
-    arrays of max(N n, SAMPLE_BLOCK // 32) entries plus one block of pairs.
+    block, O(N log N) per anchor the coarse test leaves a pair plus
+    O(log N) per pair the sweep sees, and O(N n) per pair the exact stage
+    tests.  Memory is a few arrays of max(N n, SAMPLE_BLOCK // 32) entries
+    plus one block of pairs.
     """
     count, n = coords.shape
     eps = np.finfo(float).eps
@@ -374,26 +368,22 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
     slack = (16 * n + 128) * eps
     rows = max(1, SAMPLE_BLOCK // (count * n))
     step = max(1, SAMPLE_BLOCK // (32 * count * n))
-    coarse = sweep = True
     for start in range(0, count - 1, step):
         anchors = np.arange(start, min(start + step, count - 1))
-        # the block holds an anchor 2^k - 1
-        retry = (start + len(anchors)).bit_length() > start.bit_length()
         # (A, n, N) differences: sums over the coordinates run along rows
         dre = re_t - pts.real[anchors, :, None]
         dim = im_t - pts.imag[anchors, :, None]
         sq = np.einsum("acp,acp->ap", dre, dre) + np.einsum("acp,acp->ap", dim, dim)
         keep = np.arange(count) > anchors[:, None]
-        if coarse or sweep or retry:
-            near = sq <= 2.0**-900
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                key = ((w @ dre) ** 2 + (w @ dim) ** 2) / sq
-                half = reach / np.sqrt(sq) + slack
-            key[near] = 0.0
-            widest = np.max(half, axis=1, where=~near, initial=0.0)
-            half[near] = np.inf
-            q = need - int(np.max(np.count_nonzero(near, axis=1)))
-        if (coarse or retry) and q > 1:
+        near = sq <= 2.0**-900
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            key = ((w @ dre) ** 2 + (w @ dim) ** 2) / sq
+            half = reach / np.sqrt(sq) + slack
+        key[near] = 0.0
+        widest = np.max(half, axis=1, where=~near, initial=0.0)
+        half[near] = np.inf
+        q = need - int(np.max(np.count_nonzero(near, axis=1)))
+        if q > 1:
             order = np.argsort(key, axis=1)
             ranked = np.take_along_axis(key, order, axis=1)
             limit = (2.0 * (1.0 + 4 * eps)) * widest + 8 * eps
@@ -403,22 +393,17 @@ def _census_candidates(coords: np.ndarray, tol: float, need: int, covered: np.nd
                 run[:, i:i + count - q + 1] |= short
             hit = np.empty_like(run)
             np.put_along_axis(hit, order, run, axis=1)
-            pairs = np.count_nonzero(keep)
             keep &= hit | near
-            coarse = 2 * np.count_nonzero(keep) <= pairs
         live = np.flatnonzero(keep.any(axis=1))
-        if sweep or retry:
-            lows = np.sort(key[live] - half[live], axis=1)
-            highs = np.sort(key[live] + half[live], axis=1)
+        lows = np.sort(key[live] - half[live], axis=1)
+        highs = np.sort(key[live] + half[live], axis=1)
         for i, r in enumerate(live.tolist()):
             a = start + r
             kept = np.flatnonzero(keep[r])
-            if sweep or not a & (a + 1):
-                kb = key[r, kept]
-                flagged = (np.searchsorted(lows[i], kb, side="right")
-                           - np.searchsorted(highs[i], kb, side="left"))
-                kept = kept[(flagged >= need) | near[r, kept]]
-                sweep = 2 * len(kept) <= count - a - 1
+            kb = key[r, kept]
+            flagged = (np.searchsorted(lows[i], kb, side="right")
+                       - np.searchsorted(highs[i], kb, side="left"))
+            kept = kept[(flagged >= need) | near[r, kept]]
             kept = kept[~covered[a, kept]]
             if len(kept) > 1:
                 rel = pts - pts[a]
@@ -467,10 +452,8 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     test's distance, so every point the pair test accepts is flagged.
     Only pairs with at least d + 1 flagged points run the pair test, in
     the same order and under the same covered-pair rule, so the records are
-    bitwise those of running it on every pair.  The key stages are skipped
-    while they keep most pairs, as they do when tol is wide against the
-    spacing of the points.  If max |p|^2 falls outside [2^-600, 2^600],
-    every pair runs the pair test.
+    bitwise those of running it on every pair.  If max |p|^2 falls outside
+    [2^-600, 2^600], every pair runs the pair test.
 
     Time is O(N^2 (n + log N)) for the key stages, in a few dozen array
     operations per block of SAMPLE_BLOCK // (32 N n) anchors, plus
@@ -488,8 +471,22 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     if len(points) > CENSUS_MAX_POINTS:
         raise InputError(f"alignment census takes at most {CENSUS_MAX_POINTS} points, "
                          f"got {len(points)}")
-    coords = np.array([p.coords for p in points])
-    labels = [p.m for p in points]
+    try:
+        rows = [p.coords for p in points]
+        labels = [p.m for p in points]
+        lengths = sorted({len(row) for row in rows})
+    except (AttributeError, TypeError):
+        raise InputError("points must be singular points, each with m and a coords sequence") from None
+    if len(lengths) > 1:
+        raise InputError(f"point coords must have one length, got {lengths[0]} and {lengths[-1]}")
+    try:
+        coords = np.array(rows)
+        numeric = coords.ndim == 2 and coords.dtype.kind in "iufc" and np.isfinite(coords).all()
+    except ValueError:  # ragged nested entries
+        numeric = False
+    if not numeric:
+        raise InputError("point coords must be finite numbers")
+    coords = coords.astype(complex, copy=False)
     count = len(points)
     tol = cfg.align_tol
     found: dict[tuple[int, ...], AlignmentRecord] = {}

@@ -497,6 +497,34 @@ def test_census_rejects_too_many_points():
         alignment_census([p] * (CENSUS_MAX_POINTS + 1), 2, CFG)
 
 
+def _with_point_3(coords):
+    pts = closed_form_sing(3, 2)
+    return pts[:3] + [replace(pts[3], coords=coords)] + pts[4:]
+
+
+@pytest.mark.parametrize("points,message", [
+    (_with_point_3((1j, 2.0)), "^point coords must have one length, got 2 and 3$"),
+    (_with_point_3((np.nan, 1j, 2.0)), "^point coords must be finite numbers$"),
+    (_with_point_3((complex(0, np.inf), 1j, 2.0)), "^point coords must be finite numbers$"),
+    (_with_point_3(("a", "b", "c")), "^point coords must be finite numbers$"),
+    (_with_point_3(5), "^points must be singular points, each with m and a coords sequence$"),
+    (closed_form_sing(3, 2)[:3] + [(1j, 2.0, 3.0)], "^points must be singular points"),
+], ids=["lengths", "nan", "inf", "str", "scalar", "no-coords"])
+def test_census_refuses_malformed_points(points, message):
+    # refused before np.array or the screen sees them
+    with pytest.raises(InputError, match=message):
+        alignment_census(points, 2, CFG)
+
+
+def test_census_takes_real_coords_as_complex():
+    points = closed_form_sing(3, 3)
+    real = [replace(p, coords=tuple(c.real for c in p.coords)) for p in points]
+    cast = [replace(p, coords=tuple(complex(c.real) for c in p.coords)) for p in points]
+    want = [(r.indices, r.line_dir.tobytes()) for r in alignment_census(cast, 3, CFG)]
+    assert want
+    assert [(r.indices, r.line_dir.tobytes()) for r in alignment_census(real, 3, CFG)] == want
+
+
 def _reference_census(points, d, cfg):
     # the plain O(N^3) sweep: the pair test on every pair (a, b), a < b
     coords = np.array([p.coords for p in points])
@@ -721,6 +749,23 @@ def test_census_screens_pairs_in_small_blocks(monkeypatch, size):
     # a block boundary falls between two anchors of one record
     records = alignment_census(*CENSUS_CASES["closed-3-2"])
     assert any(len({(m - 1) // size for m in r.indices}) > 1 for r in records)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.05])
+def test_census_candidates_do_not_depend_on_the_anchor_blocks(monkeypatch, tol):
+    # every stage runs at every anchor, so the screen yields the same (a, bs)
+    # with SAMPLE_BLOCK's blocks of anchors as with one anchor per block
+    def candidates(coords, need):
+        covered = np.zeros((len(coords), len(coords)), dtype=bool)
+        return [(a, bs.tolist()) for a, bs in genericity._census_candidates(coords, tol, need, covered)]
+
+    for n, d in [(3, 2), (5, 2), (7, 2), (5, 3)]:
+        coords = np.array([p.coords for p in closed_form_sing(n, d)])
+        want = candidates(coords, d + 1)
+        assert want
+        with monkeypatch.context() as patch:
+            patch.setattr(genericity, "SAMPLE_BLOCK", 32 * coords.size)
+            assert candidates(coords, d + 1) == want
 
 
 def test_census_peak_memory_at_5_3():
