@@ -29,6 +29,7 @@ from .jouanolou import (
     FoliationParams,
     SingularPoint,
     _check_int,
+    _check_points,
     _check_real,
     _check_sequence,
     _check_vector,
@@ -40,7 +41,8 @@ from .jouanolou import (
 )
 from . import solver
 from .solver import RunConfig, _track_members, track_one, track_zeros
-from .spectral import _CLASSES, HYPERBOLIC, RESONANCE_TOL, _spectra, char_poly_direct
+from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _class_codes, _divisor_scan, _roots,
+                       char_poly_direct)
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
 SUBMERSION_RTOL = 1e-4
@@ -471,22 +473,7 @@ def alignment_census(points: list[SingularPoint], d: int, cfg: RunConfig) -> lis
     if len(points) > CENSUS_MAX_POINTS:
         raise InputError(f"alignment census takes at most {CENSUS_MAX_POINTS} points, "
                          f"got {len(points)}")
-    try:
-        rows = [p.coords for p in points]
-        labels = [p.m for p in points]
-        lengths = sorted({len(row) for row in rows})
-    except (AttributeError, TypeError):
-        raise InputError("points must be singular points, each with m and a coords sequence") from None
-    if len(lengths) > 1:
-        raise InputError(f"point coords must have one length, got {lengths[0]} and {lengths[-1]}")
-    try:
-        coords = np.array(rows)
-        numeric = coords.ndim == 2 and coords.dtype.kind in "iufc" and np.isfinite(coords).all()
-    except ValueError:  # ragged nested entries
-        numeric = False
-    if not numeric:
-        raise InputError("point coords must be finite numbers")
-    coords = coords.astype(complex, copy=False)
+    coords, labels = _check_points(points)
     count = len(points)
     tol = cfg.align_tol
     found: dict[tuple[int, ...], AlignmentRecord] = {}
@@ -684,19 +671,11 @@ class SampleStats:
     )
 
 
-def _draw_flags(base, coords: np.ndarray, cfg: RunConfig) -> list[tuple[str, bool, bool]]:
-    """("", all zeros hyperbolic, some zero resonant) for each draw of an
-    (S, N, n) stack of zeros, from one stacked spectral kernel over its S N rows."""
-    codes, c_min = _spectra(base, coords.reshape(-1, coords.shape[-1]), cfg)[2:4]
-    hyperbolic = (codes.reshape(len(coords), -1) == _CLASSES.index(HYPERBOLIC)).all(axis=1)
-    resonant = (c_min.reshape(len(coords), -1) < RESONANCE_TOL).any(axis=1)
-    return [("", h, r) for h, r in zip(hyperbolic.tolist(), resonant.tolist())]
-
-
 def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, bool]]:
     """Per draw of ``genericity_sample``, yielded block by block: (class name
     of the error that failed it, or "", all zeros hyperbolic, some zero
-    resonant).  Each block draws its (S, n, 2) share of the seeded stream."""
+    resonant).  Each block draws its (S, n, 2) share of the seeded stream;
+    a draw with a zero above the root gate fails with ConvergenceError."""
     base = jouanolou_field(n, d)
     big_n = counts(n, d).N
     rng = np.random.default_rng(cfg.seed)
@@ -706,18 +685,18 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
         alphas = cfg.radius * np.sqrt(draws[:, :, 0]) * np.exp(2j * np.pi * draws[:, :, 1])
         x, _, _, errors = _track_members(n, d, alphas, cfg)
         outcomes = {s: (type(exc).__name__, False, False) for s, exc in errors.items()}
-        tracked = [s for s in range(len(alphas)) if s not in outcomes]
-        coords = x[tracked]
-        try:
-            flags = _draw_flags(base, coords, cfg) if tracked else []
-        except ConvergenceError:  # the eigenvalue gate: fail only the draws it fails alone
-            flags = []
-            for one in coords[:, None]:
-                try:
-                    flags += _draw_flags(base, one, cfg)
-                except ConvergenceError as exc:
-                    flags.append((type(exc).__name__, False, False))
-        outcomes.update(zip(tracked, flags))
+        tracked = np.array([s for s in range(len(alphas)) if s not in outcomes], dtype=int)
+        lams, _, failing = _roots(char_poly_direct(base, x[tracked].reshape(-1, n)))
+        gated = failing.reshape(-1, big_n).any(axis=1)
+        outcomes.update((s, (ConvergenceError.__name__, False, False)) for s in tracked[gated].tolist())
+        if not gated.all():
+            lams = lams.reshape(-1, big_n, n)[~gated].reshape(-1, n)
+            codes = _class_codes(lams, cfg).reshape(-1, big_n)
+            c_min = _divisor_scan(lams, cfg.delta, cfg.max_order)[0].reshape(-1, big_n)
+            hyperbolic = (codes == _CLASSES.index(HYPERBOLIC)).all(axis=1)
+            resonant = (c_min < RESONANCE_TOL).any(axis=1)
+            outcomes.update((s, ("", h, r)) for s, h, r in
+                            zip(tracked[~gated].tolist(), hyperbolic.tolist(), resonant.tolist()))
         yield from (outcomes[s] for s in range(len(alphas)))
 
 
@@ -731,13 +710,13 @@ def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     Its zeros are tracked as one batch on the base field (a draw differs
     from it only by its constant term alpha), scanned for collisions as one
     stack, and their spectra computed as one stack from the base field,
-    whose Jacobian is every draw's, by the array kernel under
+    whose Jacobian is every draw's, by the array kernels under
     ``spectrum_reports``: a draw's two flags are reductions of the block's
     class codes and c_min values, and no per-zero report is built.  Each
     draw's result is bitwise that of running it alone.  A draw that fails
-    (ConvergenceError or CollisionError, including the eigenvalue gate,
-    which re-runs the block's spectra one draw at a time) is counted,
-    never raised.
+    (ConvergenceError or CollisionError, including the eigenvalue gate on
+    any of its zeros, a mask over the block's roots) is counted, never
+    raised.
     """
     n_failed = n_all_hyp = n_any_res = 0
     for error, hyp, res in _draw_outcomes(n, d, cfg):

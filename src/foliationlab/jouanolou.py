@@ -37,7 +37,7 @@ FACTOR_TOL = 1e-12
 MEMBER_MAX_ENTRIES = 1 << 22
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def unit_roots(order: int) -> np.ndarray:
     """Table of e^(2 pi i k / order) for k = 0..order-1.
 
@@ -95,6 +95,31 @@ def _check_sequence(name: str, values) -> tuple:
         return tuple(values)
     except TypeError:
         raise InputError(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _check_points(points: tuple) -> tuple[np.ndarray, list]:
+    """The coords of a sequence of singular points as one complex (R, n) array
+    and their labels m, after refusing an empty sequence, an entry without m
+    and a coords sequence, coords of different lengths and coords that are
+    not finite numbers."""
+    if not points:
+        raise InputError("no points given")
+    try:
+        rows = [p.coords for p in points]
+        labels = [p.m for p in points]
+        lengths = sorted({len(row) for row in rows})
+    except (AttributeError, TypeError):
+        raise InputError("points must be singular points, each with m and a coords sequence") from None
+    if len(lengths) > 1:
+        raise InputError(f"point coords must have one length, got {lengths[0]} and {lengths[-1]}")
+    try:
+        coords = np.array(rows)
+        numeric = coords.ndim == 2 and coords.dtype.kind in "iufc" and np.isfinite(coords).all()
+    except ValueError:  # ragged nested entries
+        numeric = False
+    if not numeric:
+        raise InputError("point coords must be finite numbers")
+    return coords.astype(complex, copy=False), labels
 
 
 def _check_vector(name: str, values, n: int) -> tuple[complex, ...]:
@@ -239,7 +264,7 @@ def family_field(params: FoliationParams) -> PolyVectorField:
     return PolyVectorField(n, tuple(comps))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def closed_form_coords(n: int, d: int) -> np.ndarray:
     """The N zeros of the base field as one read-only (N, n) array; row m-1 is zero m.
 

@@ -99,9 +99,10 @@ def _newton_rows(
     x0[r] would take: each row has its own polishing flag, step length,
     halving count and stop, and the Jacobian systems are solved as one
     stack.  A stacked solve fails as a whole when any matrix is singular;
-    the rows are then solved one at a time to find which ones stop on
-    "singular jacobian".  Returns the rows' end points (R, n), residuals,
-    Newton iteration counts and notes; a note of "" marks a converged row.
+    the rows whose determinant sign (np.linalg.slogdet) is 0 then stop on
+    "singular jacobian", and the others are solved again as one stack.
+    Returns the rows' end points (R, n), residuals, Newton iteration counts
+    and notes; a note of "" marks a converged row.
     """
 
     def value(rows, x):
@@ -125,15 +126,12 @@ def _newton_rows(
         try:  # right-hand sides as (n, 1) matrices: a 2-D b would be read as one matrix
             step = np.linalg.solve(jac, fx[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            steps = []
-            for k, r in enumerate(rows):
-                try:
-                    steps.append(np.linalg.solve(jac[k], fx[r]))
-                except np.linalg.LinAlgError:
-                    singular[r] = True
+            # slogdet runs solve's LU on the same matrix: sign 0 is its exact zero pivot
+            regular = np.linalg.slogdet(jac)[0] != 0
+            singular[rows[~regular]] = True
             live &= ~singular
-            rows = rows[~singular[rows]]
-            step = np.array(steps).reshape(len(rows), field.n)
+            rows = rows[regular]
+            step = np.linalg.solve(jac[regular], fx[rows, :, None])[..., 0]
         pending = np.ones(len(rows), dtype=bool)
         k = np.arange(len(rows))  # the rows still halving, all at the same step length t
         for t in 0.5 ** np.arange(21):  # up to 20 halvings

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cpoly import PolyVectorField, jacobian
 from .errors import ConvergenceError, InputError, VerificationError
-from .jouanolou import SingularPoint, _check_int, _check_positive, _check_sequence
+from .jouanolou import SingularPoint, _check_int, _check_points, _check_positive, _check_sequence
 from .solver import RunConfig
 
 DEGENERATE = "degenerate"
@@ -150,6 +150,16 @@ def eigenvalues(sigma) -> np.ndarray:
     roots pass it for n <= 28 and fail at n = 29 (1.590e-10), 30
     (1.291e-10) and 40 (2.782e-06).
     """
+    lams, worst, failing = _roots(sigma)
+    if failing.any():
+        raise ConvergenceError(f"root finding failed: relative residual {worst[failing][0]:.3e}")
+    return lams
+
+
+def _roots(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigenvalues`` without its gate: the sorted roots, shaped as sigma,
+    each row's relative residual and the mask of the rows above 1e-10, the
+    ones the gate refuses.  Raises InputError as ``eigenvalues`` does."""
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim not in (1, 2) or sigma.shape[-1] == 0:
         raise InputError(f"coefficients have shape {sigma.shape}, expected (n,) or (R, n)")
@@ -175,11 +185,8 @@ def eigenvalues(sigma) -> np.ndarray:
     for c in coeffs.T[1:, :, None]:
         value = value * z + c
     worst = np.max(np.abs(value), axis=1) / (1.0 + np.max(np.abs(rows), axis=1))
-    failing = worst[worst > 1e-10]
-    if len(failing):
-        raise ConvergenceError(f"root finding failed: relative residual {failing[0]:.3e}")
     # a stable sort of complex values orders by (real, imag) and keeps ties in place
-    return np.sort(z, kind="stable").reshape(sigma.shape)
+    return np.sort(z, kind="stable").reshape(sigma.shape), worst, worst > 1e-10
 
 
 def _one_spectrum(lams) -> np.ndarray:
@@ -363,11 +370,11 @@ def spectrum_reports(field: PolyVectorField, points: list[SingularPoint],
     """spectrum_report(field, p, cfg) for every p in points, bitwise: the
     coefficients, roots, class codes and divisor scans are computed as
     (N, n) stacks by one array kernel, and the reports built from them."""
-    points = _check_sequence("points", points)
-    sigma, lams, codes, c_min, k = _spectra(field, np.array([p.coords for p in points]), cfg)
+    coords, labels = _check_points(_check_sequence("points", points))
+    sigma, lams, codes, c_min, k = _spectra(field, coords, cfg)
     divisors = _divisor_records(lams.shape[1], cfg.delta, cfg.max_order, c_min, k)
-    return [SpectrumReport(p.m, s, z, _CLASSES[c], rec)
-            for p, s, z, c, rec in zip(points, sigma, lams, codes.tolist(), divisors)]
+    return [SpectrumReport(m, s, z, _CLASSES[c], rec)
+            for m, s, z, c, rec in zip(labels, sigma, lams, codes.tolist(), divisors)]
 
 
 def linearizable_numerically(report: SpectrumReport) -> bool:

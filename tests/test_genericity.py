@@ -502,7 +502,8 @@ def _with_point_3(coords):
     return pts[:3] + [replace(pts[3], coords=coords)] + pts[4:]
 
 
-@pytest.mark.parametrize("points,message", [
+# malformed points with the InputError message that census and spectra both give
+_malformed_points = pytest.mark.parametrize("points,message", [
     (_with_point_3((1j, 2.0)), "^point coords must have one length, got 2 and 3$"),
     (_with_point_3((np.nan, 1j, 2.0)), "^point coords must be finite numbers$"),
     (_with_point_3((complex(0, np.inf), 1j, 2.0)), "^point coords must be finite numbers$"),
@@ -510,10 +511,25 @@ def _with_point_3(coords):
     (_with_point_3(5), "^points must be singular points, each with m and a coords sequence$"),
     (closed_form_sing(3, 2)[:3] + [(1j, 2.0, 3.0)], "^points must be singular points"),
 ], ids=["lengths", "nan", "inf", "str", "scalar", "no-coords"])
+
+
+@_malformed_points
 def test_census_refuses_malformed_points(points, message):
     # refused before np.array or the screen sees them
     with pytest.raises(InputError, match=message):
         alignment_census(points, 2, CFG)
+
+
+@_malformed_points
+def test_spectrum_reports_refuse_malformed_points(points, message):
+    # refused before np.array or the spectral kernel sees them
+    with pytest.raises(InputError, match=message):
+        spectral.spectrum_reports(family_field(FoliationParams(3, 2)), points, CFG)
+
+
+def test_spectrum_reports_refuse_no_points():
+    with pytest.raises(InputError, match="^no points given$"):
+        spectral.spectrum_reports(family_field(FoliationParams(3, 2)), [], CFG)
 
 
 def test_census_takes_real_coords_as_complex():
@@ -1183,20 +1199,22 @@ def test_sample_memory_does_not_grow_with_samples(monkeypatch):
 
 
 def test_sample_eigenvalue_gate_fails_only_its_draw(monkeypatch):
-    # the root finder is made to refuse one zero of draw 5, in the middle of a
-    # block of 4 draws: the block's stacked spectra fail, and only draw 5 counts
+    # the root helper is made to put one zero of draw 5, in the middle of a
+    # block of 4 draws, above the gate: the block's roots are masked, and only
+    # draw 5 counts
     n, d, cfg = 3, 2, RunConfig(samples=12, max_order=6)
     params = FoliationParams(n, d, tuple(_alphas(n, cfg)[5]))
     coords = track_singularities(params, cfg)[7].coords
     refused = char_poly_direct(family_field(params), coords)
-    real = spectral.eigenvalues
+    real = spectral._roots
 
-    def gate(sigma):
-        if (np.atleast_2d(sigma) == refused).all(axis=1).any():
-            raise ConvergenceError("root finding refused")
-        return real(sigma)
+    def roots(sigma):
+        lams, worst, failing = real(sigma)
+        hit = (np.atleast_2d(sigma) == refused).all(axis=1)
+        return lams, np.where(hit, 1.0, worst), failing | hit
 
-    monkeypatch.setattr(spectral, "eigenvalues", gate)
+    monkeypatch.setattr(spectral, "_roots", roots)  # the gate of the reference's reports
+    monkeypatch.setattr(genericity, "_roots", roots)
     monkeypatch.setattr(genericity, "SAMPLE_BLOCK", 4 * 15 * 15 * 3)
     outcomes = list(genericity._draw_outcomes(n, d, cfg))
     assert [k for k, (error, _, _) in enumerate(outcomes) if error] == [5]
@@ -1207,8 +1225,8 @@ def test_sample_eigenvalue_gate_fails_only_its_draw(monkeypatch):
 
 def test_sample_eigenvalue_gate_fails_only_its_draws_unpatched():
     # at (28,1) the root gate itself refuses draws 0, 1, 2 and 5 of one block
-    # of 6 (44 draws fit), whose zeros all track: the block's stacked spectra
-    # fail and are re-run draw by draw, with no patched root finder
+    # of 6 (44 draws fit), whose zeros all track: the gate masks them out of the
+    # block's stacked spectra, with no patched root finder
     n, d, cfg = 28, 1, RunConfig(samples=6, max_order=2, seed=1)
     assert not solver._track_members(n, d, _alphas(n, cfg), cfg)[3]
     outcomes = list(genericity._draw_outcomes(n, d, cfg))

@@ -13,6 +13,7 @@ from foliationlab import (
     ConvergenceError,
     FoliationParams,
     InputError,
+    PolyVectorField,
     RunConfig,
     closed_form_sing,
     coeff_derivative_table,
@@ -23,7 +24,9 @@ from foliationlab import (
     first_order_point,
     group_action,
     group_elements,
+    jacobian,
     jouanolou_field,
+    linear_diagonal_field,
     newton_refine,
     pushforward_factor,
     submersion_all,
@@ -101,6 +104,68 @@ def test_newton_batch_rows_match_one_point_runs():
         single = [newton_refine(f, x, cfg, m=m) for m, x in enumerate(starts)]
         assert [_fields(p) for p in batch] == [_fields(p) for p in single]
         assert {p.note for p in batch[2::5]} == {"singular jacobian"}
+
+
+def _newton_reference(field, x0, cfg):
+    """``solver._newton_rows`` without a const, one row at a time: each row's
+    Jacobian system is solved on its own, and a LinAlgError stops the row on
+    "singular jacobian"."""
+    out = []
+    for x in np.array(x0, dtype=complex):
+        fx = eval_field(field, x[None])[0]
+        res, iters, polished, singular = np.max(np.abs(fx)), 0, False, False
+        for _ in range(cfg.max_iters):
+            if res < cfg.newton_tol and polished:
+                break
+            polished |= res < cfg.newton_tol
+            try:
+                step = np.linalg.solve(jacobian(field, x[None])[0], fx)
+            except np.linalg.LinAlgError:
+                singular = True
+                break
+            lowered = False
+            for t in 0.5 ** np.arange(21):
+                cand = x - t * step
+                if (cand == x).all():  # so is every smaller t: x cannot lower its residual
+                    break
+                fc = eval_field(field, cand[None])[0]
+                if np.max(np.abs(fc)) < res:
+                    x, fx, res, lowered = cand, fc, np.max(np.abs(fc)), True
+                    break
+            if not lowered:
+                break
+            iters += 1
+        note = "" if res < cfg.newton_tol else (
+            "singular jacobian" if singular else "newton stalled above tolerance")
+        out.append((x.tobytes(), float(res).hex(), iters, note))
+    return out
+
+
+# x_1^2 = 1, x_2 = 1: a Newton step from x_1 = i lands exactly on the singular x_1 = 0
+_SQUARE = PolyVectorField(2, ({(2, 0): 1 + 0j, (0, 0): -1 + 0j}, {(0, 1): 1 + 0j, (0, 0): -1 + 0j}))
+
+
+@pytest.mark.parametrize("field,start,singular", [
+    (jouanolou_field(2, 2), 0, [0, 4, 8]),
+    (jouanolou_field(3, 2), 0, [0, 4, 8]),
+    # every Jacobian is singular; the rows at 0 are zeros of the field and converge
+    (linear_diagonal_field([1, 0, 2j]), 0, [1, 2, 3, 5, 6, 7]),
+    # singular at the second iteration, after the rows at a zero have stopped
+    (_SQUARE, (1j, 2), [0, 4, 8]),
+], ids=["2-2", "3-2", "linear-0", "lands-on-0"])
+def test_newton_rows_with_singular_jacobians_equal_the_per_row_reference(field, start, singular):
+    # exactly singular rows first, in the middle and last of the stack, and
+    # two rows at the all-ones point, a zero of every field but the linear one
+    rng = np.random.default_rng(25)
+    starts = rng.standard_normal((9, field.n)) + 1j * rng.standard_normal((9, field.n))
+    starts[[0, 4, 8]] = start
+    starts[[1, 6]] = 1
+    for cfg in (CFG, RunConfig(max_iters=4)):
+        x, res, iters, notes = solver._newton_rows(field, starts, cfg)
+        got = [(a.tobytes(), r.hex(), k, note)
+               for a, r, k, note in zip(x, res.tolist(), iters.tolist(), notes.tolist())]
+        assert got == _newton_reference(field, starts, cfg)
+        assert [k for k, note in enumerate(notes) if note == "singular jacobian"] == singular
 
 
 def test_track_at_zero_is_bitwise_closed_form():

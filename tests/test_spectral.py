@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from foliationlab import spectral
+from foliationlab import jouanolou, spectral
 from foliationlab import (
     DEGENERATE,
     HYPERBOLIC,
@@ -435,6 +435,25 @@ def test_scan_table_cache_drops_the_oldest_pair():
     assert spectral._multi_indices.cache_info().hits == 1
     spectral._multi_indices(*pairs[0])  # built again: it was dropped
     assert spectral._multi_indices.cache_info().misses == len(pairs) + 1
+
+
+def test_closed_form_caches_hold_eight_members():
+    # unit_roots and closed_form_coords keep 8 (n, d) tables each, as
+    # _multi_indices keeps 8 pairs: after 40 members of about one size, what
+    # is held is about the last 8 members' tables, 16 N (n + 1) bytes each
+    for cached in (jouanolou.unit_roots, jouanolou.closed_form_coords):
+        cached.cache_clear()
+        assert cached.cache_info().maxsize == 8
+    members = [(2, d) for d in range(100, 140)]
+    tracemalloc.start()
+    try:
+        for n, d in members:
+            jouanolou.closed_form_coords(n, d)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    last = sum(16 * counts(n, d).N * (n + 1) for n, d in members[-8:])
+    assert last < held < 1.5 * last  # all 40 would hold about 4 times as much
 
 
 @pytest.mark.parametrize("n,d,seed", [(3, 2, None), (3, 2, 605), (4, 3, 606)])
