@@ -201,10 +201,8 @@ def _cmd_spectrum(args, cfg):
 
 
 def _cmd_submersion(args, cfg):
-    if args.m == "all":
-        reports = submersion_all(args.n, args.d, cfg, stencil=args.stencil)
-    else:
-        reports = [submersion_report(args.n, args.d, args.m, cfg, stencil=args.stencil)]
+    reports = (submersion_all(args.n, args.d, cfg) if args.m == "all"
+               else [submersion_report(args.n, args.d, args.m, cfg)])
     warnings = []
     code = 0
     for rep in reports:
@@ -217,7 +215,7 @@ def _cmd_submersion(args, cfg):
             warnings.append(f"m={rep.m}: rank certificate failed (singular value gap)")
             code = 1
     rows = _table([("m", r.m), ("abs_det", abs(r.det)), ("expected_modulus", r.expected_modulus),
-                   ("rel_error", r.rel_error), ("fd_step", r.fd_step), ("sv_min", r.sv_min),
+                   ("rel_error", r.rel_error), ("sv_min", r.sv_min),
                    ("sv_max", r.sv_max), ("jac", r.jac)] for r in reports)
     return reports, rows, warnings, code
 
@@ -226,7 +224,7 @@ def _cmd_derivs(args, cfg):
     entries = coeff_derivative_table(args.n, args.d, cfg)
     # an entry without a closed formula still fills both formula columns
     no_formula = [("formula_re", None), ("formula_im", None)]
-    rows = _table([("i", e.i), ("j", e.j), ("explicit", e.formula is not None), ("fd", e.fd),
+    rows = _table([("i", e.i), ("j", e.j), ("explicit", e.formula is not None), ("value", e.value),
                    *([("formula", e.formula)] if e.formula is not None else no_formula),
                    ("rel_error", e.rel_error)] for e in entries)
     return entries, rows, [], 0
@@ -347,20 +345,16 @@ def make_parser() -> argparse.ArgumentParser:
         description="Spectral reports. CSV columns: m,classification,resonant,"
                     "c_min,worst_j,worst_m,sigma*_re/im,lambda*_re/im.",
     ).set_defaults(handler=_cmd_spectrum)
-    submersion = sub.add_parser(
+    sub.add_parser(
         "submersion", parents=[common, index_parent],
         help="parameter Jacobian of the coefficient map with certificates",
         description="Submersion reports. CSV columns: m,abs_det,expected_modulus,"
-                    "rel_error,fd_step,sv_min,sv_max,jacij_re/im.",
-    )
-    submersion.set_defaults(handler=_cmd_submersion)
-    submersion.add_argument("--stencil", choices=("central", "cauchy4"),
-                            default="central",
-                            help="finite-difference stencil (default central)")
+                    "rel_error,sv_min,sv_max,jacij_re/im.",
+    ).set_defaults(handler=_cmd_submersion)
     sub.add_parser(
         "derivs", parents=[common],
         help="derivative table at the all-ones zero vs closed formulas",
-        description="Derivative table. CSV columns: i,j,explicit,fd_re,fd_im,"
+        description="Derivative table. CSV columns: i,j,explicit,value_re,value_im,"
                     "formula_re,formula_im,rel_error.",
     ).set_defaults(handler=_cmd_derivs)
     sub.add_parser(

@@ -75,19 +75,23 @@ class PolyVectorField:
     # a dict walk, with output slots to scatter the values back.  The terms
     # are listed by component in sorted order and each term's partials by
     # variable; this fixed order keeps the scatter bitwise.
-    def _compiled(self):
-        """(value table, Jacobian table), each (exponents, coefficients, slots)."""
-        if self._tables is None:
+    def _compiled(self, order: int = 1):
+        """Tables of the values, the Jacobian and, once an order-2 call asks
+        for it, the second partials, each (exponents, coefficients, slots)."""
+        if self._tables is None or len(self._tables) <= order:
             n = self.n
-            terms = [(i, e, c) for i, comp in enumerate(self.components)
-                     for e, c in sorted(comp.items())]
-            partials = [(i * n + j, e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
-                        for i, e, c in terms for j in range(n) if e[j] > 0]
+            levels = [[(i, e, c) for i, comp in enumerate(self.components)
+                       for e, c in sorted(comp.items())]]
+            # each level holds the formal partials of the one before: row (s, e, c)
+            # gives (s n + j, e - e_j, c e_j) for each variable j with e_j > 0
+            while len(levels) <= max(order, 1):
+                levels.append([(s * n + j, e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                               for s, e, c in levels[-1] for j in range(n) if e[j] > 0])
             self._tables = tuple(
                 (np.array([e for _, e, _ in rows], dtype=np.int64).reshape(len(rows), n),
                  np.array([c for _, _, c in rows], dtype=complex),
                  np.array([s for s, _, _ in rows], dtype=np.intp))
-                for rows in (terms, partials)
+                for rows in levels
             )
         return self._tables
 
@@ -105,7 +109,7 @@ def _evaluate(field_: PolyVectorField, x, which: int, width: int, const=None) ->
         raise InputError(
             f"point has shape {x.shape}, expected ({field_.n},) or (R, {field_.n})"
         )
-    exps, coeffs, slots = field_._compiled()[which]
+    exps, coeffs, slots = field_._compiled(which)[which]
     out = np.zeros(x.shape[:-1] + (width,), dtype=complex)
     if const is not None:
         out += const

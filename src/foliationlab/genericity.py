@@ -1,12 +1,12 @@
 """Experiments probing how generic perturbations behave.
 
 Everything here reduces to one map: perturbation -> characteristic
-coefficients at a tracked zero.  Its parameter Jacobian at 0 (by central
-differences along real axes, valid because the map is holomorphic) has a
-determinant with a known modulus, which certifies full rank; its first
-row and the explicit entries of the derivative table have closed forms to
-compare against; and sampling the polydisk estimates how often all zeros
-are hyperbolic and non-resonant at a truncated order.
+coefficients at a tracked zero.  Its parameter Jacobian at 0 (exact, by the
+implicit function theorem) has a determinant with a known modulus, which
+certifies full rank; its first row and the explicit entries of the
+derivative table have closed forms to compare against; and sampling the
+polydisk estimates how often all zeros are hyperbolic and non-resonant at
+a truncated order.
 
 The alignment census is geometric rather than spectral: it finds maximal
 subsets of zeros lying on a common complex affine line.  For odd n the
@@ -24,6 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConvergenceError, InputError, VerificationError
+from .cpoly import _evaluate, jacobian
 from .jouanolou import (
     MEMBER_MAX_ENTRIES,
     FoliationParams,
@@ -33,14 +34,14 @@ from .jouanolou import (
     _check_real,
     _check_sequence,
     _check_vector,
+    closed_form_coords,
     closed_form_sing,
     counts,
     generator_weights,
     jouanolou_field,
     unit_roots,
 )
-from . import solver
-from .solver import RunConfig, _track_members, track_one, track_zeros
+from .solver import RunConfig, _check_indices, _track_members, track_one, track_zeros
 from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _class_codes, _divisor_scan, _roots,
                        char_poly_direct)
 
@@ -60,9 +61,9 @@ SAMPLE_BLOCK = 1 << 20
 def char_coeff_map(n: int, d: int, m: int, alpha, cfg: RunConfig) -> np.ndarray:
     """Characteristic coefficients at the tracked continuation of zero m.
 
-    This is the map whose parameter derivatives the submersion and
-    derivative-table reports probe.  alpha is only a constant term, so the
-    member's Jacobian is the base field's.
+    The submersion and derivative-table reports give its parameter
+    derivatives exactly.  alpha is only a constant term, so the member's
+    Jacobian is the base field's.
     """
     point = track_zeros(FoliationParams(n, d, alpha), [m], cfg)[0]
     return char_poly_direct(jouanolou_field(n, d), point.coords)
@@ -72,10 +73,10 @@ def char_coeff_map(n: int, d: int, m: int, alpha, cfg: RunConfig) -> np.ndarray:
 class SubmersionReport:
     """Parameter Jacobian of the coefficient map at alpha = 0 for one zero.
 
-    jac[i, j] is d sigma_(i+1) / d alpha_(j+1); det is its determinant,
-    whose modulus should equal expected_modulus independently of m.  The
-    singular values come from the real 2n x 2n embedding of jac and
-    certify full rank when sv_min > RANK_GAP * sv_max.
+    jac[i, j] is d sigma_(i+1) / d alpha_(j+1), exact up to rounding; det
+    is its determinant, whose modulus should equal expected_modulus
+    independently of m.  The singular values come from the real 2n x 2n
+    embedding of jac and certify full rank when sv_min > RANK_GAP * sv_max.
     """
 
     m: int
@@ -83,7 +84,6 @@ class SubmersionReport:
     det: complex
     expected_modulus: float
     rel_error: float
-    fd_step: float
     sv_min: float
     sv_max: float
 
@@ -94,32 +94,39 @@ def expected_det_modulus(n: int, d: int) -> float:
     return (n + d) / big_n * float(d) ** ((n * n + 3 * n - 2) // 2)
 
 
-def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> list[SubmersionReport]:
-    """Reports at the zeros ms, in order: the probe members track ms in batches
-    of at most MEMBER_MAX_ENTRIES Jacobian entries on the one base field built
-    here (a failure raises the first failing member's error), the base field's
-    Jacobian gives the coefficients, and the certificates come from the
-    (len(ms), n, n) parameter Jacobians."""
-    # (node, weight) pairs; column j = sum of weight * F(node h e_j) / (pairs * h).  cauchy4
-    # is the 4-point trapezoid rule for the Cauchy derivative integral, error O(h^4)
-    stencils = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
-    if stencil not in stencils:
-        raise InputError(f"unknown stencil {stencil!r}")
-    nodes = stencils[stencil]
+def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
+    """Reports at the zeros ms, in order, from the closed-form alpha = 0 zeros.
+
+    F_alpha = F_0 + alpha, so a zero x moves by w = -J^-1 dalpha, and
+    jac[r, i, j] is the derivative of sigma_(i+1) along column j of w:
+    forward mode through ``char_poly_direct``'s recursion, M'_1 = J',
+    M'_(k+1) = J' (M_k + c_k I) + J (M'_k + c'_k I), c'_k = -tr(M'_k) / k,
+    with J' = sum_l (d^2 F / dx dx_l) w_l.  Blocks of zeros hold at most
+    MEMBER_MAX_ENTRIES second partials (n^3 per zero); a zero's arithmetic
+    does not depend on its block.
+    """
     base = jouanolou_field(n, d)  # refuses an oversized member before any n-sized array
-    h = cfg.fd_step
-    probes = np.zeros((n * len(nodes), n), dtype=complex)  # member j P + k: alpha_j = h nodes[k]
-    probes.reshape(n, len(nodes), n)[range(n), :, range(n)] = [h * node for node, _ in nodes]
-    sigma = np.empty((len(probes), len(ms), n), dtype=complex)
-    batch = max(1, MEMBER_MAX_ENTRIES // (len(ms) * n * n))  # no batch outgrows the largest member
-    for lo in range(0, len(probes), batch):
-        x, _, _, errors = solver._continue(n, d, probes[lo:lo + batch], ms, cfg, base)
-        if errors:
-            raise errors[min(errors)]
-        sigma[lo:lo + batch] = char_poly_direct(base, x.reshape(-1, n)).reshape(x.shape)
-    sigma = sigma.reshape(n, len(nodes), len(ms), n)
-    # each column summed node by node in stencil order; jacs[r, i, j] is at zero ms[r]
-    jacs = sum(s * w for s, (_, w) in zip(sigma.transpose(1, 2, 3, 0), nodes)) / (len(nodes) * h)
+    _check_indices(n, d, ms)
+    x = closed_form_coords(n, d)[np.asarray(ms) - 1]
+    eye = np.eye(n)
+    jacs = np.empty((len(ms), n, n), dtype=complex)
+    block = max(1, MEMBER_MAX_ENTRIES // n**3)
+    for lo in range(0, len(ms), block):
+        xb = x[lo:lo + block]
+        a = jacobian(base, xb)[:, None]  # (B, 1, n, n) beside the (B, n, n, n) derivatives
+        w = -np.linalg.inv(a[:, 0])
+        hess = _evaluate(base, xb, 2, n**3).reshape(len(xb), n * n, n)
+        # ap[r, j] is J' along column j of w at zero r
+        ap = np.moveaxis((hess @ w).reshape(len(xb), n, n, n), -1, 1)
+        m, mp = a, ap
+        c, cp = -np.trace(m, axis1=-2, axis2=-1), -np.trace(mp, axis1=-2, axis2=-1)
+        jacs[lo:lo + len(xb), 0] = cp
+        for k in range(2, n + 1):
+            shifted = m + c[..., None, None] * eye
+            mp = ap @ shifted + a @ (mp + cp[..., None, None] * eye)
+            m = a @ shifted
+            c, cp = -np.trace(m, axis1=-2, axis2=-1) / k, -np.trace(mp, axis1=-2, axis2=-1) / k
+            jacs[lo:lo + len(xb), k - 1] = cp
     expected = expected_det_modulus(n, d)
     dets = np.linalg.det(jacs)
     # np.hypot, not np.abs, is bitwise Python's abs of a complex
@@ -127,8 +134,7 @@ def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> lis
     svals = np.linalg.svd(np.block([[jacs.real, -jacs.imag], [jacs.imag, jacs.real]]),
                           compute_uv=False)
     reports = [SubmersionReport(m=m, jac=jac, det=complex(det), expected_modulus=expected,
-                                rel_error=float(rel), fd_step=h, sv_min=float(sv[-1]),
-                                sv_max=float(sv[0]))
+                                rel_error=float(rel), sv_min=float(sv[-1]), sv_max=float(sv[0]))
                for m, jac, det, rel, sv in zip(ms, jacs, dets, rel_errors, svals)]
     for report in reports:
         if report.rel_error > 10 * SUBMERSION_RTOL:
@@ -140,27 +146,24 @@ def _submersion_reports(n: int, d: int, ms, cfg: RunConfig, stencil: str) -> lis
     return reports
 
 
-def submersion_report(
-    n: int, d: int, m: int, cfg: RunConfig, stencil: str = "central"
-) -> SubmersionReport:
-    """Finite-difference parameter Jacobian at alpha = 0 with its certificates.
+def submersion_report(n: int, d: int, m: int, cfg: RunConfig) -> SubmersionReport:
+    """Exact parameter Jacobian at alpha = 0 with its certificates; nothing
+    is tracked, so cfg is not read.
 
     Raises VerificationError (carrying the report) when the determinant
     modulus misses its certified value by more than ten times
     SUBMERSION_RTOL; smaller misses are left to the caller to flag.
     """
-    return _submersion_reports(n, d, [m], cfg, stencil)[0]
+    return _submersion_reports(n, d, [m])[0]
 
 
-def submersion_all(n: int, d: int, cfg: RunConfig, stencil: str = "central") -> list[SubmersionReport]:
+def submersion_all(n: int, d: int, cfg: RunConfig) -> list[SubmersionReport]:
     """Reports for every zero index, asserting the modulus is m-independent.
 
-    Each report is bitwise ``submersion_report`` at its index.  A
-    ConvergenceError names the first failing probe member's smallest
-    failing index, which need not be the smallest failing index overall.
+    Each report is bitwise ``submersion_report`` at its index.
     """
     big_n = counts(n, d).N
-    reports = _submersion_reports(n, d, range(1, big_n + 1), cfg, stencil)
+    reports = _submersion_reports(n, d, range(1, big_n + 1))
     mods = np.array([abs(r.det) for r in reports])
     spread = float((mods.max() - mods.min()) / mods.max())
     if spread > 10 * SUBMERSION_RTOL:
@@ -184,14 +187,14 @@ def sigma_at_ones(n: int, d: int) -> np.ndarray:
 class DerivativeEntry:
     """One entry of the derivative table at the all-ones zero.
 
-    fd is the finite-difference value of d sigma_i / d alpha_j; formula is
+    value is d sigma_i / d alpha_j from the submersion report; formula is
     the closed value where one exists (j >= i - 1), else None and the
-    finite difference stands alone.
+    value stands alone.
     """
 
     i: int
     j: int
-    fd: complex
+    value: complex
     formula: complex | None
     rel_error: float | None
 
@@ -202,7 +205,7 @@ def coeff_derivative_table(n: int, d: int, cfg: RunConfig) -> list[DerivativeEnt
     Closed values: i d A_i d^(j-1) / N for j > i - 1 and
     i d A_i d^(i-2) / N - d^i for j = i - 1, with A_i = sigma_at_ones.
     Entries with j < i - 1 have no closed value here and are reported
-    finite-difference only.  A mismatch beyond SUBMERSION_RTOL raises,
+    without one.  A mismatch beyond SUBMERSION_RTOL raises,
     carrying the full table.
     """
     big_n = counts(n, d).N
@@ -211,16 +214,16 @@ def coeff_derivative_table(n: int, d: int, cfg: RunConfig) -> list[DerivativeEnt
     entries = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            fd = complex(report.jac[i - 1, j - 1])
+            value = complex(report.jac[i - 1, j - 1])
             if j < i - 1:
-                entries.append(DerivativeEntry(i, j, fd, None, None))
+                entries.append(DerivativeEntry(i, j, value, None, None))
                 continue
             formula = i * d * a_vals[i - 1] * d ** (j - 1) / big_n
             if j == i - 1:
                 formula -= d**i
             formula = complex(formula)
-            rel = abs(fd - formula) / max(1.0, abs(formula))
-            entries.append(DerivativeEntry(i, j, fd, formula, rel))
+            rel = abs(value - formula) / max(1.0, abs(formula))
+            entries.append(DerivativeEntry(i, j, value, formula, rel))
     failures = [(e.i, e.j, e.rel_error) for e in entries
                 if e.formula is not None and e.rel_error > SUBMERSION_RTOL]
     if failures:

@@ -56,7 +56,6 @@ class RunConfig:
     continuation_steps         parameter ramp subdivisions (escalated x4 on failure)
     dedup_tol                  minimum separation between distinct tracked zeros
     radius                     polydisk radius for admissible perturbations
-    fd_step                    finite-difference step for parameter derivatives
     tol_hyp / tol_nd           spectral classification thresholds
     align_tol                  distance-to-line threshold for the alignment census
     delta / max_order          small-divisor exponent and truncation order
@@ -68,7 +67,6 @@ class RunConfig:
     continuation_steps: int = 1
     dedup_tol: float = 1e-6
     radius: float = 0.05
-    fd_step: float = 1e-5
     tol_hyp: float = 1e-9
     tol_nd: float = 1e-9
     align_tol: float = 1e-8
@@ -78,8 +76,8 @@ class RunConfig:
     samples: int = 1000
 
     def __post_init__(self):
-        for name in ("newton_tol", "dedup_tol", "radius", "fd_step",
-                     "tol_hyp", "tol_nd", "align_tol", "delta"):
+        for name in ("newton_tol", "dedup_tol", "radius", "tol_hyp", "tol_nd",
+                     "align_tol", "delta"):
             _check_positive(name, getattr(self, name))
         for name, low in (("max_iters", 1), ("seed", 0), ("max_order", 2),
                           ("continuation_steps", 1), ("samples", 1)):
@@ -193,8 +191,8 @@ def _check_indices(n: int, d: int, ms) -> int:
     return big_n
 
 
-def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int], cfg: RunConfig,
-              base: PolyVectorField | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
+              cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Continue the unperturbed zeros of indices ms to every member base + alphas[s].
 
     Returns the zeros (S, count, n) in the order of ms, their residuals and
@@ -204,11 +202,10 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int], cfg: RunConfig,
     one batch.  The parameter is ramped linearly in continuation steps: at
     stage k of `steps` every row still converging is refined from its
     previous stage's zero, on the base field plus its member's
-    alpha * (k / steps), so the field is built at most once per call, and
-    not at all when the caller passes it in as `base`.  A call with
-    one row refines each stage through the public ``newton_refine`` on the
-    stage's ``family_field``, so wrappers around it see every one-point
-    refinement.  The rows that fail are run again from their start points,
+    alpha * (k / steps), so the field is built at most once per call.  A
+    call with one row refines each stage through the public
+    ``newton_refine`` on the stage's ``family_field``, so wrappers around
+    it see every one-point refinement.  The rows that fail are run again from their start points,
     as one batch across members, with the step count escalated by a factor
     of 4 (at most to 64); then a member's error names its smallest failing
     index.  An alpha = 0 member takes the closed-form zeros, no iteration.
@@ -221,7 +218,7 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int], cfg: RunConfig,
     perturbed = np.repeat(alphas.any(axis=1), count)
     todo, closed = np.flatnonzero(perturbed), np.flatnonzero(~perturbed)
     one_row = len(todo) == 1 and not len(closed)
-    if base is None and not one_row:
+    if not one_row:
         base = jouanolou_field(n, d)
     x, res, iters = start[index], np.zeros(len(index)), np.zeros(len(index), dtype=int)
     if len(closed):

@@ -110,7 +110,7 @@ def test_c04_derivative_table():
     worst = 0.0
     for key, val in want.items():
         e = table[key]
-        worst = max(worst, abs(e.fd - val) / max(1.0, abs(val)))
+        worst = max(worst, abs(e.value - val) / max(1.0, abs(val)))
     _verdict(4, "derivative table at the all-ones zero",
              worst < 1e-4, f"max relative gap {worst:.2e}")
 

@@ -5,10 +5,11 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 import foliationlab
-from foliationlab import cli, coeff_derivative_table, defect_experiment, submersion_all
+from foliationlab import cli, coeff_derivative_table, defect_experiment, genericity, submersion_all
 from foliationlab.cli import _jsonable, run
 from foliationlab.errors import InputError, VerificationError
 from foliationlab.jouanolou import FoliationParams
@@ -75,10 +76,12 @@ def test_submersion_all_payload(capsys):
     assert doc["payload"] == expected and [rep["m"] for rep in expected] == list(range(1, 8))
 
 
-def test_submersion_warns_and_exits_one_on_a_small_modulus_miss(capsys):
+def test_submersion_warns_and_exits_one_on_a_small_modulus_miss(capsys, monkeypatch):
     # 1.2751e-04 is above SUBMERSION_RTOL but below the library's 10x refusal
-    code, doc = _json(capsys, ["submersion", "--n", "2", "--d", "2", "--m", "7",
-                               "--fd-step", "2e-12"])
+    certified = genericity.expected_det_modulus
+    monkeypatch.setattr(genericity, "expected_det_modulus",
+                        lambda n, d: certified(n, d) / (1 - 1.2751e-04))
+    code, doc = _json(capsys, ["submersion", "--n", "2", "--d", "2", "--m", "7"])
     assert code == 1
     assert doc["warnings"] == ["m=7: determinant modulus off by relative 1.275e-04"]
     assert doc["payload"][0]["rel_error"] == pytest.approx(1.2751e-04, rel=1e-4)
@@ -109,11 +112,12 @@ def test_spectrum_warns_on_nearly_repeated_eigenvalues(capsys, monkeypatch):
     assert [rep["m"] for rep in doc["payload"]] == [3]
 
 
-def test_derivs_mismatch_exits_one_with_the_table(capsys):
-    cfg = RunConfig(fd_step=0.04)
+def test_derivs_mismatch_exits_one_with_the_table(capsys, monkeypatch):
+    # sigma_2 = 7 moved by 5e-5 relative: the closed (2, 1) entry moves by 2e-4
+    monkeypatch.setattr(genericity, "sigma_at_ones", lambda n, d: np.array([4.0, 7.0 + 3.5e-4]))
     with pytest.raises(VerificationError) as info:
-        coeff_derivative_table(2, 2, cfg)
-    code, doc = _json(capsys, ["derivs", "--n", "2", "--d", "2", "--fd-step", "0.04"])
+        coeff_derivative_table(2, 2, RunConfig())
+    code, doc = _json(capsys, ["derivs", "--n", "2", "--d", "2"])
     assert code == 1
     assert doc["warnings"] == [str(info.value)]
     assert doc["payload"] == json.loads(json.dumps(_jsonable(info.value.payload)))
@@ -273,6 +277,9 @@ NU3 = ["--nu", "0,0", "--nu", "1,0", "--nu", "0,0"]
     ["spectrum", "--n", "2", "--d", "2", "--m", "x"],
     ["submersion", "--n", "2", "--d", "2", "--m", "x"],
     ["defect", "--n", "3", "--d", "2", *NU3, "--coord-pair", "a,b"],
+    # the parameter Jacobian is exact: no stencil and no step to choose
+    ["submersion", "--n", "2", "--d", "2", "--stencil", "cauchy4"],
+    ["derivs", "--n", "2", "--d", "2", "--fd-step", "1e-5"],
 ], ids=" ".join)
 def test_malformed_input_exits_two_without_traceback(capsys, argv):
     assert run(argv) == 2
@@ -383,7 +390,7 @@ def test_version_flag(capsys):
 
 def test_every_run_config_flag_reaches_cfg(capsys):
     values = {"newton_tol": 1e-10, "max_iters": 7, "continuation_steps": 3, "dedup_tol": 1e-5,
-              "radius": 0.04, "fd_step": 1e-4, "tol_hyp": 1e-8, "tol_nd": 1e-7,
+              "radius": 0.04, "tol_hyp": 1e-8, "tol_nd": 1e-7,
               "align_tol": 1e-9, "delta": 1.5, "max_order": 5, "seed": 7, "samples": 11}
     defaults = dataclasses.asdict(RunConfig())
     assert values.keys() == defaults.keys()
@@ -409,10 +416,10 @@ CSV_CASES = [
      "m,classification,resonant,c_min,worst_j,worst_m,sigma1_re,sigma1_im,sigma2_re,"
      "sigma2_im,lambda1_re,lambda1_im,lambda2_re,lambda2_im"),
     (["submersion", "--n", "2", "--d", "2", "--m", "7"],
-     "m,abs_det,expected_modulus,rel_error,fd_step,sv_min,sv_max,jac11_re,jac11_im,"
+     "m,abs_det,expected_modulus,rel_error,sv_min,sv_max,jac11_re,jac11_im,"
      "jac12_re,jac12_im,jac21_re,jac21_im,jac22_re,jac22_im"),
     (["derivs", "--n", "3", "--d", "2"],
-     "i,j,explicit,fd_re,fd_im,formula_re,formula_im,rel_error"),
+     "i,j,explicit,value_re,value_im,formula_re,formula_im,rel_error"),
     (["align", "--n", "3", "--d", "2", *ALPHA3], "record,size,indices,residual"),
     (["align", "--n", "2", "--d", "2"], "record,size,indices,residual"),
     (["hyperplanes", "--n", "3", "--d", "2"],

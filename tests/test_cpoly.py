@@ -17,6 +17,7 @@ from foliationlab import (
     linear_diagonal_field,
     scale_field,
 )
+from foliationlab.cpoly import _evaluate
 
 
 def _random_field(rng, n, terms=5, max_exp=3):
@@ -170,16 +171,17 @@ def test_points_of_the_wrong_shape_are_rejected(shape):
 
 
 def _reference(f, x):
-    """Value and Jacobian at x the long way: walk the coefficient dicts, list
-    every term (by component, exponents sorted) and every formal partial of
-    it (by variable), then add each evaluated entry into its slot in turn.
+    """Value, Jacobian and second partials at x the long way: walk the
+    coefficient dicts, list every term (by component, exponents sorted),
+    every formal partial of it (by variable) and every partial of that,
+    then add each evaluated entry into its slot in turn.
 
     Each list is evaluated as one array, as in the library: numpy's
     vectorized complex multiply may fuse multiply-adds, so a product taken
     one scalar at a time can differ from it in the last bit.
     """
     x = np.asarray(x, dtype=complex)
-    terms, partials = [], []
+    terms, partials, seconds = [], [], []
     for i, comp in enumerate(f.components):
         for e, c in sorted(comp.items()):
             terms.append(((i,), e, c))
@@ -188,9 +190,16 @@ def _reference(f, x):
                     de = list(e)
                     de[j] -= 1
                     partials.append(((i, j), tuple(de), c * e[j]))
+    for (i, j), e, c in partials:
+        for k in range(f.n):
+            if e[k]:
+                de = list(e)
+                de[k] -= 1
+                seconds.append(((i, j, k), tuple(de), c * e[k]))
     val = np.zeros(x.shape[:-1] + (f.n,), dtype=complex)
     jac = np.zeros(x.shape[:-1] + (f.n, f.n), dtype=complex)
-    for out, rows in ((val, terms), (jac, partials)):
+    hess = np.zeros(x.shape[:-1] + (f.n, f.n, f.n), dtype=complex)
+    for out, rows in ((val, terms), (jac, partials), (hess, seconds)):
         if not rows:
             continue
         exps = np.array([e for _, e, _ in rows], dtype=np.int64)
@@ -198,7 +207,7 @@ def _reference(f, x):
         vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
         for k, (slot, _, _) in enumerate(rows):
             out[(..., *slot)] += vals[..., k]
-    return val, jac
+    return val, jac, hess
 
 
 def _sparse_field(rng, n):
@@ -234,15 +243,18 @@ REFERENCE_CASES = _reference_cases()
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_compiled_tables_equal_dict_walk_bitwise(name):
-    f = REFERENCE_CASES[name]
+    f = PolyVectorField(REFERENCE_CASES[name].n, REFERENCE_CASES[name].components)
     rng = np.random.default_rng(len(name))
     xs = rng.standard_normal((6, f.n)) + 1j * rng.standard_normal((6, f.n))
     xs[0] = 0
     xs[1] = 1
+    eval_field(f, xs), jacobian(f, xs)
+    assert len(f._compiled()) == 2  # the second partials wait for a call that asks
     for x in [*xs, xs]:
-        val, jac = _reference(f, x)
+        val, jac, hess = _reference(f, x)
         assert eval_field(f, x).tobytes() == val.tobytes()
         assert jacobian(f, x).tobytes() == jac.tobytes()
+        assert _evaluate(f, x, 2, f.n**3).reshape(hess.shape).tobytes() == hess.tobytes()
 
 
 def test_sparse_cases_include_empty_components():

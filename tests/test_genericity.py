@@ -21,17 +21,21 @@ from foliationlab import (
     base_pattern_indices,
     char_coeff_map,
     char_poly_direct,
+    closed_form_coords,
     closed_form_sing,
     coeff_derivative_table,
     counts,
     defect_experiment,
     expected_det_modulus,
     family_field,
+    first_order_point,
     generator_weights,
     genericity_sample,
     group_action,
     group_elements,
     hyperplane_set,
+    jacobian,
+    jouanolou_field,
     pushforward_factor,
     sigma_at_ones,
     spectrum_report,
@@ -90,101 +94,123 @@ def test_submersion_all_m_independent():
     assert np.allclose(dets, 64 / 7, rtol=1e-4)
 
 
+# every rung of the ladder, and one with a high degree
+LADDER = [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2), (2, 30)]
+
+
+def _cauchy_jacs(n, d):
+    # d sigma_i / d alpha_j at every zero by an (n d + 1)-point Cauchy rule on
+    # sigma along x + zeta w_j, w = -J^-1: F has degree d + 1, so sigma has
+    # degree at most n d along a line and the rule is exact up to rounding
+    base = jouanolou_field(n, d)
+    x = closed_form_coords(n, d)
+    w = np.linalg.solve(jacobian(base, x), -np.eye(n))
+    k = n * d + 1
+    nodes = np.exp(2j * np.pi * np.arange(k) / k)
+    r = 0.03 / np.abs(w).max(axis=1)  # one radius per column
+    steps = r[..., None] * np.swapaxes(w, 1, 2)  # [zero, j] is r_j w_j
+    pts = x[:, None, None, :] + nodes[:, None, None] * steps[:, None]
+    # sigma[zero, node, j, i]
+    sigma = char_poly_direct(base, pts.reshape(-1, n)).reshape(len(x), k, n, n)
+    return np.einsum("k,zkji->zij", nodes.conj(), sigma) / (k * r[:, None, :])
+
+
+@pytest.mark.parametrize("n,d", LADDER)
+def test_submersion_equals_the_cauchy_rule_on_sigma(n, d):
+    reports = submersion_all(n, d, CFG)
+    got = np.array([r.jac for r in reports])
+    want = _cauchy_jacs(n, d)
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * np.abs(got).max(axis=(1, 2))).all()
+    assert max(r.rel_error for r in reports) < 1e-13
+
+
+def test_submersion_modulus_is_exact_at_2_200():
+    # N = 40201; central differences missed by 2e-8 here
+    assert max(r.rel_error for r in submersion_all(2, 200, CFG)) < 1e-13
+
+
+@pytest.mark.parametrize("n,d", LADDER)
+def test_ift_direction_is_the_first_order_term(n, d):
+    # -J^-1, the oracle's direction, is the linear term of first_order_point
+    base = jouanolou_field(n, d)
+    for m, x in enumerate(closed_form_coords(n, d), 1):
+        w = -np.linalg.inv(jacobian(base, x))
+        linear = np.column_stack([first_order_point(n, d, m, e) - x for e in np.eye(n)])
+        assert np.abs(w - linear).max() <= 1e-12 * np.abs(w).max()
+
+
+# finite-difference stencils on the tracked coefficient map, the test-side
+# oracles of the exact Jacobian: (node, weight) pairs on the circle |alpha_j| = h
+STENCILS = {"central": ((1, 1), (-1, -1)), "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}
+
+
+def _stencil_jac(n, d, m, h, stencil, cfg=CFG):
+    # one probe member alpha = h node e_j per node and column, each tracked alone
+    nodes = STENCILS[stencil]
+    cols = []
+    for step in h * np.eye(n):
+        col = sum(char_coeff_map(n, d, m, step * node, cfg) * weight for node, weight in nodes)
+        cols.append(col / (len(nodes) * h))
+    return np.column_stack(cols)
+
+
 def test_submersion_fd_error_scales_quadratically():
-    # truncation dominates tracking noise at these steps; halving gives ~1/4
+    # a central difference misses by O(h^2): halving h quarters its gap to the
+    # exact Jacobian, and at h = 1e-3 its determinant misses by far more
     for n, d, m in [(2, 2, 7), (3, 2, 15)]:
-        exp = expected_det_modulus(n, d)
-        errs = [abs(abs(submersion_report(n, d, m, RunConfig(fd_step=h)).det) - exp)
-                for h in (3e-3, 1.5e-3)]
-        assert 3.0 < errs[0] / errs[1] < 5.0
+        rep = submersion_report(n, d, m, CFG)
+        gaps = [np.abs(_stencil_jac(n, d, m, h, "central") - rep.jac).max() for h in (3e-3, 1.5e-3)]
+        assert 3.0 < gaps[0] / gaps[1] < 5.0
+        assert np.abs(_stencil_jac(n, d, m, 1e-5, "central") - rep.jac).max() < 1e-9 * np.abs(rep.jac).max()
+        central = abs(np.linalg.det(_stencil_jac(n, d, m, 1e-3, "central")))
+        assert rep.rel_error < 1e-2 * abs(central - rep.expected_modulus) / rep.expected_modulus
 
 
 def test_cauchy_stencil_beats_central():
+    # at one step the four-node stencil's O(h^4) misses the exact Jacobian,
+    # and its determinant the certified modulus, by under 1e-2 of the central
+    # stencil's O(h^2) misses; a Jacobian with an O(h^2) error of its own fails
     for n, d, m in [(2, 2, 7), (3, 2, 15)]:
-        cfg = RunConfig(fd_step=1e-3)
-        central = submersion_report(n, d, m, cfg, stencil="central")
-        cauchy = submersion_report(n, d, m, cfg, stencil="cauchy4")
-        assert cauchy.rel_error < central.rel_error * 1e-2
-
-
-def test_submersion_rejects_unknown_stencil():
-    with pytest.raises(InputError):
-        submersion_report(2, 2, 7, CFG, stencil="forward")
-
-
-def _reference_jac(n, d, m, cfg, stencil):
-    # one zero at a time: track_one and the member's own field for every stencil node
-    nodes = {"central": ((1, 1), (-1, -1)),
-             "cauchy4": tuple((1j**k, 1j**-k) for k in range(4))}[stencil]
-    h = cfg.fd_step
-    cols = []
-    for j in range(n):
-        col = np.zeros(n, dtype=complex)
-        for node, weight in nodes:
-            point = [0j] * n
-            point[j] = h * node
-            params = FoliationParams(n, d, point)
-            col += char_poly_direct(family_field(params), track_one(params, m, cfg).coords) * weight
-        cols.append(col / (len(nodes) * h))
-    return np.column_stack(cols)
+        rep = submersion_report(n, d, m, CFG)
+        central, cauchy = (_stencil_jac(n, d, m, 1e-3, stencil) for stencil in ("central", "cauchy4"))
+        assert np.abs(cauchy - rep.jac).max() < 1e-2 * np.abs(central - rep.jac).max()
+        misses = [abs(abs(np.linalg.det(jac)) - rep.expected_modulus) for jac in (central, cauchy)]
+        assert misses[1] < 1e-2 * misses[0]
 
 
 @pytest.mark.parametrize("stencil", ["central", "cauchy4"])
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
 def test_submersion_all_equals_one_zero_at_a_time_reference(n, d, stencil):
-    reports = submersion_all(n, d, CFG, stencil)
+    # every report is bitwise its own one-zero report, and the stencil on
+    # that zero alone agrees with it to the stencil's error (measured at most
+    # 2.1e-11 for central at h = 1e-5 and 1.8e-13 for cauchy4 at h = 1e-3)
+    h, tol = {"central": (1e-5, 1e-9), "cauchy4": (1e-3, 1e-11)}[stencil]
+    reports = submersion_all(n, d, CFG)
     assert [r.m for r in reports] == list(range(1, counts(n, d).N + 1))
     for r in reports:
-        assert r.jac.tobytes() == _reference_jac(n, d, r.m, CFG, stencil).tobytes()
-    one = submersion_report(n, d, 2, CFG, stencil)
-    assert (one.jac.tobytes(), one.det, one.sv_min) == (
-        reports[1].jac.tobytes(), reports[1].det, reports[1].sv_min)
-
+        one = submersion_report(n, d, r.m, CFG)
+        assert (one.jac.tobytes(), one.det, one.rel_error, one.sv_min, one.sv_max) == (
+            r.jac.tobytes(), r.det, r.rel_error, r.sv_min, r.sv_max)
+        assert np.abs(_stencil_jac(n, d, r.m, h, stencil) - r.jac).max() < tol * np.abs(r.jac).max()
 
 
 def test_probe_layer_is_frozen():
-    # digest taken when every probe member was tracked by its own track_zeros call
+    # digest taken when the reports first came from the exact Jacobian
     h = hashlib.sha256()
     for n, d in [(2, 2), (3, 2)]:
-        for stencil in ("central", "cauchy4"):
-            for m in range(1, counts(n, d).N + 1):
-                r = submersion_report(n, d, m, CFG, stencil)
-                h.update(r.jac.tobytes() + np.array([r.det, r.sv_min, r.sv_max, r.rel_error]).tobytes())
+        for m in range(1, counts(n, d).N + 1):
+            r = submersion_report(n, d, m, CFG)
+            h.update(r.jac.tobytes() + np.array([r.det, r.sv_min, r.sv_max, r.rel_error]).tobytes())
     for n, d in [(2, 2), (3, 2), (2, 3)]:
         for e in coeff_derivative_table(n, d, CFG):
-            h.update(repr((e.i, e.j, e.fd, e.formula, e.rel_error)).encode())
+            h.update(repr((e.i, e.j, e.value, e.formula, e.rel_error)).encode())
     for alpha in [(0, 0, 0), (0.01, 0.02j, -0.005)]:
         h.update(char_coeff_map(3, 2, 4, alpha, CFG).tobytes())
-    assert h.hexdigest() == "10b7646086fee08e67073f367441d41f9913266b15b220b2413ac42fbd94a3eb"
-
-
-@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
-def test_submersion_refuses_a_step_outside_the_polydisk(stencil):
-    cfg = RunConfig(fd_step=0.06)
-    for call in (lambda: submersion_report(2, 2, 7, cfg, stencil), lambda: submersion_all(3, 2, cfg, stencil)):
-        with pytest.raises(InputError, match=r"^perturbation size 0\.06 exceeds "
-                           r"the tracked polydisk radius 0\.05$"):
-            call()
-
-
-@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
-def test_submersion_raises_the_first_probe_members_tracking_error(stencil):
-    # no probe member converges: the error is the first member's, alpha = (h, 0)
-    cfg = RunConfig(newton_tol=1e-17, max_iters=2)
-    first = FoliationParams(2, 2, (cfg.fd_step, 0))
-    for ms, call in (([7], lambda: submersion_report(2, 2, 7, cfg, stencil)),
-                     (range(1, 8), lambda: submersion_all(2, 2, cfg, stencil))):
-        with pytest.raises(ConvergenceError) as want:
-            track_zeros(first, ms, cfg)
-        assert str(want.value) == "tracking failed for index m=%d at steps=64: " \
-            "newton stalled above tolerance" % ms[0]
-        with pytest.raises(ConvergenceError) as got:
-            call()
-        assert str(got.value) == str(want.value)
+    assert h.hexdigest() == "571ffd909b55538c47ae69131b6ea8af287a0d0f176a7871a81d0b64c1f38576"
 
 
 def test_submersion_refuses_an_oversized_member_before_any_probe_array():
-    # an (n, n) complex probe stack at n = 3001 would take about 290 MB
+    # an (n, n) complex array at n = 3001 would take about 144 MB
     gc.collect()
     tracemalloc.start()
     try:
@@ -195,88 +221,115 @@ def test_submersion_refuses_an_oversized_member_before_any_probe_array():
         tracemalloc.stop()
     assert peak < 1 << 20
 
-def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
-    batches, calls = [], {"track_zeros": 0, "track_one": 0}
-    real_continue = solver._continue
-
-    def continue_spy(n, d, alphas, ms, cfg, base=None):
-        batches.append((len(alphas), len(ms)))
-        return real_continue(n, d, alphas, ms, cfg, base)
-
-    monkeypatch.setattr(solver, "_continue", continue_spy)
-    for name in calls:
-        real = getattr(genericity, name)
-
-        def spy(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(genericity, name, spy)
-    submersion_all(3, 2, CFG)
-    submersion_report(3, 2, 4, CFG, "cauchy4")
-    assert batches == [(6, 15), (12, 1)]
-    assert calls == {"track_zeros": 0, "track_one": 0}
-
-
-def _continue_batches(monkeypatch):
-    # the (members, indices) of every solver._continue call from here on
-    batches = []
-    real_continue = solver._continue
-
-    def continue_spy(n, d, alphas, ms, cfg, base=None):
-        batches.append((len(alphas), len(ms)))
-        return real_continue(n, d, alphas, ms, cfg, base)
-
-    monkeypatch.setattr(solver, "_continue", continue_spy)
-    return batches
-
 
 def _probe_outputs(cfg):
     # every probe-layer result as bytes, or the class and text of its error
     out = []
-    for call in (lambda: submersion_all(3, 2, cfg), lambda: submersion_all(2, 3, cfg, "cauchy4"),
-                 lambda: [submersion_report(3, 2, 4, cfg, "cauchy4")],
+    for call in (lambda: submersion_all(3, 2, cfg), lambda: submersion_all(2, 3, cfg),
+                 lambda: [submersion_report(3, 2, 4, cfg)],
                  lambda: [submersion_report(2, 2, 7, cfg)]):
         try:
             out += [(r.m, r.jac.tobytes(), r.det, r.rel_error, r.sv_min, r.sv_max) for r in call()]
         except Exception as exc:
             out.append((type(exc).__name__, str(exc)))
     try:
-        out += [(e.i, e.j, e.fd, e.formula, e.rel_error) for e in coeff_derivative_table(3, 2, cfg)]
+        out += [(e.i, e.j, e.value, e.formula, e.rel_error) for e in coeff_derivative_table(3, 2, cfg)]
     except Exception as exc:
         out.append((type(exc).__name__, str(exc)))
     return out
 
 
-@pytest.mark.parametrize("cfg", [CFG, RunConfig(fd_step=1e-3), RunConfig(newton_tol=1e-17, max_iters=2)],
+def _tracking_calls(monkeypatch):
+    # the name of every tracking call from here on, and (members, indices)
+    # for every solver._continue call; each call goes on to the real one
+    calls = []
+    real_continue = solver._continue
+
+    def continue_spy(n, d, alphas, ms, cfg):
+        calls.append(("_continue", len(alphas), len(ms)))
+        return real_continue(n, d, alphas, ms, cfg)
+
+    monkeypatch.setattr(solver, "_continue", continue_spy)
+    for module, name in [(solver, "track_zeros"), (solver, "track_one"),
+                         (genericity, "track_zeros"), (genericity, "track_one")]:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append((_name,))
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_submersion_tracks_each_probe_member_as_one_batch(monkeypatch):
+    # the reports track no member at all; a stencil on the coefficient map
+    # tracks each of its probe members, one zero each, as one batch
+    calls = _tracking_calls(monkeypatch)
+    _probe_outputs(CFG)
+    assert calls == []
+    _stencil_jac(3, 2, 4, 1e-3, "cauchy4")
+    assert calls == [("track_zeros",), ("_continue", 1, 1)] * 12
+
+
+@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
+def test_submersion_raises_the_first_probe_members_tracking_error(stencil):
+    # no member converges: a stencil raises its first probe member's error,
+    # alpha = (h, 0); the exact reports track nothing, so no bit of them moves
+    cfg = RunConfig(newton_tol=1e-17, max_iters=2)
+    with pytest.raises(ConvergenceError) as want:
+        track_zeros(FoliationParams(2, 2, (1e-3, 0)), [7], cfg)
+    assert str(want.value) == "tracking failed for index m=7 at steps=64: newton stalled above tolerance"
+    with pytest.raises(ConvergenceError) as got:
+        _stencil_jac(2, 2, 7, 1e-3, stencil, cfg)
+    assert str(got.value) == str(want.value)
+    assert _probe_outputs(cfg) == _probe_outputs(CFG)
+
+
+@pytest.mark.parametrize("stencil", ["central", "cauchy4"])
+def test_submersion_refuses_a_step_outside_the_polydisk(stencil):
+    # a stencil whose first probe member leaves the polydisk is refused; the
+    # exact reports take no step, so a radius of 1e-300 moves no bit of them
+    with pytest.raises(InputError, match=r"^perturbation size 0\.06 exceeds "
+                       r"the tracked polydisk radius 0\.05$"):
+        _stencil_jac(2, 2, 7, 0.06, stencil)
+    assert _probe_outputs(RunConfig(radius=1e-300)) == _probe_outputs(CFG)
+
+
+@pytest.mark.parametrize("cfg", [CFG, RunConfig(radius=0.5), RunConfig(newton_tol=1e-17, max_iters=2)],
                          ids=["default", "wide-step", "stalling"])
 def test_probe_members_split_into_one_member_batches_bitwise(monkeypatch, cfg):
-    whole = _probe_outputs(cfg)
-    if cfg.max_iters == 2:
-        assert {o[0] for o in whole} == {"ConvergenceError"}
-    batches = _continue_batches(monkeypatch)
-    monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", 1)
-    assert _probe_outputs(cfg) == whole
-    if cfg.max_iters == 2:  # each report stops at its first member
-        assert batches == [(1, 15), (1, 13), (1, 1), (1, 1), (1, 1)]
-    else:  # submersion_all(3, 2), (2, 3) with cauchy4, two reports, the table at m = 15
-        assert batches == [(1, 15)] * 6 + [(1, 13)] * 8 + [(1, 1)] * (12 + 4 + 6)
+    # the reports probe each zero by the n columns of -J^-1 and take the zeros
+    # in blocks under MEMBER_MAX_ENTRIES; no bit depends on the blocks or on
+    # cfg, whether it admits ten times wider steps or stalls every tracking
+    whole = _probe_outputs(CFG) + [r.jac.tobytes() for r in submersion_all(5, 2, CFG)]
+    for limit in (1, 55):  # one zero per block; blocks of 2 at n = 3 and of 6 at n = 2
+        monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", limit)
+        assert _probe_outputs(cfg) + [r.jac.tobytes() for r in submersion_all(5, 2, cfg)] == whole
 
 
 def test_probe_batches_hold_at_most_the_member_limit(monkeypatch):
-    # (3, 2) with cauchy4: 12 probe members of 15 zeros, 135 Jacobian entries each
-    batches = _continue_batches(monkeypatch)
-    for limit, want in [(135 * 12, [12]), (135 * 4, [4, 4, 4]), (135 * 5 - 1, [4, 4, 4]),
-                        (135 * 5, [5, 5, 2]), (134, [1] * 12)]:
+    # the reports' batches are blocks of zeros; (3, 2): 15 zeros of 27
+    # second-partial entries each
+    blocks = []
+    real = genericity._evaluate
+
+    def evaluate_spy(field, x, which, width, const=None):
+        if which == 2:
+            blocks.append(len(x))
+        return real(field, x, which, width, const)
+
+    monkeypatch.setattr(genericity, "_evaluate", evaluate_spy)
+    for limit, want in [(27 * 15, [15]), (27 * 4, [4, 4, 4, 3]), (27 * 5 - 1, [4, 4, 4, 3]),
+                        (27 * 5, [5, 5, 5]), (26, [1] * 15)]:
         monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", limit)
-        batches.clear()
-        submersion_all(3, 2, CFG, "cauchy4")
-        assert batches == [(members, 15) for members in want], limit
+        blocks.clear()
+        submersion_all(3, 2, CFG)
+        assert blocks == want, limit
 
 
 def test_a_submersion_report_builds_its_base_field_once(monkeypatch):
-    # the report builds the base field and passes it to every probe batch,
-    # however many batches the member limit makes
+    # one base field per report, however many blocks the member limit makes
     built = []
     real = genericity.jouanolou_field
 
@@ -294,63 +347,69 @@ def test_a_submersion_report_builds_its_base_field_once(monkeypatch):
     assert built == [(3, 2), (2, 3), (3, 2), (2, 2), (3, 2)]
 
 
-def test_continue_on_a_given_base_field_is_bitwise_its_own():
-    alphas = np.array([[0.01, 0.0], [0.0, 0.02j], [0.0, 0.0], [-0.03, 0.01 + 0.01j]])
-    for ms in ([1, 2, 3, 4, 5, 6, 7], [4]):
-        for stack in (alphas, alphas[:1]):
-            own = solver._continue(2, 2, stack, ms, CFG)
-            given_base = solver._continue(2, 2, stack, ms, CFG, family_field(FoliationParams(2, 2)))
-            for a, b in zip(own[:3], given_base[:3]):
-                assert a.tobytes() == b.tobytes()
-            assert own[3] == given_base[3] == {}
-
-
-def test_probe_memory_does_not_grow_with_the_stencil(monkeypatch):
-    # one member per batch: cauchy4's 8 members peak near central's 4 (about
-    # 3.5 against 3.3 MiB); one batch of all members would double the peak
+def test_submersion_memory_follows_the_blocks(monkeypatch):
+    # (2, 60), N = 3661: blocks of a tenth of the zeros peak well below one block
     n, d = 2, 60
-    monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", counts(n, d).N * n * n)
-    peaks = {}
-    for stencil in ("central", "cauchy4"):
+    big_n = counts(n, d).N
+    peaks = []
+    for zeros in (big_n, big_n // 10):
+        monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", zeros * n**3)
         gc.collect()
         tracemalloc.start()
         try:
-            submersion_all(n, d, CFG, stencil)
-            peaks[stencil] = tracemalloc.get_traced_memory()[1]
+            submersion_all(n, d, CFG)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks["cauchy4"] <= 1.25 * peaks["central"], peaks
+    assert peaks[1] < 0.6 * peaks[0], peaks
 
 
-def test_submersion_all_refuses_its_first_modulus_miss():
-    # at fd_step = 1e-13 rounding swamps the step: m = 1 already misses by 1.9e-3
-    with pytest.raises(VerificationError, match=r"^determinant modulus 9\.12529 misses certified "
-                       r"value 9\.14286 \(rel error 1\.922e-03\) at m=1$") as info:
-        submersion_all(2, 2, RunConfig(fd_step=1e-13))
+def _scale_jacobian_at(monkeypatch, n, d, scales):
+    # the reports read J scaled by scales[m] at zero m (the second partials
+    # unscaled): jac row i scales by s^(i - 2), and |det| by s^(n (n - 3) / 2)
+    zeros = closed_form_coords(n, d)
+    real = genericity.jacobian
+
+    def scaled(field, x):
+        out = real(field, x)
+        for m, s in scales.items():
+            out[(x == zeros[m - 1]).all(axis=-1)] *= s
+        return out
+
+    monkeypatch.setattr(genericity, "jacobian", scaled)
+
+
+def test_submersion_all_refuses_its_first_modulus_miss(monkeypatch):
+    # at (2, 2) |det| scales by 1 / s: m = 3 misses by 2.0e-3 and m = 5 by 3.0e-3
+    _scale_jacobian_at(monkeypatch, 2, 2, {5: 1 - 3e-3, 3: 1 + 2e-3})
+    with pytest.raises(VerificationError, match=r"^determinant modulus 9\.12461 misses certified "
+                       r"value 9\.14286 \(rel error 1\.996e-03\) at m=3$") as info:
+        submersion_all(2, 2, CFG)
     rep = info.value.payload
     assert isinstance(rep, SubmersionReport)
-    assert (rep.m, rep.fd_step, f"{rep.rel_error:.3e}") == (1, 1e-13, "1.922e-03")
+    assert (rep.m, f"{rep.rel_error:.3e}") == (3, "1.996e-03")
     assert rep.rel_error == abs(abs(rep.det) - rep.expected_modulus) / rep.expected_modulus
 
 
-def test_submersion_report_names_its_index_when_the_modulus_misses():
-    with pytest.raises(VerificationError, match=r"\(rel error 1\.505e-03\) at m=7$") as info:
-        submersion_report(2, 2, 7, RunConfig(fd_step=1e-14))
+def test_submersion_report_names_its_index_when_the_modulus_misses(monkeypatch):
+    _scale_jacobian_at(monkeypatch, 2, 2, {7: 1.0015})
+    with pytest.raises(VerificationError, match=r"\(rel error 1\.498e-03\) at m=7$") as info:
+        submersion_report(2, 2, 7, CFG)
     assert info.value.payload.m == 7
 
 
-def test_submersion_all_refuses_a_modulus_spread():
-    # every zero is within 10 SUBMERSION_RTOL of the certified modulus (7.8e-4 at
-    # worst), but the moduli straddle it and spread by 1.126e-3
-    cfg = RunConfig(fd_step=2e-13)
+def test_submersion_all_refuses_a_modulus_spread(monkeypatch):
+    # every zero is within 10 SUBMERSION_RTOL of the certified modulus (6.0e-4 at
+    # worst), but the moduli straddle it and spread by 1.199e-3
+    _scale_jacobian_at(monkeypatch, 2, 2, {2: 1 + 6e-4, 6: 1 - 6e-4})
     with pytest.raises(VerificationError, match=r"^determinant modulus varies across zeros "
-                       r"\(relative spread 1\.126e-03\)$") as info:
-        submersion_all(2, 2, cfg)
+                       r"\(relative spread 1\.199e-03\)$") as info:
+        submersion_all(2, 2, CFG)
     reports = info.value.payload
     assert [r.m for r in reports] == list(range(1, 8))
     assert max(r.rel_error for r in reports) <= 10 * SUBMERSION_RTOL
-    one = submersion_report(2, 2, 3, cfg)
-    assert (one.det, one.jac.tobytes()) == (reports[2].det, reports[2].jac.tobytes())
+    one = submersion_report(2, 2, 6, CFG)
+    assert (one.det, one.jac.tobytes()) == (reports[5].det, reports[5].jac.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +422,13 @@ def test_derivative_table_2_2_frozen():
     for key, val in want.items():
         entry = table[key]
         assert entry.formula == pytest.approx(val, abs=1e-12)
-        assert abs(entry.fd - val) < 1e-4 * max(1, abs(val))
-        assert entry.rel_error < 1e-4
+        assert abs(entry.value - val) < 1e-12 * max(1, abs(val))
+        assert entry.rel_error < 1e-12
 
 
 def test_derivative_table_3_2_formula_rows():
     table = {(e.i, e.j): e for e in coeff_derivative_table(3, 2, CFG)}
-    # j >= i-1 entries carry closed values; below that only the measurement
+    # j >= i-1 entries carry closed values; below that only the value
     assert table[(1, 3)].formula == pytest.approx(8 / 3)
     assert table[(3, 1)].formula is None
     for (i, j), entry in table.items():
@@ -377,17 +436,25 @@ def test_derivative_table_3_2_formula_rows():
             assert entry.rel_error < 1e-4
 
 
-def test_derivative_table_refuses_its_mismatches_with_the_full_table():
-    cfg = RunConfig(fd_step=0.04)
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (5, 2), (7, 2), (2, 30)])
+def test_derivative_table_closed_values_hold_to_1e_12(n, d):
+    entries = coeff_derivative_table(n, d, CFG)
+    assert len(entries) == n * n
+    assert max(e.rel_error for e in entries if e.formula is not None) < 1e-12
+
+
+def test_derivative_table_refuses_its_mismatches_with_the_full_table(monkeypatch):
+    # sigma_2 = 7 moved by 5e-5 relative: the closed (2, 1) entry moves by 2e-4
+    monkeypatch.setattr(genericity, "sigma_at_ones", lambda n, d: np.array([4.0, 7.0 + 3.5e-4]))
     with pytest.raises(VerificationError) as info:
-        coeff_derivative_table(2, 2, cfg)
+        coeff_derivative_table(2, 2, CFG)
     assert str(info.value) == ("derivative table mismatches beyond 0.0001: "
-                               "[(1, 2, 0.0001633741605197303), (2, 1, 0.0002611733229573865)]")
+                               "[(2, 1, 0.00020000000000042206)]")
     entries = info.value.payload
     assert [(e.i, e.j) for e in entries] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    jac = submersion_report(2, 2, 7, cfg).jac
-    assert [e.fd for e in entries] == [complex(v) for v in jac.ravel()]
-    assert [e.rel_error > SUBMERSION_RTOL for e in entries] == [False, True, True, False]
+    jac = submersion_report(2, 2, 7, CFG).jac
+    assert [e.value for e in entries] == [complex(v) for v in jac.ravel()]
+    assert [e.rel_error > SUBMERSION_RTOL for e in entries] == [False, False, True, False]
 
 
 # ---------------------------------------------------------------------------

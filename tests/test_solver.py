@@ -516,7 +516,8 @@ def test_base_field_plus_alpha_is_the_member_field_bitwise(n, d):
 
 
 def test_tracking_on_the_base_field_is_frozen():
-    # digest taken when every continuation stage built the member's own field
+    # digest taken when every continuation stage built the member's own field;
+    # the submersion reports, which track nothing, left it later
     h = hashlib.sha256()
     for n, d in [(2, 2), (3, 2), (3, 3), (5, 2)]:
         big_n = counts(n, d).N
@@ -526,16 +527,12 @@ def test_tracking_on_the_base_field_is_frozen():
                 h.update(repr(_fields(p)).encode())
             for p in track_zeros(params, [big_n, 2, 1, 2], RunConfig(continuation_steps=3, max_iters=3)):
                 h.update(repr(_fields(p)).encode())
-    for n, d in [(2, 2), (3, 2)]:
-        for stencil in ("central", "cauchy4"):
-            for r in submersion_all(n, d, CFG, stencil):
-                h.update(r.jac.tobytes())
     for n, d in [(3, 2), (5, 2)]:
         nu = np.zeros(n, dtype=complex)
         nu[-1], nu[1] = -0.5, 1j
         res = defect_experiment(n, d, nu, (1e-2, 3e-3, 1e-3), CFG)
         h.update(np.array(res.defects).tobytes() + float(res.slope).hex().encode())
-    assert h.hexdigest() == "80e3354470892f80858dba1c085b602004b59d3c425cf598ea4d17dbb4a357d1"
+    assert h.hexdigest() == "a3c7982f0476c9a02f51864771e9c47ff4b30b45cd6072abdbbb7cb8ddf6ce92"
 
 
 def _dense_closest_pair(coords, tol):
@@ -718,8 +715,7 @@ def test_run_config_takes_numpy_scalars():
     assert (cfg.max_iters, cfg.samples, cfg.radius, cfg.delta) == (5, 3, 0.01, 2)
 
 
-FLOAT_FIELDS = ("newton_tol", "dedup_tol", "radius", "fd_step", "tol_hyp", "tol_nd",
-                "align_tol", "delta")
+FLOAT_FIELDS = ("newton_tol", "dedup_tol", "radius", "tol_hyp", "tol_nd", "align_tol", "delta")
 
 
 def test_float_fields_are_the_checked_ones():
