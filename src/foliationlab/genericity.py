@@ -30,7 +30,9 @@ from .jouanolou import (
     FoliationParams,
     SingularPoint,
     _check_int,
+    _check_nd,
     _check_points,
+    _check_positive,
     _check_real,
     _check_sequence,
     _check_vector,
@@ -41,7 +43,8 @@ from .jouanolou import (
     jouanolou_field,
     unit_roots,
 )
-from .solver import RunConfig, _check_indices, _track_members, track_one, track_zeros
+from .solver import (RunConfig, _check_indices, _check_radius, _track_members, track_one,
+                     track_zeros)
 from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _class_codes, _divisor_scan, _roots,
                        char_poly_direct)
 
@@ -128,7 +131,9 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
             c, cp = -np.trace(m, axis1=-2, axis2=-1) / k, -np.trace(mp, axis1=-2, axis2=-1) / k
             jacs[lo:lo + len(xb), k - 1] = cp
     expected = expected_det_modulus(n, d)
-    dets = np.linalg.det(jacs)
+    # a determinant past the float range comes out inf or nan: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(jacs)
     # np.hypot, not np.abs, is bitwise Python's abs of a complex
     rel_errors = np.abs(np.hypot(dets.real, dets.imag) - expected) / expected
     svals = np.linalg.svd(np.block([[jacs.real, -jacs.imag], [jacs.imag, jacs.real]]),
@@ -137,7 +142,7 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
                                 rel_error=float(rel), sv_min=float(sv[-1]), sv_max=float(sv[0]))
                for m, jac, det, rel, sv in zip(ms, jacs, dets, rel_errors, svals)]
     for report in reports:
-        if report.rel_error > 10 * SUBMERSION_RTOL:
+        if not report.rel_error <= SUBMERSION_RTOL:
             raise VerificationError(
                 f"determinant modulus {abs(report.det):.6g} misses certified value "
                 f"{expected:.6g} (rel error {report.rel_error:.3e}) at m={report.m}",
@@ -151,32 +156,25 @@ def submersion_report(n: int, d: int, m: int, cfg: RunConfig) -> SubmersionRepor
     is tracked, so cfg is not read.
 
     Raises VerificationError (carrying the report) when the determinant
-    modulus misses its certified value by more than ten times
-    SUBMERSION_RTOL; smaller misses are left to the caller to flag.
+    modulus misses its certified value by more than SUBMERSION_RTOL.
     """
     return _submersion_reports(n, d, [m])[0]
 
 
 def submersion_all(n: int, d: int, cfg: RunConfig) -> list[SubmersionReport]:
-    """Reports for every zero index, asserting the modulus is m-independent.
+    """Reports for every zero index; the first whose modulus misses raises.
 
-    Each report is bitwise ``submersion_report`` at its index.
+    Each report is bitwise ``submersion_report`` at its index.  Every modulus
+    is within SUBMERSION_RTOL of the one certified value, so the modulus is
+    m-independent to within twice that.
     """
-    big_n = counts(n, d).N
-    reports = _submersion_reports(n, d, range(1, big_n + 1))
-    mods = np.array([abs(r.det) for r in reports])
-    spread = float((mods.max() - mods.min()) / mods.max())
-    if spread > 10 * SUBMERSION_RTOL:
-        raise VerificationError(
-            f"determinant modulus varies across zeros (relative spread {spread:.3e})",
-            payload=reports,
-        )
-    return reports
+    return _submersion_reports(n, d, range(1, counts(n, d).N + 1))
 
 
 def sigma_at_ones(n: int, d: int) -> np.ndarray:
     """Characteristic coefficients at the all-ones zero: entry i-1 is
-    sum_{j=0}^{i} C(n-j, n-i) d^j."""
+    sum_{j=0}^{i} C(n-j, n-i) d^j; (n, d) as ``counts`` takes them."""
+    _check_nd(n, d)
     out = np.zeros(n)
     for i in range(1, n + 1):
         out[i - 1] = sum(comb(n - j, n - i) * d**j for j in range(i + 1))
@@ -592,9 +590,11 @@ def defect_experiment(
 ) -> DefectResult:
     """Growth order of the alignment defect for perturbations mu * nu.
 
-    Only the first three points of the base aligned pattern are tracked at
-    each mu, and the defect is the 2 x 2 determinant built from two
-    coordinates (first and last unless coord_pair says otherwise):
+    Every mu must be positive, and every member mu * nu must pass the
+    tracking gate's polydisk check before any is tracked.  Only the first
+    three points of the base aligned pattern are tracked at each mu, and the
+    defect is the 2 x 2 determinant built from two coordinates (first and
+    last unless coord_pair says otherwise):
 
         |(u1 - u0)(w2 - w0) - (u2 - u0)(w1 - w0)|
 
@@ -614,8 +614,7 @@ def defect_experiment(
     """
     pattern = base_pattern_indices(n, d)
     nu = _check_vector("nu", nu, n)
-    size = max(abs(v) for v in nu)
-    if size == 0:
+    if not any(nu):
         raise InputError("nu must be nonzero")
     mu_grid = tuple(float(_check_real("mu", mu)) for mu in _check_sequence("mu_grid", mu_grid))
     if len(mu_grid) < 2:
@@ -623,10 +622,9 @@ def defect_experiment(
     if len(set(mu_grid)) < 2:
         raise InputError("need at least two distinct mu values to fit a slope")
     for mu in mu_grid:
-        if not 0 < mu <= cfg.radius / size:
-            raise InputError(
-                f"mu = {mu} outside (0, {cfg.radius / size:.3g}] for this nu"
-            )
+        _check_positive("mu", mu)
+    alphas = [tuple(mu * v for v in nu) for mu in mu_grid]
+    _check_radius(np.array(alphas), cfg)  # all members, before any is tracked
     pair = (1, n) if coord_pair is None else _check_sequence("coordinate pair", coord_pair)
     if (len(pair) != 2 or pair[0] == pair[1]
             or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= n
@@ -635,8 +633,8 @@ def defect_experiment(
     u_idx, w_idx = pair
 
     defects = []
-    for mu in mu_grid:
-        params = FoliationParams(n, d, tuple(mu * v for v in nu))
+    for alpha in alphas:
+        params = FoliationParams(n, d, alpha)
         tracked = [track_one(params, m, cfg) for m in pattern[:3]]
         u = [p.coords[u_idx - 1] for p in tracked]
         w = [p.coords[w_idx - 1] for p in tracked]

@@ -39,18 +39,24 @@ MEMBER_MAX_ENTRIES = 1 << 22
 
 @lru_cache(maxsize=8)
 def unit_roots(order: int) -> np.ndarray:
-    """Table of e^(2 pi i k / order) for k = 0..order-1.
+    """Table of e^(2 pi i k / order) for k = 0..order-1, for an integer order >= 1.
 
     The table is cached per order and shared by every caller, so it is not
     writeable.
     """
+    _check_int("order", order)
+    if order < 1:
+        raise InputError(f"order must be at least 1, got {order}")
     table = np.exp(2j * np.pi * np.arange(order) / order)
     table.setflags(write=False)
     return table
 
 
 def unit_root(k: int, order: int) -> complex:
-    return complex(unit_roots(order)[k % order])
+    """e^(2 pi i k / order) from the table of ``unit_roots``; k is any integer."""
+    table = unit_roots(order)
+    _check_int("k", k)
+    return complex(table[k % order])
 
 
 def _geom(d: int, s: int) -> int:
@@ -152,7 +158,7 @@ def _member_order(n: int, d: int) -> int:
 
     A member above MEMBER_MAX_ENTRIES raises InputError before anything
     N-sized is built; N >= n + 1 is tested first, so a large n is refused
-    before its N is summed.  ``counts`` takes any size.
+    before its N is computed.
     """
     if (n + 1) * n * n <= MEMBER_MAX_ENTRIES:
         big_n = counts(n, d).N
@@ -232,15 +238,26 @@ class GroupElement:
 
 
 def counts(n: int, d: int) -> Counts:
-    """Exact integer invariants N, M, K for the pair (n, d)."""
+    """Exact integer invariants N, M, K for the pair (n, d), in closed form.
+
+    The counts must print as decimal integers: a pair whose N or M has more
+    than ``sys.get_int_max_str_digits()`` digits raises InputError, before
+    any power is taken when d^n alone has more.
+    """
     _check_nd(n, d)
-    big_n = sum(d**t for t in range(n + 1))
-    big_m = n * comb(n + d, d) + comb(n + d - 1, d) - 1
-    if n % 2 == 1 and d >= 2:
-        big_k = sum(d**t for t in range(0, n, 2))
-    else:
-        big_k = 0
-    return Counts(N=big_n, M=big_m, K=big_k)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or before 3.10.7: none
+    # d^n >= 2^(n (bits(d) - 1)) >= 16^limit > 10^limit
+    if not limit or n * (d.bit_length() - 1) < 4 * limit:
+        top = d ** (n + 1)
+        big_n = n + 1 if d == 1 else (top - 1) // (d - 1)
+        big_m = n * comb(n + d, d) + comb(n + d - 1, d) - 1
+        big = max(big_n, big_m)
+        # below 8^limit a count prints; else it prints iff it is below 10^limit
+        if not limit or big.bit_length() <= 3 * limit or big < 10**limit:
+            # K = d^0 + d^2 + ... + d^(n-1)
+            big_k = (top - 1) // (d * d - 1) if n % 2 == 1 and d >= 2 else 0
+            return Counts(N=big_n, M=big_m, K=big_k)
+    raise InputError(f"N or M would have more than {limit} digits (sys.get_int_max_str_digits())")
 
 
 def jouanolou_field(n: int, d: int) -> PolyVectorField:

@@ -190,10 +190,13 @@ def _roots(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _one_spectrum(lams) -> np.ndarray:
-    """lams as a complex (n,) array; a stack (R, n) raises InputError, not flattened."""
+    """lams as a complex (n,) array, n >= 1; a stack (R, n) raises InputError, not
+    flattened, and so does an empty one."""
     lams = np.asarray(lams, dtype=complex)
     if lams.ndim != 1:
         raise InputError(f"eigenvalues have shape {lams.shape}, expected (n,) for one zero")
+    if not len(lams):
+        raise InputError("need at least one eigenvalue")
     return lams
 
 
@@ -203,7 +206,7 @@ def min_separation(lams) -> float:
     lams = _one_spectrum(lams)
     diff = np.abs(lams[:, None] - lams[None, :])
     diff[np.diag_indices(lams.shape[0])] = np.inf
-    return float(diff.min(initial=np.inf))  # inf for fewer than two eigenvalues
+    return float(diff.min())  # inf for one eigenvalue
 
 
 def classify(lams, cfg: RunConfig) -> str:
@@ -333,8 +336,6 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
     above SCAN_MAX_BYTES raise InputError.
     """
     lams = _one_spectrum(lams)
-    if lams.shape[0] < 1:
-        raise InputError("need at least one eigenvalue")
     _check_int("max_order", max_order)
     if max_order < 2:
         raise InputError("max_order must be at least 2")

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import foliationlab
 from foliationlab import cli, coeff_derivative_table, defect_experiment, genericity, submersion_all
 from foliationlab.cli import _jsonable, run
 from foliationlab.errors import InputError, VerificationError
-from foliationlab.jouanolou import FoliationParams
+from foliationlab.jouanolou import FoliationParams, counts
 from foliationlab.solver import RunConfig
 
 ENVELOPE_KEYS = {"tool_version", "command", "params", "cfg", "payload", "warnings"}
@@ -77,14 +78,38 @@ def test_submersion_all_payload(capsys):
 
 
 def test_submersion_warns_and_exits_one_on_a_small_modulus_miss(capsys, monkeypatch):
-    # 1.2751e-04 is above SUBMERSION_RTOL but below the library's 10x refusal
+    # 1.2751e-04 is above SUBMERSION_RTOL, the one modulus tolerance: the library
+    # refuses it, and the CLI prints the error and its envelope with the report
     certified = genericity.expected_det_modulus
     monkeypatch.setattr(genericity, "expected_det_modulus",
                         lambda n, d: certified(n, d) / (1 - 1.2751e-04))
-    code, doc = _json(capsys, ["submersion", "--n", "2", "--d", "2", "--m", "7"])
-    assert code == 1
-    assert doc["warnings"] == ["m=7: determinant modulus off by relative 1.275e-04"]
-    assert doc["payload"][0]["rel_error"] == pytest.approx(1.2751e-04, rel=1e-4)
+    assert run(["submersion", "--n", "2", "--d", "2", "--m", "7"]) == 1
+    captured = capsys.readouterr()
+    error = "determinant modulus 9.14286 misses certified value 9.14402 (rel error 1.275e-04) at m=7"
+    assert captured.err == f"error: {error}\n"
+    doc = json.loads(captured.out)
+    assert doc["warnings"] == [error]
+    assert doc["payload"]["m"] == 7
+    assert doc["payload"]["rel_error"] == pytest.approx(1.2751e-04, rel=1e-4)
+
+
+def test_submersion_refuses_an_overflowing_determinant_without_a_numpy_warning(capsys, monkeypatch):
+    # second partials scaled by 1e200 put |det| near 1e400 at (2, 2), and numpy's
+    # det comes out inf + nan j, which the modulus check refuses (at d = 1 the
+    # true determinant overflows from (66, 1) on); under the suite's
+    # filterwarnings = error a numpy warning would raise here instead
+    real = genericity._evaluate
+
+    def scaled(field, x, which, width):
+        out = real(field, x, which, width)
+        return out * 1e200 if which == 2 else out
+
+    monkeypatch.setattr(genericity, "_evaluate", scaled)
+    assert run(["submersion", "--n", "2", "--d", "2", "--m", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: determinant modulus inf misses certified value 9.14286 "
+                            "(rel error inf) at m=7\n")
+    assert json.loads(captured.out)["payload"]["rel_error"] is None
 
 
 def test_submersion_warns_and_exits_one_on_a_failed_rank_certificate(capsys, monkeypatch):
@@ -280,6 +305,9 @@ NU3 = ["--nu", "0,0", "--nu", "1,0", "--nu", "0,0"]
     # the parameter Jacobian is exact: no stencil and no step to choose
     ["submersion", "--n", "2", "--d", "2", "--stencil", "cauchy4"],
     ["derivs", "--n", "2", "--d", "2", "--fd-step", "1e-5"],
+    # N would print with more digits than Python's int-to-str limit
+    ["counts", "--n", "15000", "--d", "2"],
+    ["counts", "--n", "100000", "--d", "2"],
 ], ids=" ".join)
 def test_malformed_input_exits_two_without_traceback(capsys, argv):
     assert run(argv) == 2
@@ -339,16 +367,21 @@ def test_defect_takes_a_coord_pair(capsys):
         defect_experiment(3, 2, (0, 1, 0), (1e-2, 3e-3, 1e-3, 3e-4), RunConfig(), coord_pair=(1, 2)))))
 
 
-@pytest.mark.parametrize("argv", [["sing", "--n", "12", "--d", "4"],
-                                  ["sing", "--n", "2000", "--d", "1"],
-                                  ["pushforward", "--n", "12", "--d", "4"]], ids=" ".join)
-def test_oversized_member_exits_two(capsys, argv):
-    # the library refuses the member first, so a missing limit fails before the CLI runs
-    with pytest.raises(InputError):
-        FoliationParams(int(argv[2]), int(argv[4]))
+OVERSIZED = [(["sing", "--n", "12", "--d", "4"], "MEMBER_MAX_ENTRIES"),
+             (["sing", "--n", "2000", "--d", "1"], "MEMBER_MAX_ENTRIES"),
+             (["pushforward", "--n", "12", "--d", "4"], "MEMBER_MAX_ENTRIES"),
+             (["counts", "--n", "15000", "--d", "2"], "sys.get_int_max_str_digits()"),
+             (["counts", "--n", "100000", "--d", "2"], "sys.get_int_max_str_digits()")]
+
+
+@pytest.mark.parametrize("argv,limit", OVERSIZED, ids=[" ".join(argv) for argv, _ in OVERSIZED])
+def test_oversized_member_exits_two(capsys, argv, limit):
+    # the library refuses the input first, so a missing limit fails before the CLI runs
+    with pytest.raises(InputError, match=re.escape(limit)):
+        (counts if argv[0] == "counts" else FoliationParams)(int(argv[2]), int(argv[4]))
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "MEMBER_MAX_ENTRIES" in captured.err
+    assert captured.out == "" and limit in captured.err
 
 
 def test_defect_usage_shows_nu_as_required(capsys):

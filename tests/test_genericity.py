@@ -68,6 +68,17 @@ def test_sigma_at_ones_frozen():
     assert np.allclose(sigma_at_ones(2, 3), [5, 13])
 
 
+@pytest.mark.parametrize("n,d,message", [
+    (-1, 2, "^ambient dimension must be an integer >= 2, got -1$"),
+    (0, 2, "^ambient dimension must be an integer >= 2, got 0$"),
+    (2, 0, "^degree must be an integer >= 1, got 0$"),
+    (2.0, 2, "^ambient dimension must be an integer >= 2, got 2.0$"),
+], ids=["n-negative", "n-zero", "d-zero", "n-float"])
+def test_sigma_at_ones_refuses_what_counts_refuses(n, d, message):
+    with pytest.raises(InputError, match=message):
+        sigma_at_ones(n, d)
+
+
 def test_sigma_at_ones_matches_direct_jacobian():
     # binomial sums against the actual characteristic coefficients at p_N
     for n in (2, 3, 4):
@@ -398,18 +409,26 @@ def test_submersion_report_names_its_index_when_the_modulus_misses(monkeypatch):
     assert info.value.payload.m == 7
 
 
+def test_submersion_at_d_1_passes_through_n_25():
+    # the worst zeros of (25, 1) and (26, 1); a determinant that overflows, as
+    # from (66, 1) on, is refused in test_cli
+    assert f"{submersion_report(25, 1, 11, CFG).rel_error:.3e}" == "3.991e-05"
+    with pytest.raises(VerificationError, match=r"\(rel error 1\.060e-04\) at m=6$"):
+        submersion_report(26, 1, 6, CFG)
+
+
 def test_submersion_all_refuses_a_modulus_spread(monkeypatch):
-    # every zero is within 10 SUBMERSION_RTOL of the certified modulus (6.0e-4 at
-    # worst), but the moduli straddle it and spread by 1.199e-3
+    # the moduli straddle the certified one and spread by 1.2e-3; each zero is
+    # checked against SUBMERSION_RTOL, so the first zero off by 6.0e-4 is refused
     _scale_jacobian_at(monkeypatch, 2, 2, {2: 1 + 6e-4, 6: 1 - 6e-4})
-    with pytest.raises(VerificationError, match=r"^determinant modulus varies across zeros "
-                       r"\(relative spread 1\.199e-03\)$") as info:
+    with pytest.raises(VerificationError, match=r"^determinant modulus 9\.13737 misses certified "
+                       r"value 9\.14286 \(rel error 5\.996e-04\) at m=2$") as info:
         submersion_all(2, 2, CFG)
-    reports = info.value.payload
-    assert [r.m for r in reports] == list(range(1, 8))
-    assert max(r.rel_error for r in reports) <= 10 * SUBMERSION_RTOL
-    one = submersion_report(2, 2, 6, CFG)
-    assert (one.det, one.jac.tobytes()) == (reports[5].det, reports[5].jac.tobytes())
+    rep = info.value.payload
+    assert rep.m == 2 and rep.rel_error > SUBMERSION_RTOL
+    with pytest.raises(VerificationError, match=r"\(rel error 5\.996e-04\) at m=2$") as one:
+        submersion_report(2, 2, 2, CFG)
+    assert (one.value.payload.det, one.value.payload.jac.tobytes()) == (rep.det, rep.jac.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -1066,10 +1085,10 @@ def test_defect_validation():
     ((0, 0, 0), MU_GRID, "^nu must be nonzero$"),
     ((0, 1, 0), (1e-2,), "^need at least two mu values to fit a slope$"),
     ((0, 1, 0), (1e-2, 1e-2), "^need at least two distinct mu values to fit a slope$"),
-    ((0, 1, 0), (1e-2, 0.06), r"^mu = 0\.06 outside \(0, 0\.05\] for this nu$"),
-    ((0, 2, 0), (1e-2, 3e-2), r"^mu = 0\.03 outside \(0, 0\.025\] for this nu$"),
-    ((0, 1, 0), (1e-2, 0.0), r"^mu = 0\.0 outside"),
-    ((0, 1, 0), (-1e-2, 1e-3), r"^mu = -0\.01 outside"),
+    ((0, 1, 0), (1e-2, 0.06), r"^perturbation size 0\.06 exceeds the tracked polydisk radius 0\.05$"),
+    ((0, 2, 0), (1e-2, 3e-2), r"^perturbation size 0\.06 exceeds the tracked polydisk radius 0\.05$"),
+    ((0, 1, 0), (1e-2, 0.0), "^mu must be positive$"),
+    ((0, 1, 0), (-1e-2, 1e-3), "^mu must be positive$"),
     ((np.inf, 1, 0), MU_GRID, "^nu entries must be finite$"),
     ((np.nan, 1, 0), MU_GRID, "^nu entries must be finite$"),
     ((0, np.nan, 1), MU_GRID, "^nu entries must be finite$"),
@@ -1088,6 +1107,47 @@ def test_defect_validation():
 def test_defect_refuses_bad_rays(nu, mus, message):
     with pytest.raises(InputError, match=message):
         defect_experiment(3, 2, nu, mus, CFG)
+
+
+# Directions 0 and 6 of default_rng(1), complex normal in C^3.  At mu = radius / max |nu_i|
+# the member's largest |alpha_i| rounds to 0.05 for the first and one ulp above it,
+# 0.05 + 2^-57, for the second: one of the 421 in 2000 such directions that round above.
+RAY_INSIDE = (complex(0.345584192064786, -1.303157231604361),
+              complex(0.8216181435011584, 0.9053558666731177),
+              complex(0.33043707618338714, 0.4463745723640113))
+RAY_OUTSIDE = (complex(-0.5140063716874629, 0.10901408782154753),
+               complex(-1.6480751708556527, -1.2273520542445742),
+               complex(0.16746474422274113, -0.6832266617805622))
+
+
+def _spy_track_one(monkeypatch):
+    calls = []
+    real = genericity.track_one
+
+    def spy(params, m, cfg):
+        calls.append(m)
+        return real(params, m, cfg)
+
+    monkeypatch.setattr(genericity, "track_one", spy)
+    return calls
+
+
+def test_defect_refuses_a_ray_past_the_radius_before_tracking(monkeypatch):
+    calls = _spy_track_one(monkeypatch)
+    mu = CFG.radius / max(abs(v) for v in RAY_OUTSIDE)
+    with pytest.raises(InputError, match=r"^perturbation size 0\.05 exceeds the tracked "
+                       r"polydisk radius 0\.05$"):
+        defect_experiment(3, 2, RAY_OUTSIDE, (mu / 4, mu), CFG)
+    assert calls == []
+
+
+def test_defect_tracks_a_ray_that_rounds_inside_the_radius(monkeypatch):
+    calls = _spy_track_one(monkeypatch)
+    mu = CFG.radius / max(abs(v) for v in RAY_INSIDE)
+    res = defect_experiment(3, 2, RAY_INSIDE, (mu / 4, mu), CFG)
+    assert calls == [5, 10, 15] * 2
+    assert [v.hex() for v in res.defects] == ["0x1.81c6da826e6e4p-6", "0x1.8120d91f0475fp-4"]
+    assert res.slope.hex() == "0x1.ff60f02c0ff45p-1"
 
 
 @pytest.mark.parametrize("pair", [(1, 2, 3), (1,), (1.0, 2), ("1", "2"), (0, 2), (1, 4), (True, 3),

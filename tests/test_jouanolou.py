@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -47,12 +48,44 @@ def test_counts_frozen_values():
 
 
 def test_counts_against_binomials():
-    for n, d in DESK:
+    # the closed forms against the defining sums
+    for n, d in DESK + [(n, d) for n in range(5, 41) for d in range(1, 13)]:
         c = counts(n, d)
         assert c.N == sum(d**t for t in range(n + 1))
         assert c.M == n * math.comb(n + d, d) + math.comb(n + d - 1, d) - 1
+        assert c.K == (sum(d**t for t in range(0, n, 2)) if n % 2 == 1 and d >= 2 else 0)
         if n % 2 == 1 and d >= 2:
             assert (d + 1) * c.K == c.N
+    assert counts(10**9, 1) == jouanolou.Counts(N=10**9 + 1, M=10**18 + 2 * 10**9 - 1, K=0)
+
+
+def test_counts_refuse_what_cannot_print():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    message = rf"^N or M would have more than {limit} digits \(sys\.get_int_max_str_digits\(\)\)$"
+    # 2^(n + 1) - 1 < 10^limit up to n_max, and not beyond
+    n_max = (10**limit).bit_length() - 2
+    assert len(str(counts(n_max, 2).N)) == limit
+    for n, d in [(n_max + 1, 2), (10**5, 2), (10**9, 3), (2, 10**limit)]:
+        with pytest.raises(InputError, match=message):
+            counts(n, d)
+    # at d = 1, N = n + 1 prints but M, about n^2, does not
+    with pytest.raises(InputError, match=message):
+        counts(10 ** (limit // 2 + 1), 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: unit_root(1, 0), "^order must be at least 1, got 0$"),
+    (lambda: unit_root(1, 2.5), "^order must be an integer, got 2.5$"),
+    (lambda: unit_root(2.5, 3), "^k must be an integer, got 2.5$"),
+    (lambda: unit_roots(0), "^order must be at least 1, got 0$"),
+    (lambda: unit_roots(-3), "^order must be at least 1, got -3$"),
+], ids=["order-0", "order-float", "k-float", "table-0", "table-negative"])
+def test_unit_roots_refuse_bad_orders_and_powers(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+    assert unit_root(np.int64(-1), np.int64(3)) == unit_root(2, 3)
 
 
 def test_field_components_2_2():

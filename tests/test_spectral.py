@@ -140,6 +140,14 @@ def test_one_zero_helpers_refuse_a_stack_instead_of_flattening_it():
             call()
 
 
+def test_one_zero_helpers_refuse_an_empty_spectrum():
+    # (small_divisor_scan's case is in test_small_divisor_scan_refuses_bad_input)
+    for call in (lambda: classify([], CFG), lambda: min_separation([])):
+        with pytest.raises(InputError, match="^need at least one eigenvalue$"):
+            call()
+    assert min_separation([1j]) == np.inf
+
+
 def test_classify_cases():
     assert classify(np.array([-2 + 1j * np.sqrt(3), -2 - 1j * np.sqrt(3)]), CFG) == HYPERBOLIC
     assert classify(np.array([0.0, 1.0]), CFG) == DEGENERATE
