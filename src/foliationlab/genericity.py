@@ -45,8 +45,8 @@ from .jouanolou import (
 )
 from .solver import (RunConfig, _check_indices, _check_radius, _track_members, track_one,
                      track_zeros)
-from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _class_codes, _divisor_scan, _roots,
-                       char_poly_direct)
+from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _class_codes, _divisor_scan, _faddeev,
+                       _roots, char_poly_direct)
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
 SUBMERSION_RTOL = 1e-4
@@ -78,8 +78,8 @@ class SubmersionReport:
 
     jac[i, j] is d sigma_(i+1) / d alpha_(j+1), exact up to rounding; det
     is its determinant, whose modulus should equal expected_modulus
-    independently of m.  The singular values come from the real 2n x 2n
-    embedding of jac and certify full rank when sv_min > RANK_GAP * sv_max.
+    independently of m.  jac's singular values (each twice in its real
+    2n x 2n embedding) certify full rank when sv_min > RANK_GAP * sv_max.
     """
 
     m: int
@@ -92,52 +92,46 @@ class SubmersionReport:
 
 
 def expected_det_modulus(n: int, d: int) -> float:
-    """Certified modulus ((n + d) / N) * d^((n^2 + 3n - 2) / 2) of the Jacobian determinant."""
+    """Certified modulus ((n + d) / N) * d^((n^2 + 3n - 2) / 2) of the Jacobian
+    determinant; InputError when d's power is past the float range."""
     big_n = counts(n, d).N
-    return (n + d) / big_n * float(d) ** ((n * n + 3 * n - 2) // 2)
+    try:
+        return (n + d) / big_n * float(d) ** ((n * n + 3 * n - 2) // 2)
+    except OverflowError:
+        raise InputError(f"determinant modulus at (n, d) = ({n}, {d}) "
+                         "exceeds the float range") from None
 
 
 def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
     """Reports at the zeros ms, in order, from the closed-form alpha = 0 zeros.
 
-    F_alpha = F_0 + alpha, so a zero x moves by w = -J^-1 dalpha, and
-    jac[r, i, j] is the derivative of sigma_(i+1) along column j of w:
-    forward mode through ``char_poly_direct``'s recursion, M'_1 = J',
-    M'_(k+1) = J' (M_k + c_k I) + J (M'_k + c'_k I), c'_k = -tr(M'_k) / k,
-    with J' = sum_l (d^2 F / dx dx_l) w_l.  Blocks of zeros hold at most
+    F_alpha = F_0 + alpha, so a zero x moves by w = -J^-1 dalpha, and by
+    Jacobi's formula d det(lam I - J) = -tr(adj(lam I - J) J'), jac[r, k, j]
+    = -tr(B_k J'_j) with ``_faddeev``'s adjugate coefficients B_k and
+    J'_j = sum_l (d^2 F / dx dx_l) w_lj.  Blocks of zeros hold at most
     MEMBER_MAX_ENTRIES second partials (n^3 per zero); a zero's arithmetic
     does not depend on its block.
     """
     base = jouanolou_field(n, d)  # refuses an oversized member before any n-sized array
     _check_indices(n, d, ms)
     x = closed_form_coords(n, d)[np.asarray(ms) - 1]
-    eye = np.eye(n)
     jacs = np.empty((len(ms), n, n), dtype=complex)
     block = max(1, MEMBER_MAX_ENTRIES // n**3)
     for lo in range(0, len(ms), block):
         xb = x[lo:lo + block]
-        a = jacobian(base, xb)[:, None]  # (B, 1, n, n) beside the (B, n, n, n) derivatives
-        w = -np.linalg.inv(a[:, 0])
+        a = jacobian(base, xb)
         hess = _evaluate(base, xb, 2, n**3).reshape(len(xb), n * n, n)
-        # ap[r, j] is J' along column j of w at zero r
-        ap = np.moveaxis((hess @ w).reshape(len(xb), n, n, n), -1, 1)
-        m, mp = a, ap
-        c, cp = -np.trace(m, axis1=-2, axis2=-1), -np.trace(mp, axis1=-2, axis2=-1)
-        jacs[lo:lo + len(xb), 0] = cp
-        for k in range(2, n + 1):
-            shifted = m + c[..., None, None] * eye
-            mp = ap @ shifted + a @ (mp + cp[..., None, None] * eye)
-            m = a @ shifted
-            c, cp = -np.trace(m, axis1=-2, axis2=-1) / k, -np.trace(mp, axis1=-2, axis2=-1) / k
-            jacs[lo:lo + len(xb), k - 1] = cp
+        # row k of adj is vec(B_k^T): (adj @ hess)[k, l] = tr(B_k dJ/dx_l); -w = J^-1
+        adj = np.stack([np.broadcast_to(np.eye(n), a.shape),
+                        *(b.swapaxes(-1, -2) for b in _faddeev(a)[1])], axis=1)
+        jacs[lo:lo + len(xb)] = adj.reshape(len(xb), n, n * n) @ hess @ np.linalg.inv(a)
     expected = expected_det_modulus(n, d)
     # a determinant past the float range comes out inf or nan: refused below
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(jacs)
     # np.hypot, not np.abs, is bitwise Python's abs of a complex
     rel_errors = np.abs(np.hypot(dets.real, dets.imag) - expected) / expected
-    svals = np.linalg.svd(np.block([[jacs.real, -jacs.imag], [jacs.imag, jacs.real]]),
-                          compute_uv=False)
+    svals = np.linalg.svd(jacs, compute_uv=False)
     reports = [SubmersionReport(m=m, jac=jac, det=complex(det), expected_modulus=expected,
                                 rel_error=float(rel), sv_min=float(sv[-1]), sv_max=float(sv[0]))
                for m, jac, det, rel, sv in zip(ms, jacs, dets, rel_errors, svals)]
@@ -173,11 +167,15 @@ def submersion_all(n: int, d: int, cfg: RunConfig) -> list[SubmersionReport]:
 
 def sigma_at_ones(n: int, d: int) -> np.ndarray:
     """Characteristic coefficients at the all-ones zero: entry i-1 is
-    sum_{j=0}^{i} C(n-j, n-i) d^j; (n, d) as ``counts`` takes them."""
+    sum_{j=0}^{i} C(n-j, n-i) d^j; (n, d) as ``counts`` takes them, and
+    InputError when an entry is past the float range."""
     _check_nd(n, d)
     out = np.zeros(n)
-    for i in range(1, n + 1):
-        out[i - 1] = sum(comb(n - j, n - i) * d**j for j in range(i + 1))
+    try:
+        for i in range(1, n + 1):
+            out[i - 1] = sum(comb(n - j, n - i) * d**j for j in range(i + 1))
+    except OverflowError:
+        raise InputError(f"coefficients at (n, d) = ({n}, {d}) exceed the float range") from None
     return out
 
 

@@ -70,23 +70,30 @@ class SpectrumReport:
     divisor: DivisorRecord
 
 
-def char_poly_direct(field: PolyVectorField, p) -> np.ndarray:
-    """Coefficients (sigma_1, ..., sigma_n) of det(lam I - J) at the point p.
+def _faddeev(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Faddeev-LeVerrier trace recursion on the (n, n) matrix or stack a.
 
-    Faddeev-LeVerrier trace recursion: M_1 = J, c_k = -tr(M_k)/k,
-    M_{k+1} = J (M_k + c_k I).  Exact in n matrix products, no root finding.
-    p is one point (n,) or a stack (R, n); row r is bitwise the one-point call.
+    M_1 = a, c_k = -tr(M_k)/k, B_k = M_k + c_k I, M_{k+1} = a B_k.  Returns
+    the coefficients (c_1, ..., c_n) of det(lam I - a) and [B_1, ..., B_{n-1}],
+    the adjugate coefficients: adj(lam I - a) = sum_k lam^(n-1-k) B_k, B_0 = I.
     """
-    a = jacobian(field, p)
     n = a.shape[-1]
     sigma = np.zeros(a.shape[:-1], dtype=complex)
-    m = a.copy()
-    sigma[..., 0] = -np.trace(m, axis1=-2, axis2=-1)
+    sigma[..., 0] = -np.trace(a, axis1=-2, axis2=-1)
     eye = np.eye(n)
+    m, bs = a, []
     for k in range(2, n + 1):
-        m = a @ (m + sigma[..., k - 2, None, None] * eye)
+        bs.append(m + sigma[..., k - 2, None, None] * eye)
+        m = a @ bs[-1]
         sigma[..., k - 1] = -np.trace(m, axis1=-2, axis2=-1) / k
-    return sigma
+    return sigma, bs
+
+
+def char_poly_direct(field: PolyVectorField, p) -> np.ndarray:
+    """Coefficients (sigma_1, ..., sigma_n) of det(lam I - J) at the point p by
+    ``_faddeev``, with no root finding; p is one point (n,) or a stack (R, n),
+    and row r is bitwise the one-point call."""
+    return _faddeev(jacobian(field, p))[0]
 
 
 def char_poly_closed(n: int, d: int, p) -> np.ndarray:

@@ -68,15 +68,19 @@ def test_sigma_at_ones_frozen():
     assert np.allclose(sigma_at_ones(2, 3), [5, 13])
 
 
-@pytest.mark.parametrize("n,d,message", [
-    (-1, 2, "^ambient dimension must be an integer >= 2, got -1$"),
-    (0, 2, "^ambient dimension must be an integer >= 2, got 0$"),
-    (2, 0, "^degree must be an integer >= 1, got 0$"),
-    (2.0, 2, "^ambient dimension must be an integer >= 2, got 2.0$"),
-], ids=["n-negative", "n-zero", "d-zero", "n-float"])
-def test_sigma_at_ones_refuses_what_counts_refuses(n, d, message):
+@pytest.mark.parametrize("helper,n,d,message", [
+    (sigma_at_ones, -1, 2, "^ambient dimension must be an integer >= 2, got -1$"),
+    (sigma_at_ones, 0, 2, "^ambient dimension must be an integer >= 2, got 0$"),
+    (sigma_at_ones, 2, 0, "^degree must be an integer >= 1, got 0$"),
+    (sigma_at_ones, 2.0, 2, "^ambient dimension must be an integer >= 2, got 2.0$"),
+    # (n, d) that counts takes, with a value past the float range
+    (sigma_at_ones, 400, 10, r"^coefficients at \(n, d\) = \(400, 10\) exceed the float range$"),
+    (expected_det_modulus, 44, 2,
+     r"^determinant modulus at \(n, d\) = \(44, 2\) exceeds the float range$"),
+], ids=["n-negative", "n-zero", "d-zero", "n-float", "sigma-float-range", "modulus-float-range"])
+def test_sigma_at_ones_refuses_what_counts_refuses(helper, n, d, message):
     with pytest.raises(InputError, match=message):
-        sigma_at_ones(n, d)
+        helper(n, d)
 
 
 def test_sigma_at_ones_matches_direct_jacobian():
@@ -91,6 +95,7 @@ def test_expected_det_modulus_frozen():
     assert expected_det_modulus(2, 2) == pytest.approx(64 / 7)
     assert expected_det_modulus(3, 2) == pytest.approx(256 / 3)
     assert expected_det_modulus(2, 3) == pytest.approx(405 / 13)
+    assert expected_det_modulus(43, 2) == pytest.approx(6.691576088150404e285)  # (44, 2) is refused
 
 
 def test_submersion_report_2_2():
@@ -133,6 +138,18 @@ def test_submersion_equals_the_cauchy_rule_on_sigma(n, d):
     want = _cauchy_jacs(n, d)
     assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * np.abs(got).max(axis=(1, 2))).all()
     assert max(r.rel_error for r in reports) < 1e-13
+
+
+@pytest.mark.parametrize("n,d", LADDER)
+def test_submersion_singular_values_equal_the_real_embedding(n, d):
+    # the real 2n x 2n embedding of jac has each singular value of jac twice;
+    # both ends agree with its SVD to rounding, measured against sv_max
+    for r in submersion_all(n, d, CFG):
+        real = np.block([[r.jac.real, -r.jac.imag], [r.jac.imag, r.jac.real]])
+        sv = np.linalg.svd(real, compute_uv=False)
+        assert np.abs(sv[::2] - sv[1::2]).max() <= 1e-14 * sv[0]
+        assert abs(sv[-1] - r.sv_min) <= 1e-14 * r.sv_max
+        assert abs(sv[0] - r.sv_max) <= 1e-14 * r.sv_max
 
 
 def test_submersion_modulus_is_exact_at_2_200():
@@ -206,7 +223,7 @@ def test_submersion_all_equals_one_zero_at_a_time_reference(n, d, stencil):
 
 
 def test_probe_layer_is_frozen():
-    # digest taken when the reports first came from the exact Jacobian
+    # digest taken when the reports first came from Jacobi's formula
     h = hashlib.sha256()
     for n, d in [(2, 2), (3, 2)]:
         for m in range(1, counts(n, d).N + 1):
@@ -217,7 +234,7 @@ def test_probe_layer_is_frozen():
             h.update(repr((e.i, e.j, e.value, e.formula, e.rel_error)).encode())
     for alpha in [(0, 0, 0), (0.01, 0.02j, -0.005)]:
         h.update(char_coeff_map(3, 2, 4, alpha, CFG).tobytes())
-    assert h.hexdigest() == "571ffd909b55538c47ae69131b6ea8af287a0d0f176a7871a81d0b64c1f38576"
+    assert h.hexdigest() == "f8672ef3e35ce67266faf2ba7cd94d6757ac409dcf7da82f2abd405e4ea47a70"
 
 
 def test_submersion_refuses_an_oversized_member_before_any_probe_array():
@@ -359,20 +376,24 @@ def test_a_submersion_report_builds_its_base_field_once(monkeypatch):
 
 
 def test_submersion_memory_follows_the_blocks(monkeypatch):
-    # (2, 60), N = 3661: blocks of a tenth of the zeros peak well below one block
+    # (2, 60), N = 3661: with blocks of a tenth of the zeros the work on top of
+    # the reports the call returns (peak minus what is held after it) stays
+    # well below that of one block
     n, d = 2, 60
     big_n = counts(n, d).N
-    peaks = []
+    work = []
     for zeros in (big_n, big_n // 10):
         monkeypatch.setattr(genericity, "MEMBER_MAX_ENTRIES", zeros * n**3)
         gc.collect()
         tracemalloc.start()
         try:
-            submersion_all(n, d, CFG)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            reports = submersion_all(n, d, CFG)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 0.6 * peaks[0], peaks
+        assert len(reports) == big_n
+        work.append(peak - held)
+    assert work[1] < 0.3 * work[0], work
 
 
 def _scale_jacobian_at(monkeypatch, n, d, scales):
@@ -410,11 +431,13 @@ def test_submersion_report_names_its_index_when_the_modulus_misses(monkeypatch):
 
 
 def test_submersion_at_d_1_passes_through_n_25():
-    # the worst zeros of (25, 1) and (26, 1); a determinant that overflows, as
-    # from (66, 1) on, is refused in test_cli
-    assert f"{submersion_report(25, 1, 11, CFG).rel_error:.3e}" == "3.991e-05"
-    with pytest.raises(VerificationError, match=r"\(rel error 1\.060e-04\) at m=6$"):
-        submersion_report(26, 1, 6, CFG)
+    # the worst zero of (25, 1) is m = 15, and (26, 1) is first refused at
+    # m = 24; a determinant that overflows, as from (66, 1) on, is refused in test_cli
+    reports = submersion_all(25, 1, CFG)
+    assert f"{max(r.rel_error for r in reports):.3e}" == "4.040e-05"
+    assert f"{reports[10].rel_error:.3e}" == "3.814e-05"
+    with pytest.raises(VerificationError, match=r"\(rel error 1\.193e-04\) at m=24$"):
+        submersion_all(26, 1, CFG)
 
 
 def test_submersion_all_refuses_a_modulus_spread(monkeypatch):

@@ -1,6 +1,7 @@
 """Characteristic coefficients, root finding, classification, small divisors."""
 
 import ast
+import hashlib
 import itertools
 import math
 import time
@@ -26,6 +27,7 @@ from foliationlab import (
     char_poly_closed,
     char_poly_direct,
     classify,
+    closed_form_coords,
     closed_form_sing,
     Counts,
     counts,
@@ -63,6 +65,36 @@ def test_char_coeffs_match_numpy_poly():
         sigma = char_poly_direct(f, np.zeros(n))
         want = np.poly(np.diag(lams))[1:]
         assert np.allclose(sigma, want, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_faddeev_adjugate_coefficients_invert_lam_minus_a(n):
+    # (lam I - A) sum_k lam^(n-1-k) B_k = det(lam I - A) I with B_0 = I: an
+    # independent check on the B_k that the submersion reports read by Jacobi's formula
+    rng = np.random.default_rng(300 + n)
+    a = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    sigma, bs = spectral._faddeev(a)
+    coeffs = [np.eye(n), *bs]
+    eye = np.eye(n)
+    for lam in (0.7, -1.3 + 0.4j, 2.5j):
+        adj = sum(lam ** (n - 1 - k) * b for k, b in enumerate(coeffs))
+        det = lam**n + sum(sigma[:, k] * lam ** (n - 1 - k) for k in range(n))
+        left = (lam * eye - a) @ adj
+        scale = np.abs(left).max(axis=(1, 2))
+        assert (np.abs(left - det[:, None, None] * eye).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
+def test_char_poly_direct_is_frozen():
+    # the closed-form zeros of the ladder and one perturbed (4, 3) stack;
+    # digest taken before the recursion moved into spectral._faddeev
+    h = hashlib.sha256()
+    for n, d in [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2), (2, 30)]:
+        h.update(char_poly_direct(jouanolou_field(n, d), closed_form_coords(n, d)).tobytes())
+    x = closed_form_coords(4, 3)
+    rng = np.random.default_rng(7)
+    x = x + 1e-2 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    h.update(char_poly_direct(jouanolou_field(4, 3), x).tobytes())
+    assert h.hexdigest() == "77aa0c728b040b92664e414cba506160c740b00c3282c192888bb5a1690a5f99"
 
 
 def test_closed_vs_direct_at_tracked_points():
