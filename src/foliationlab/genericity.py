@@ -36,6 +36,7 @@ from .jouanolou import (
     _check_real,
     _check_sequence,
     _check_vector,
+    _closed_form_inverses,
     closed_form_coords,
     closed_form_sing,
     counts,
@@ -113,18 +114,20 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
     does not depend on its block.
     """
     base = jouanolou_field(n, d)  # refuses an oversized member before any n-sized array
-    _check_indices(n, d, ms)
-    x = closed_form_coords(n, d)[np.asarray(ms) - 1]
+    index = _check_indices(n, d, ms) - 1
     jacs = np.empty((len(ms), n, n), dtype=complex)
     block = max(1, MEMBER_MAX_ENTRIES // n**3)
     for lo in range(0, len(ms), block):
-        xb = x[lo:lo + block]
+        rows = index[lo:lo + block]
+        xb = closed_form_coords(n, d)[rows]
         a = jacobian(base, xb)
         hess = _evaluate(base, xb, 2, n**3).reshape(len(xb), n * n, n)
-        # row k of adj is vec(B_k^T): (adj @ hess)[k, l] = tr(B_k dJ/dx_l); -w = J^-1
+        # row k of adj is vec(B_k^T): (adj @ hess)[k, l] = tr(B_k dJ/dx_l); -w = J^-1, read
+        # from the table the tracker starts its rows with
         adj = np.stack([np.broadcast_to(np.eye(n), a.shape),
                         *(b.swapaxes(-1, -2) for b in _faddeev(a)[1])], axis=1)
-        jacs[lo:lo + len(xb)] = adj.reshape(len(xb), n, n * n) @ hess @ np.linalg.inv(a)
+        inverse = _closed_form_inverses(n, d)[rows]
+        jacs[lo:lo + len(xb)] = adj.reshape(len(xb), n, n * n) @ hess @ inverse
     expected = expected_det_modulus(n, d)
     # a determinant past the float range comes out inf or nan: refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,9 +135,10 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
     # np.hypot, not np.abs, is bitwise Python's abs of a complex
     rel_errors = np.abs(np.hypot(dets.real, dets.imag) - expected) / expected
     svals = np.linalg.svd(jacs, compute_uv=False)
-    reports = [SubmersionReport(m=m, jac=jac, det=complex(det), expected_modulus=expected,
-                                rel_error=float(rel), sv_min=float(sv[-1]), sv_max=float(sv[0]))
-               for m, jac, det, rel, sv in zip(ms, jacs, dets, rel_errors, svals)]
+    reports = [SubmersionReport(m=m, jac=jac, det=det, expected_modulus=expected,
+                                rel_error=rel, sv_min=sv[-1], sv_max=sv[0])
+               for m, jac, det, rel, sv in zip(ms, jacs, dets.tolist(), rel_errors.tolist(),
+                                               svals.tolist())]
     for report in reports:
         if not report.rel_error <= SUBMERSION_RTOL:
             raise VerificationError(

@@ -3,7 +3,9 @@
 The zeros of the base field are continued to perturbed members as one
 batch: an (R, n) array of rows, one per (member, zero) pair, started from
 the closed-form zeros and refined together by damped Newton iteration,
-with the parameter ramped in continuation steps.  A member differs from
+with the parameter ramped in continuation steps; each stage starts at the
+Euler predictor, the previous zero moved by -J^-1 times the stage's rise
+in alpha, J taken once at the closed-form zero.  A member differs from
 the base field only by its constant term alpha, and the Jacobian does not
 see it, so the base field is built once per call and each row's value is
 the base field's sum started from its member's ramped alpha.  Per-row
@@ -19,8 +21,9 @@ is reported as the parameter leaving that polydisk rather than as a
 numerical failure.
 
 ``first_order_point`` evaluates the closed first-order expansion of a
-tracked zero.  The first coordinate is an implicit unknown of its own
-level-set relation, so its linear term carries an extra 1/N; substituting
+tracked zero, the point a one-step run starts its Newton iteration from.
+The first coordinate is an implicit unknown of its own level-set
+relation, so its linear term carries an extra 1/N; substituting
 the unperturbed coordinate naively would lose that factor and degrade the
 remainder from quadratic to linear in the perturbation.
 """
@@ -38,6 +41,7 @@ from .jouanolou import (
     SingularPoint,
     _check_int,
     _check_positive,
+    _closed_form_inverses,
     _geom,
     _points,
     closed_form_coords,
@@ -174,9 +178,11 @@ def newton_refine(
     return _points([m], *_newton_rows(field, x[None, :], cfg))[0]
 
 
-def _check_indices(n: int, d: int, ms) -> int:
-    """N at (n, d), after checking that ms is a non-empty sequence of integer
-    indices of the N zeros in [1, N] (bool refused)."""
+def _check_indices(n: int, d: int, ms) -> np.ndarray:
+    """ms as one int64 array, after checking that it is a non-empty sequence
+    of integer indices of the N zeros in [1, N] (bool refused).  The types
+    are checked as one set and the range by one min and one max; only when
+    a check fails is ms walked, to name its first offender."""
     big_n = counts(n, d).N
     try:
         size = len(ms)
@@ -184,11 +190,14 @@ def _check_indices(n: int, d: int, ms) -> int:
         raise InputError(f"zero indices must be a sequence, got {ms!r}") from None
     if not size:
         raise InputError("no zero index given")
-    for m in ms:
-        _check_int("index m", m)
-        if not 1 <= m <= big_n:
-            raise InputError(f"index m must lie in [1, {big_n}], got {m}")
-    return big_n
+    types = set(map(type, ms))
+    if not (all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types)
+            and 1 <= min(ms) and max(ms) <= big_n):
+        for m in ms:
+            _check_int("index m", m)
+            if not 1 <= m <= big_n:
+                raise InputError(f"index m must lie in [1, {big_n}], got {m}")
+    return np.array(ms, dtype=np.int64)
 
 
 def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
@@ -202,8 +211,11 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     one batch.  The parameter is ramped linearly in continuation steps: at
     stage k of `steps` every row still converging is refined from its
     previous stage's zero, on the base field plus its member's
-    alpha * (k / steps), so the field is built at most once per call.  A
-    call with one row refines each stage through the public
+    alpha * (k / steps), so the field is built at most once per call.  Each
+    stage starts at the Euler predictor x - J(x0)^-1 (alpha / steps), J(x0)
+    the base field's Jacobian at the row's closed-form zero x0 (``_euler_step``),
+    so with one step each row starts at its first-order point.
+    A call with one row refines each stage through the public
     ``newton_refine`` on the stage's ``family_field``, so wrappers around
     it see every one-point refinement.  The rows that fail are run again from their start points,
     as one batch across members, with the step count escalated by a factor
@@ -211,9 +223,9 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     index.  An alpha = 0 member takes the closed-form zeros, no iteration.
     """
     _check_radius(alphas, cfg)
-    _check_indices(n, d, ms)
-    count = len(ms)
-    index = np.tile(np.asarray(ms) - 1, len(alphas))  # row r is member r // count, zero index[r]
+    index = _check_indices(n, d, ms) - 1
+    count = len(index)
+    index = np.tile(index, len(alphas))  # row r is member r // count, zero index[r]
     start = closed_form_coords(n, d)
     perturbed = np.repeat(alphas.any(axis=1), count)
     todo, closed = np.flatnonzero(perturbed), np.flatnonzero(~perturbed)
@@ -228,8 +240,10 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
     while len(todo):
         active = todo
         xs = start[index[active]]
+        delta = _euler_step(n, d, index[active], alphas[active // count] / steps)
         failed = {}  # row: note
         for stage in range(1, steps + 1):
+            xs -= delta  # the previous stage's zeros, each moved by its first-order step
             if one_row:
                 field = family_field(FoliationParams(n, d, tuple(alphas[0] * (stage / steps))))
                 p = newton_refine(field, xs[0], cfg, m=ms[0])
@@ -238,7 +252,7 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
                 xs, r, k, note = _newton_rows(base, xs, cfg, alphas[active // count] * (stage / steps))
             ok = note == ""
             failed.update(zip(active[~ok].tolist(), note[~ok].tolist()))
-            active, xs = active[ok], xs[ok]
+            active, xs, delta = active[ok], xs[ok], delta[ok]
             if not len(active):
                 break
         x[active], res[active], iters[active] = xs, r[ok], k[ok]  # converged at every stage
@@ -252,6 +266,19 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
         todo = np.array(sorted(failed))
         steps *= 4
     return x.reshape(len(alphas), count, n), res.reshape(-1, count), iters.reshape(-1, count), errors
+
+
+def _euler_step(n: int, d: int, index: np.ndarray, rise: np.ndarray) -> np.ndarray:
+    """J(x0)^-1 rise[r] for every row r, x0 the closed-form zero index[r]
+    (0-based) and rise an (R, n) stack: an explicit sum over the columns of
+    the ``_closed_form_inverses`` table in a fixed order, which gathers
+    (R, n) columns, never an (R, n, n) copy, and gives each row the same
+    bits whatever R is (a stacked matmul or solve need not)."""
+    inverse = _closed_form_inverses(n, d)
+    step = inverse[index, :, 0] * rise[:, :1]
+    for j in range(1, n):
+        step += inverse[index, :, j] * rise[:, j:j + 1]
+    return step
 
 
 def _check_radius(alphas: np.ndarray, cfg: RunConfig) -> None:
@@ -367,7 +394,8 @@ def first_order_point(n: int, d: int, m: int, alpha) -> np.ndarray:
     exponents are exact integers reduced mod N.
     """
     alpha = FoliationParams(n, d, alpha).alpha
-    big_n = _check_indices(n, d, [m])
+    _check_indices(n, d, [m])
+    big_n = counts(n, d).N
     table = unit_roots(big_n)
 
     def root(e: int) -> complex:

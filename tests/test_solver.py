@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -227,7 +228,8 @@ def test_batch_tracking_equals_one_point_tracking_bitwise(n, d):
 
 
 def test_only_failing_rows_escalate(monkeypatch):
-    # max_iters=3 at the polydisk edge: some rows need x4 steps, the rest converge directly
+    # max_iters=2 at the polydisk edge: some rows need x4 steps, the rest converge directly
+    # (with the first-order start every row converges within 3)
     batches = []
     kernel = solver._newton_rows
 
@@ -237,7 +239,7 @@ def test_only_failing_rows_escalate(monkeypatch):
         batches.append((len(points), sum(p.converged for p in points)))
         return rows
 
-    cfg = RunConfig(max_iters=3)
+    cfg = RunConfig(max_iters=2)
     params = FoliationParams(3, 3, (0.05, 0.05j, -0.05))
     monkeypatch.setattr(solver, "_newton_rows", spy)
     tracked = track_singularities(params, cfg)
@@ -252,7 +254,7 @@ def test_only_failing_rows_escalate(monkeypatch):
 @pytest.mark.parametrize("params,cfg", [
     (FoliationParams(2, 2, (0.04 + 0.02j, -0.03j)), RunConfig(newton_tol=1e-15, max_iters=1)),
     (FoliationParams(3, 2, (-0.03, 0.005 - 0.02j, 0.0175j)),
-     RunConfig(newton_tol=3e-16, max_iters=3)),
+     RunConfig(newton_tol=3e-16, max_iters=2)),
 ])
 def test_batch_failure_names_smallest_failing_index(params, cfg):
     failing = []
@@ -278,17 +280,17 @@ def test_track_zeros_is_track_one_for_an_unsorted_index_list():
 
 
 STALLING = RunConfig(newton_tol=4e-16, max_iters=5)
-# draw 14 of genericity_sample(3, 2, STALLING): of its zeros only m=10 fails
+# draw 15 of genericity_sample(3, 2, STALLING): of its zeros only m=15 fails
 FAILING_DRAW = FoliationParams(3, 2, (
-    -0.0044178202749377 + 0.005877761587525191j,
-    -0.021156979053561144 + 0.03928111421904082j,
-    0.0025272702098147804 + 0.03643904703005435j))
+    -0.0034887569614885333 - 0.020309997633652932j,
+    -0.043402622308361095 + 0.007424325007854253j,
+    0.03793690503103594 - 0.027497930421701094j))
 
 
 def test_track_zeros_fails_with_the_message_of_track_singularities():
     with pytest.raises(ConvergenceError) as whole:
         track_singularities(FAILING_DRAW, STALLING)
-    assert str(whole.value).startswith("tracking failed for index m=10 at steps=64:")
+    assert str(whole.value).startswith("tracking failed for index m=15 at steps=64:")
     for ms in (range(1, 16), range(15, 0, -1)):
         with pytest.raises(ConvergenceError) as batch:
             track_zeros(FAILING_DRAW, ms, STALLING)
@@ -439,7 +441,8 @@ def test_only_one_index_calls_refine_through_newton_refine(monkeypatch):
 def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
     # the polishing step of a converged row rounds to x, and so does every
     # halved step after it: the row stops without evaluating them.  The
-    # digest was taken before the early stop, with 25 evaluations.
+    # digest was taken before the early stop, with 25 evaluations, and
+    # re-taken (6 evaluations to 5) when each stage began at the first-order point.
     calls = []
     real = solver._evaluate  # the batch kernel's values: the base field plus each row's alpha
 
@@ -449,12 +452,12 @@ def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
 
     monkeypatch.setattr(solver, "_evaluate", spy)
     points = track_singularities(FoliationParams(3, 2, (0.03, 0.02j, -0.01)), CFG)
-    assert len(calls) == 6
+    assert len(calls) == 5
     coords = np.array([p.coords for p in points])
     residuals = np.array([p.residual for p in points])
     iters = np.array([p.newton_iters for p in points], dtype=np.int64)
     digest = hashlib.sha256(coords.tobytes() + residuals.tobytes() + iters.tobytes())
-    assert digest.hexdigest() == "6275dc8d48d9ffb428480125fc84aaf9c53fb891de485f9d130e208eddf69505"
+    assert digest.hexdigest() == "cfb76307a0a859fddf84e2788dfbaa8bb62a1757e9dda638850db1784b16bb07"
 
 
 def test_line_search_of_rows_that_stall_above_tolerance_is_frozen(monkeypatch):
@@ -516,8 +519,9 @@ def test_base_field_plus_alpha_is_the_member_field_bitwise(n, d):
 
 
 def test_tracking_on_the_base_field_is_frozen():
-    # digest taken when every continuation stage built the member's own field;
-    # the submersion reports, which track nothing, left it later
+    # digest taken when every continuation stage built the member's own field
+    # (the submersion reports, which track nothing, left it later), and
+    # re-taken from track_one when each stage began at the first-order point
     h = hashlib.sha256()
     for n, d in [(2, 2), (3, 2), (3, 3), (5, 2)]:
         big_n = counts(n, d).N
@@ -532,7 +536,7 @@ def test_tracking_on_the_base_field_is_frozen():
         nu[-1], nu[1] = -0.5, 1j
         res = defect_experiment(n, d, nu, (1e-2, 3e-3, 1e-3), CFG)
         h.update(np.array(res.defects).tobytes() + float(res.slope).hex().encode())
-    assert h.hexdigest() == "a3c7982f0476c9a02f51864771e9c47ff4b30b45cd6072abdbbb7cb8ddf6ce92"
+    assert h.hexdigest() == "47ad37dbd1f8465c02b34ef7d60006b76591f5ba0355620118960dc8e7ae3aa5"
 
 
 def _dense_closest_pair(coords, tol):
@@ -637,6 +641,65 @@ def test_first_order_linear_in_alpha():
         pb = first_order_point(n, d, m, 0.02 * a)
         # the predictor is affine in alpha
         assert np.allclose(pb - p0, 2 * (pa - p0), rtol=1e-12, atol=1e-14)
+
+
+def _polydisk_draws(n, k, seed):
+    """k members drawn from the radius-0.05 polydisk as genericity_sample draws them."""
+    u = np.random.default_rng(seed).random((k, n, 2))
+    return 0.05 * np.sqrt(u[:, :, 0]) * np.exp(2j * np.pi * u[:, :, 1])
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3)])
+def test_tracking_starts_at_the_first_order_point(n, d, monkeypatch):
+    # the start of every row is x0 - J(x0)^-1 alpha, the linear term in closed
+    # form; the rounding bound is 4 eps per unit of the largest term,
+    # 1 + (d + ... + d^(n-1)) |alpha|_1, the weight by which first_order_point
+    # multiplies its first coordinate's linear term
+    starts = []
+    kernel = solver._newton_rows
+
+    def spy(field, x, cfg, const):
+        starts.append(np.array(x))
+        return kernel(field, x, cfg, const)
+
+    monkeypatch.setattr(solver, "_newton_rows", spy)
+    weight = sum(d**k for k in range(1, n))
+    for alpha in _polydisk_draws(n, 3, 10 * n + d):
+        starts.clear()
+        track_singularities(FoliationParams(n, d, tuple(alpha)), CFG)
+        closed = np.array([first_order_point(n, d, m, alpha) for m in range(1, len(starts[0]) + 1)])
+        bound = 4 * np.finfo(float).eps * (1 + weight * np.abs(alpha).sum())
+        assert np.abs(starts[0] - closed).max() <= bound
+
+
+@pytest.mark.parametrize("n,d,draws", [(2, 2, 10), (3, 2, 5), (3, 3, 2)])
+def test_tracked_zeros_lie_within_two_ulps_of_the_true_zeros(n, d, draws):
+    # a 50-digit mpmath Newton from each tracked zero is the oracle; the
+    # coordinates have modulus near 1, so 2 eps is 2 ulps (the bound holds
+    # for the start at x0 as well)
+    alphas = _polydisk_draws(n, draws, 7)
+    x, _, _, errors = solver._track_members(n, d, alphas, CFG)
+    assert not errors
+    worst = 0.0
+    with mpmath.workdps(50):
+        for alpha, zeros in zip(alphas, x):
+            a = [mpmath.mpc(complex(v)) for v in alpha]
+
+            def field(*z):
+                return [(z[i + 1] ** d if i < n - 1 else 1) - z[i] * z[0] ** d + a[i]
+                        for i in range(n)]
+
+            for row in zeros:
+                true = mpmath.findroot(field, [mpmath.mpc(complex(v)) for v in row])
+                worst = max(worst, max(float(abs(complex(v) - true[i])) for i, v in enumerate(row)))
+    assert worst <= 2 * np.finfo(float).eps
+
+
+def test_first_order_start_saves_an_iteration_a_zero():
+    # 200 seeded (3,2) draws took 11924 Newton iterations from x0 (3.97 a zero)
+    _, _, iters, errors = solver._track_members(3, 2, _polydisk_draws(3, 200, 1), CFG)
+    assert not errors
+    assert iters.sum() <= 0.8 * 11924
 
 
 def test_first_order_derivative_matches_tracking():
