@@ -36,7 +36,6 @@ from .jouanolou import (
     _check_real,
     _check_sequence,
     _check_vector,
-    _closed_form_inverses,
     closed_form_coords,
     closed_form_sing,
     counts,
@@ -118,16 +117,13 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
     jacs = np.empty((len(ms), n, n), dtype=complex)
     block = max(1, MEMBER_MAX_ENTRIES // n**3)
     for lo in range(0, len(ms), block):
-        rows = index[lo:lo + block]
-        xb = closed_form_coords(n, d)[rows]
+        xb = closed_form_coords(n, d)[index[lo:lo + block]]
         a = jacobian(base, xb)
         hess = _evaluate(base, xb, 2, n**3).reshape(len(xb), n * n, n)
-        # row k of adj is vec(B_k^T): (adj @ hess)[k, l] = tr(B_k dJ/dx_l); -w = J^-1, read
-        # from the table the tracker starts its rows with
+        # row k of adj is vec(B_k^T): (adj @ hess)[k, l] = tr(B_k dJ/dx_l); -w = J^-1
         adj = np.stack([np.broadcast_to(np.eye(n), a.shape),
                         *(b.swapaxes(-1, -2) for b in _faddeev(a)[1])], axis=1)
-        inverse = _closed_form_inverses(n, d)[rows]
-        jacs[lo:lo + len(xb)] = adj.reshape(len(xb), n, n * n) @ hess @ inverse
+        jacs[lo:lo + len(xb)] = adj.reshape(len(xb), n, n * n) @ hess @ np.linalg.inv(a)
     expected = expected_det_modulus(n, d)
     # a determinant past the float range comes out inf or nan: refused below
     with np.errstate(over="ignore", invalid="ignore"):

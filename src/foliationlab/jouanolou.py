@@ -26,15 +26,14 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .cpoly import (PolyVectorField, diagonal_pushforward, eval_field, field_distance, jacobian,
-                    scale_field)
+from .cpoly import PolyVectorField, diagonal_pushforward, eval_field, field_distance, scale_field
 from .errors import FactorizationError, InputError
 
 # Residual bound for matching a pushed-forward field to the family shape.
 FACTOR_TOL = 1e-12
 # Largest N n^2 (the entries of a member's N Jacobians) of a member.  Tracking
-# all N zeros of (2, 1023), at the limit, peaked at 887 MiB under tracemalloc,
-# about 220 N n^2 bytes, nearly all of it the Newton batch and the table of J^-1.
+# all N zeros of (2, 1023), at the limit, peaked at 823 MiB under tracemalloc,
+# about 200 N n^2 bytes, nearly all of it the Newton batch.
 MEMBER_MAX_ENTRIES = 1 << 22
 
 
@@ -299,21 +298,6 @@ def closed_form_coords(n: int, d: int) -> np.ndarray:
     coords = unit_roots(big_n)[np.outer(m, exps) % big_n]
     coords.setflags(write=False)
     return coords
-
-
-@lru_cache(maxsize=8)
-def _closed_form_inverses(n: int, d: int) -> np.ndarray:
-    """J(x)^-1 at the N zeros of ``closed_form_coords`` as one read-only
-    (N, n, n) array; row m-1 belongs to zero m.
-
-    A member's Jacobian is the base field's (F_alpha = F_0 + alpha), so this
-    one table gives dx/dalpha = -J^-1 at every zero: the tracker's first-order
-    start and the submersion reports both read it.  Cached per (n, d) like
-    ``closed_form_coords``; at MEMBER_MAX_ENTRIES it holds 2^22 entries (64 MiB).
-    """
-    table = np.linalg.inv(jacobian(jouanolou_field(n, d), closed_form_coords(n, d)))
-    table.setflags(write=False)
-    return table
 
 
 def closed_form_sing(n: int, d: int) -> list[SingularPoint]:

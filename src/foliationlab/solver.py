@@ -5,7 +5,7 @@ batch: an (R, n) array of rows, one per (member, zero) pair, started from
 the closed-form zeros and refined together by damped Newton iteration,
 with the parameter ramped in continuation steps; each stage starts at the
 Euler predictor, the previous zero moved by -J^-1 times the stage's rise
-in alpha, J taken once at the closed-form zero.  A member differs from
+in alpha, J^-1 from the all-ones zero by the group.  A member differs from
 the base field only by its constant term alpha, and the Jacobian does not
 see it, so the base field is built once per call and each row's value is
 the base field's sum started from its member's ramped alpha.  Per-row
@@ -31,6 +31,7 @@ remainder from quadratic to linear in the perturbation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,12 +42,12 @@ from .jouanolou import (
     SingularPoint,
     _check_int,
     _check_positive,
-    _closed_form_inverses,
     _geom,
     _points,
     closed_form_coords,
     counts,
     family_field,
+    generator_weights,
     jouanolou_field,
     unit_roots,
 )
@@ -269,16 +270,33 @@ def _continue(n: int, d: int, alphas: np.ndarray, ms: list[int],
 
 
 def _euler_step(n: int, d: int, index: np.ndarray, rise: np.ndarray) -> np.ndarray:
-    """J(x0)^-1 rise[r] for every row r, x0 the closed-form zero index[r]
-    (0-based) and rise an (R, n) stack: an explicit sum over the columns of
-    the ``_closed_form_inverses`` table in a fixed order, which gathers
-    (R, n) columns, never an (R, n, n) copy, and gives each row the same
-    bits whatever R is (a stacked matmul or solve need not)."""
-    inverse = _closed_form_inverses(n, d)
-    step = inverse[index, :, 0] * rise[:, :1]
+    """J(x0)^-1 rise[r] for every row r, x0 = g^m 1 the closed-form zero m =
+    index[r] + 1 and rise an (R, n) stack: J(x0)^-1 = s^-1 D J(1)^-1 D^-1 with
+    D = diag(x0) and s = xi^(d m), the diagonals read from ``unit_roots(N)`` by
+    exponents reduced mod N and J(1)^-1 applied as a sum over its columns in a
+    fixed order.  A row's bits must not depend on R, so every product of (R, n)
+    operands must keep any temporary on the left: numpy computes b * a into a
+    right-hand temporary of 256 KiB or more, and complex b * a is not bitwise a * b."""
+    big_n, exponents, inverse = _orbit_inverse(n, d)
+    down, up = unit_roots(big_n)[(index[:, None, None] + 1) * exponents % big_n].swapaxes(0, 1)
+    rise = down * rise  # rise / x0
+    step = inverse[:, 0] * rise[:, :1]
     for j in range(1, n):
-        step += inverse[index, :, j] * rise[:, j:j + 1]
-    return step
+        step += inverse[:, j] * rise[:, j:j + 1]
+    return up * step  # x0 / s times J(1)^-1 (rise / x0)
+
+
+@lru_cache(maxsize=8)
+def _orbit_inverse(n: int, d: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """N, the exponent rows -w and w - d mod N of 1 / x0 and x0 / s per unit of
+    m (w = ``generator_weights``) and J(1)^-1, read-only, for ``_euler_step``."""
+    big_n = counts(n, d).N
+    weights = np.array(generator_weights(n, d), dtype=np.int64)
+    exponents = np.array([-weights, weights - d]) % big_n
+    inverse = np.linalg.inv(jacobian(jouanolou_field(n, d), np.ones(n, dtype=complex)))
+    exponents.setflags(write=False)
+    inverse.setflags(write=False)
+    return big_n, exponents, inverse
 
 
 def _check_radius(alphas: np.ndarray, cfg: RunConfig) -> None:

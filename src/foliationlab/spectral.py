@@ -154,8 +154,8 @@ def eigenvalues(sigma) -> np.ndarray:
     other shapes or non-finite coefficients and ConvergenceError if a
     relative residual max |p(lam)| / (1 + max |sigma_i|) is above 1e-10.
     The gate bounds n: at d = 1 and alpha = (0.01, 0, ...) the member's
-    roots pass it for n <= 28 and fail at n = 29 (1.058e-10), 30
-    (1.283e-10) and 40 (2.566e-06).
+    roots pass it for n <= 28 and fail at n = 29 (1.408e-10), 30
+    (1.861e-10) and 40 (1.975e-06).
     """
     lams, worst, failing = _roots(sigma)
     if failing.any():

@@ -418,7 +418,7 @@ def test_root_gate_fails_before_the_scan_limit_from_n_29(capsys):
     argv = ["spectrum", "--n", "29", "--d", "1", "--alpha", "0.01,0"] + ["--alpha", "0,0"] * 28
     assert run(argv) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "relative residual 1.058e-10" in captured.err
+    assert captured.out == "" and "relative residual 1.408e-10" in captured.err
     assert run(["spectrum", "--n", "17", "--d", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "SCAN_MAX_BYTES" in captured.err

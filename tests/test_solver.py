@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +20,7 @@ from foliationlab import (
     InputError,
     PolyVectorField,
     RunConfig,
+    closed_form_coords,
     closed_form_sing,
     coeff_derivative_table,
     counts,
@@ -36,7 +41,9 @@ from foliationlab import (
     track_singularities,
     track_zeros,
 )
+from foliationlab.jouanolou import unit_roots
 
+ROOT = Path(__file__).resolve().parents[1]
 DESK = [(n, d) for n in (2, 3, 4) for d in (1, 2, 3)]
 CFG = RunConfig()
 
@@ -441,8 +448,9 @@ def test_only_one_index_calls_refine_through_newton_refine(monkeypatch):
 def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
     # the polishing step of a converged row rounds to x, and so does every
     # halved step after it: the row stops without evaluating them.  The
-    # digest was taken before the early stop, with 25 evaluations, and
-    # re-taken (6 evaluations to 5) when each stage began at the first-order point.
+    # digest was taken before the early stop, with 25 evaluations, re-taken
+    # (6 evaluations to 5) when each stage began at the first-order point, and
+    # re-taken from track_one when that point came from the orbit of the all-ones zero.
     calls = []
     real = solver._evaluate  # the batch kernel's values: the base field plus each row's alpha
 
@@ -457,7 +465,7 @@ def test_halving_stops_once_the_candidate_rounds_to_x(monkeypatch):
     residuals = np.array([p.residual for p in points])
     iters = np.array([p.newton_iters for p in points], dtype=np.int64)
     digest = hashlib.sha256(coords.tobytes() + residuals.tobytes() + iters.tobytes())
-    assert digest.hexdigest() == "cfb76307a0a859fddf84e2788dfbaa8bb62a1757e9dda638850db1784b16bb07"
+    assert digest.hexdigest() == "3892db94a5b3936731ae8f166eb3bf14c1738ab498a988426d1942759f664358"
 
 
 def test_line_search_of_rows_that_stall_above_tolerance_is_frozen(monkeypatch):
@@ -522,6 +530,7 @@ def test_tracking_on_the_base_field_is_frozen():
     # digest taken when every continuation stage built the member's own field
     # (the submersion reports, which track nothing, left it later), and
     # re-taken from track_one when each stage began at the first-order point
+    # and when that point came from the orbit of the all-ones zero
     h = hashlib.sha256()
     for n, d in [(2, 2), (3, 2), (3, 3), (5, 2)]:
         big_n = counts(n, d).N
@@ -536,7 +545,7 @@ def test_tracking_on_the_base_field_is_frozen():
         nu[-1], nu[1] = -0.5, 1j
         res = defect_experiment(n, d, nu, (1e-2, 3e-3, 1e-3), CFG)
         h.update(np.array(res.defects).tobytes() + float(res.slope).hex().encode())
-    assert h.hexdigest() == "47ad37dbd1f8465c02b34ef7d60006b76591f5ba0355620118960dc8e7ae3aa5"
+    assert h.hexdigest() == "a23c6a65dfc503ec292b298d8fcc4549c22238060e914acf50386b9444506f28"
 
 
 def _dense_closest_pair(coords, tol):
@@ -716,6 +725,100 @@ def test_first_order_derivative_matches_tracking():
         slope_fd = (t - p0) / h
         slope_pred = (first_order_point(n, d, m, h * a) - p0) / h
         assert np.max(np.abs(slope_fd - slope_pred)) < 1e-4
+
+
+ORBIT_RUNGS = [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2), (2, 30), (2, 200)]
+
+
+def _orbit_bound(n, d):
+    # J's entries at a zero carry d-th powers of its coordinates, each rounded
+    # once per factor, and an n-term row: 8 (n + d) eps relative to the largest
+    return 8 * (n + d) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n,d", ORBIT_RUNGS)
+def test_orbit_step_is_the_inverse_jacobian_at_every_zero(n, d):
+    # J(x_m)^-1 rise by the orbit of the all-ones zero against np.linalg.inv
+    # of the Jacobian at x_m itself, a reference that does not use the orbit
+    x = closed_form_coords(n, d)
+    rng = np.random.default_rng(n * d)
+    rise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    want = (np.linalg.inv(jacobian(jouanolou_field(n, d), x)) @ rise[:, :, None])[..., 0]
+    got = solver._euler_step(n, d, np.arange(len(x)), rise)
+    assert np.abs(got - want).max() <= _orbit_bound(n, d) * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,d", ORBIT_RUNGS)
+def test_spectrum_at_every_zero_is_the_all_ones_spectrum_turned_by_s_m(n, d):
+    # J(x_m) = s_m D_m J(1) D_m^-1 with s_m = xi^(d m), so spec J(x_m) = s_m kappa
+    # as a multiset: each eigenvalue lies nearest to its own entry of s_m kappa
+    x = closed_form_coords(n, d)
+    base = jouanolou_field(n, d)
+    kappa = np.linalg.eigvals(jacobian(base, np.ones((1, n)))[0])
+    m = np.arange(1, len(x) + 1)
+    want = np.exp(2j * np.pi * (d * m % len(x)) / len(x))[:, None] * kappa
+    dist = np.abs(np.linalg.eigvals(jacobian(base, x))[:, :, None] - want[:, None, :])
+    bound = _orbit_bound(n, d) * np.abs(kappa).max()
+    assert bound < np.abs(kappa[:, None] - kappa[None, :])[~np.eye(n, dtype=bool)].min() / 2
+    assert (np.sort(dist.argmin(axis=2), axis=1) == np.arange(n)).all()
+    assert dist.min(axis=2).max() <= bound
+
+
+@pytest.mark.parametrize("n,d", ORBIT_RUNGS)
+def test_orbit_reads_the_inverse_zero_from_the_root_table(n, d):
+    # 1 / x_m by exponent is bitwise zero N - m, and 1 for m = N
+    x = closed_form_coords(n, d)
+    big_n, (down, _), _ = solver._orbit_inverse(n, d)
+    m = np.arange(1, big_n + 1)
+    inverse = unit_roots(big_n)[m[:, None] * down % big_n]
+    assert inverse[:-1].tobytes() == x[big_n - m[:-1] - 1].tobytes()
+    assert inverse[-1].tobytes() == np.ones(n, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n,d,rows", [(2, 200, None), (5, 3, 50_000)])
+def test_rows_above_the_temporary_elision_size_are_their_one_row_calls(n, d, rows):
+    # numpy reuses a temporary of 256 KiB or more as an output, and on the
+    # right of a product then computes b * a: stacks past that size, all of
+    # (2,200)'s rows or 5e4 sampled (5,3) rows, must still give each row the
+    # bits of its one-row call.  Every row of the Euler step is checked; the
+    # field and its Jacobian, whose kernel other tests cover, at every 8th row
+    x = closed_form_coords(n, d)
+    rng = np.random.default_rng(rows)
+    index = np.arange(len(x)) if rows is None else rng.integers(0, len(x), rows)
+    rise = 0.05 * (rng.standard_normal((len(index), n)) + 1j * rng.standard_normal((len(index), n)))
+    base = jouanolou_field(n, d)
+    points = x[index] - rise
+    assert points.nbytes >= 256 << 10  # as is every (R, n) temporary of the calls
+    calls = [(lambda r: solver._euler_step(n, d, index[r], rise[r]), 1),
+             (lambda r: eval_field(base, points[r]), 8), (lambda r: jacobian(base, points[r]), 8)]
+    for call, stride in calls:
+        stack = call(slice(None))
+        assert all(call(slice(r, r + 1)).tobytes() == stack[r:r + 1].tobytes()
+                   for r in range(0, len(index), stride))
+
+
+_FRESH_PEAK = """
+import sys, tracemalloc
+from foliationlab import FoliationParams, RunConfig, submersion_report, track_one
+call = {"submersion": lambda: submersion_report(2, 1023, 5, RunConfig()),
+        "track": lambda: track_one(FoliationParams(2, 1023, (0.01, 0)), 5, RunConfig())}
+tracemalloc.start()
+call[sys.argv[1]]()
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("call", ["submersion", "track"])
+def test_one_index_at_the_largest_member_holds_no_table_of_all_zeros(call):
+    # a fresh process, so that no cache of an earlier test hides the cost: one
+    # index at (2, 1023) holds the (N, n) zeros and their root table (72 MiB),
+    # not an (N, n, n) table of J^-1 (304 MiB with it)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PEAK, call], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) <= 128 << 20
 
 
 def test_quadratic_remainder_scaling():
