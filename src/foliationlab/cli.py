@@ -33,7 +33,6 @@ from .jouanolou import (
     group_element,
     jouanolou_field,
     pushforward_factor,
-    unit_root,
 )
 from .solver import RunConfig, _check_indices, track_singularities
 from .spectral import min_separation, spectrum_reports
@@ -254,31 +253,15 @@ def _cmd_pushforward(args, cfg):
     params = _params_from(args)
     g = group_element(args.n, args.d, args.k)
     c, alpha_t, residual = pushforward_factor(g, params)
-    # closed diagonal guess xi^(-d) * (element scaling applied to alpha); the
-    # factored values are authoritative whenever the two disagree
-    big_n = g.order
-    guess = tuple(
-        unit_root(-args.d * g.k, big_n) * unit_root(w, big_n) * a
-        for w, a in zip(g.weights, params.alpha)
-    )
-    matches = all(abs(x - y) <= 1e-9 for x, y in zip(alpha_t, guess))
-    warnings = []
-    if not matches:
-        warnings.append(
-            "factored parameter differs from the closed diagonal guess; "
-            "coefficient matching is authoritative"
-        )
     payload = {
         "k": g.k,
         "weights": g.weights,
         "c": c,
         "alpha_tilde": alpha_t,
         "residual": residual,
-        "matches_diagonal_guess": matches,
     }
-    rows = _table([[("k", g.k), ("c", c), ("residual", residual),
-                    ("matches_diagonal_guess", matches), ("alpha_tilde", alpha_t)]])
-    return payload, rows, warnings, 0
+    rows = _table([[("k", g.k), ("c", c), ("residual", residual), ("alpha_tilde", alpha_t)]])
+    return payload, rows, [], 0
 
 
 def _cmd_sample(args, cfg):
@@ -375,7 +358,7 @@ def make_parser() -> argparse.ArgumentParser:
         "pushforward", parents=[common, alpha_parent],
         help="factor the pushforward along a symmetry element",
         description="Pushforward factorization. CSV columns: k,c_re,c_im,residual,"
-                    "matches_diagonal_guess,alpha_tilde*_re/im.",
+                    "alpha_tilde*_re/im.",
     )
     pushforward.set_defaults(handler=_cmd_pushforward)
     pushforward.add_argument("--k", type=int, default=1,

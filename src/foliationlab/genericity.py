@@ -123,7 +123,9 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
         # row k of adj is vec(B_k^T): (adj @ hess)[k, l] = tr(B_k dJ/dx_l); -w = J^-1
         adj = np.stack([np.broadcast_to(np.eye(n), a.shape),
                         *(b.swapaxes(-1, -2) for b in _faddeev(a)[1])], axis=1)
-        jacs[lo:lo + len(xb)] = adj.reshape(len(xb), n, n * n) @ hess @ np.linalg.inv(a)
+        # einsum, not matmul: a BLAS product's bits depend on its thread count
+        jacs[lo:lo + len(xb)] = np.einsum("rkq,rql->rkl", adj.reshape(len(xb), n, n * n),
+                                          hess) @ np.linalg.inv(a)
     expected = expected_det_modulus(n, d)
     # a determinant past the float range comes out inf or nan: refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,9 +134,9 @@ def _submersion_reports(n: int, d: int, ms) -> list[SubmersionReport]:
     rel_errors = np.abs(np.hypot(dets.real, dets.imag) - expected) / expected
     svals = np.linalg.svd(jacs, compute_uv=False)
     reports = [SubmersionReport(m=m, jac=jac, det=det, expected_modulus=expected,
-                                rel_error=rel, sv_min=sv[-1], sv_max=sv[0])
-               for m, jac, det, rel, sv in zip(ms, jacs, dets.tolist(), rel_errors.tolist(),
-                                               svals.tolist())]
+                                rel_error=rel, sv_min=lo, sv_max=hi)
+               for m, jac, det, rel, lo, hi in zip(ms, jacs, dets.tolist(), rel_errors.tolist(),
+                                                   svals[:, -1].tolist(), svals[:, 0].tolist())]
     for report in reports:
         if not report.rel_error <= SUBMERSION_RTOL:
             raise VerificationError(

@@ -12,8 +12,8 @@ exponents bitwise equal across call sites.
 A cyclic group of order N acts on coordinates by these same root-of-unity
 scalings and permutes the zeros in a single N-cycle; pushing the family
 forward along a group element lands back in the family up to a scalar,
-and ``pushforward_factor`` recovers that scalar and the new parameter
-directly from the coefficient table.
+and ``pushforward_factor`` gives that scalar and the new parameter from
+the group's formula and checks them against every pushed coefficient.
 """
 
 from __future__ import annotations
@@ -357,33 +357,22 @@ def pushforward_factor(
 ) -> tuple[complex, tuple[complex, ...], float]:
     """Factor the pushforward of a family member along g as c * (member at alpha~).
 
-    The factorization is read off the coefficient table of the pushed
-    field: c is minus the coefficient of the x_n x_1^d monomial in the
-    last component, and alpha~ comes from the constant terms.  Returns
-    (c, alpha~, residual) where residual is the coefficientwise distance
-    between the pushed field and c times the alpha~ member; anything
-    above FACTOR_TOL raises, since group pushforwards must stay in the
-    family.
+    The group's formula gives both: c = xi^(-d k) and alpha~_i =
+    xi^(w_i + d k) alpha_i, with w_i the weights of g and every exponent
+    an integer reduced mod N.  Returns (c, alpha~, residual), where residual
+    is the coefficientwise distance between the pushed field and c times
+    the alpha~ member, over every coefficient; anything at or above
+    FACTOR_TOL raises FactorizationError, since a group pushforward must
+    stay in the family.
     """
     n, d = params.n, params.d
     if len(g.weights) != n:
         raise InputError(f"group element has {len(g.weights)} weights, expected {n}")
     scale = [unit_root(w, g.order) for w in g.weights]
     pushed = diagonal_pushforward(family_field(params), scale)
-
-    marker = [0] * n
-    marker[n - 1] += 1
-    marker[0] += d
-    c = -pushed.components[n - 1].get(tuple(marker), 0j)
-    if c == 0:
-        raise FactorizationError("pushed field lost its top-degree marker monomial")
-    zero = (0,) * n
-    alpha_t = [pushed.components[i].get(zero, 0j) / c for i in range(n - 1)]
-    alpha_t.append(pushed.components[n - 1].get(zero, 0j) / c - 1)
-    alpha_t = tuple(alpha_t)
-
-    model = scale_field(family_field(FoliationParams(n, d, alpha_t)), c)
-    residual = field_distance(pushed, model)
+    c = unit_root(-d * g.k, g.order)
+    alpha_t = tuple(unit_root(w + d * g.k, g.order) * a for w, a in zip(g.weights, params.alpha))
+    residual = field_distance(pushed, scale_field(family_field(FoliationParams(n, d, alpha_t)), c))
     if residual >= FACTOR_TOL:
         raise FactorizationError(
             f"pushforward does not match the family shape: residual {residual:.3e}"

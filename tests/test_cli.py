@@ -14,7 +14,7 @@ import foliationlab
 from foliationlab import cli, coeff_derivative_table, defect_experiment, genericity, submersion_all
 from foliationlab.cli import _jsonable, run
 from foliationlab.errors import InputError, VerificationError
-from foliationlab.jouanolou import FoliationParams, counts
+from foliationlab.jouanolou import FoliationParams, counts, unit_root
 from foliationlab.solver import RunConfig
 
 ENVELOPE_KEYS = {"tool_version", "command", "params", "cfg", "payload", "warnings"}
@@ -209,6 +209,20 @@ def test_pushforward(capsys):
                                "--alpha", "0.03,0", "--alpha", "0,0.02"])
     assert code == 0
     assert doc["payload"]["residual"] < 1e-12
+
+
+def test_pushforward_readme_example_is_quiet_and_matches_the_group_formula(capsys):
+    # alpha~_i = xi^(w_i + d k) alpha_i and c = xi^(-d k); every element of the
+    # group factors with no warning
+    for k in range(7):
+        code, doc = _json(capsys, ["pushforward", "--n", "2", "--d", "2", "--k", str(k),
+                                   "--alpha", "0.03,0", "--alpha", "0,0.02"])
+        assert code == 0 and doc["warnings"] == []
+        payload = doc["payload"]
+        assert set(payload) == {"k", "weights", "c", "alpha_tilde", "residual"}
+        assert complex(*payload["c"]) == unit_root(-2 * k, 7)
+        want = [unit_root(w + 2 * k, 7) * a for w, a in zip(payload["weights"], (0.03 + 0j, 0.02j))]
+        assert [complex(*a) for a in payload["alpha_tilde"]] == want
 
 
 def test_pushforward_builds_only_its_element(capsys, monkeypatch):
@@ -474,7 +488,7 @@ CSV_CASES = [
     (["defect", "--n", "3", "--d", "2", "--nu", "0,0", "--nu", "1,0", "--nu", "0,0"],
      "mu,defect,slope"),
     (["pushforward", "--n", "2", "--d", "2", "--k", "1", "--alpha", "0.03,0", "--alpha", "0,0.02"],
-     "k,c_re,c_im,residual,matches_diagonal_guess,alpha_tilde1_re,alpha_tilde1_im,"
+     "k,c_re,c_im,residual,alpha_tilde1_re,alpha_tilde1_im,"
      "alpha_tilde2_re,alpha_tilde2_im"),
     (["sample", "--n", "2", "--d", "2", "--samples", "20", "--max-order", "4"],
      "n,d,samples,seed,radius,delta,max_order,n_failed,n_all_hyperbolic,n_any_resonant,"

@@ -2,9 +2,13 @@
 
 import gc
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,7 @@ from foliationlab.genericity import CENSUS_MAX_POINTS, SUBMERSION_RTOL, Submersi
 from foliationlab.jouanolou import FACTOR_TOL, SingularPoint
 
 CFG = RunConfig()
+ROOT = Path(__file__).resolve().parents[1]
 MU_GRID = (1e-2, 3e-3, 1e-3, 3e-4)
 
 
@@ -223,19 +228,21 @@ def test_submersion_all_equals_one_zero_at_a_time_reference(n, d, stencil):
 
 
 def test_submersion_reports_are_frozen():
-    # digest taken when the reports inverted J themselves, as they do now; they
-    # track nothing, so a change to the tracker's start moves no bit
+    # digest taken when the adjugate-Hessian product became an einsum, whose
+    # bits do not depend on the BLAS thread count; the reports track nothing,
+    # so a change to the tracker's start moves no bit
     h = hashlib.sha256()
     for n, d in [(3, 2), (5, 3), (7, 2)]:
         for r in submersion_all(n, d, CFG):
             h.update(repr((r.m, r.jac.tobytes(), r.det, r.expected_modulus, r.rel_error,
                            r.sv_min, r.sv_max)).encode())
-    assert h.hexdigest() == "bb6ac13bc3f860b0aca70efa442ab7a0d159b8328dd4bab0c961f76accefb7ac"
+    assert h.hexdigest() == "fd0b1b8be82ba08716e2b6bede095ed5b59940784db7e2507179a942b1e2d528"
 
 
 def test_probe_layer_is_frozen():
-    # digest taken when the reports first came from Jacobi's formula; the
-    # tracked char_coeff_map rows moved when tracking began at the first-order point
+    # digest taken when the adjugate-Hessian product of Jacobi's formula became
+    # an einsum; the tracked char_coeff_map rows moved when tracking began at
+    # the first-order point
     h = hashlib.sha256()
     for n, d in [(2, 2), (3, 2)]:
         for m in range(1, counts(n, d).N + 1):
@@ -246,7 +253,7 @@ def test_probe_layer_is_frozen():
             h.update(repr((e.i, e.j, e.value, e.formula, e.rel_error)).encode())
     for alpha in [(0, 0, 0), (0.01, 0.02j, -0.005)]:
         h.update(char_coeff_map(3, 2, 4, alpha, CFG).tobytes())
-    assert h.hexdigest() == "87bae0c40f59d822d3c29176c7935f479b88a25a6d37954940bbb3e17ae166d2"
+    assert h.hexdigest() == "f9a22b9419b5d96fe1564ad4b98e4747e269344e61932883740485c5ad0e1adb"
 
 
 def test_submersion_refuses_an_oversized_member_before_any_probe_array():
@@ -444,12 +451,41 @@ def test_submersion_report_names_its_index_when_the_modulus_misses(monkeypatch):
 
 def test_submersion_at_d_1_passes_through_n_25():
     # the worst zero of (25, 1) is m = 15, and (26, 1) is first refused at
-    # m = 24; a determinant that overflows, as from (66, 1) on, is refused in test_cli
+    # m = 5; a determinant that overflows, as from (66, 1) on, is refused in test_cli
     reports = submersion_all(25, 1, CFG)
-    assert f"{max(r.rel_error for r in reports):.3e}" == "4.040e-05"
-    assert f"{reports[10].rel_error:.3e}" == "3.814e-05"
-    with pytest.raises(VerificationError, match=r"\(rel error 1\.193e-04\) at m=24$"):
+    assert max(reports, key=lambda r: r.rel_error).m == 15
+    assert f"{max(r.rel_error for r in reports):.3e}" == "4.757e-05"
+    assert f"{reports[10].rel_error:.3e}" == "1.073e-05"
+    with pytest.raises(VerificationError, match=r"\(rel error 1\.353e-04\) at m=5$"):
         submersion_all(26, 1, CFG)
+
+
+_SUBMERSION_BITS = """
+import hashlib
+from foliationlab import RunConfig, VerificationError, submersion_all
+h = hashlib.sha256()
+for r in submersion_all(25, 1, RunConfig()):
+    h.update(repr((r.m, r.jac.tobytes(), r.det, r.rel_error, r.sv_min, r.sv_max)).encode())
+try:
+    submersion_all(26, 1, RunConfig())
+except VerificationError as exc:
+    h.update(repr((str(exc), exc.payload.jac.tobytes())).encode())
+print(h.hexdigest())
+"""
+
+
+def test_submersion_verdicts_do_not_depend_on_the_blas_thread_count():
+    # a BLAS product's rounding may follow its thread count; the reports, and
+    # so the verdict at (26, 1), must not
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _SUBMERSION_BITS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_submersion_all_refuses_a_modulus_spread(monkeypatch):
