@@ -32,8 +32,8 @@ from .errors import FactorizationError, InputError
 # Residual bound for matching a pushed-forward field to the family shape.
 FACTOR_TOL = 1e-12
 # Largest N n^2 (the entries of a member's N Jacobians) of a member.  Tracking
-# all N zeros of (2, 1023), at the limit, peaked at 823 MiB under tracemalloc,
-# about 200 N n^2 bytes, nearly all of it the Newton batch.
+# all N zeros of (2, 1023), at the limit, peaked at 670 MiB under tracemalloc,
+# about 170 N n^2 bytes, 516 MiB of it held by a member that refines nothing.
 MEMBER_MAX_ENTRIES = 1 << 22
 
 

@@ -1,5 +1,6 @@
 """Sparse polynomial vector fields: evaluation, Jacobians, diagonal maps."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,8 @@ from foliationlab import (
     linear_diagonal_field,
     scale_field,
 )
-from foliationlab.cpoly import _evaluate
+from foliationlab import cpoly
+from foliationlab.cpoly import EVAL_BLOCK, _evaluate
 
 
 def _random_field(rng, n, terms=5, max_exp=3):
@@ -170,17 +172,33 @@ def test_points_of_the_wrong_shape_are_rejected(shape):
             fn(f, np.zeros(shape))
 
 
+def _power(v, e):
+    """v^e by binary powering from the least significant bit: the running
+    product times the square of each set bit, the first one taken as it is."""
+    acc, square = None, v
+    while True:
+        if e & 1:
+            acc = square if acc is None else acc * square
+        e >>= 1
+        if not e:
+            return acc
+        square = square * square
+
+
 def _reference(f, x):
     """Value, Jacobian and second partials at x the long way: walk the
-    coefficient dicts, list every term (by component, exponents sorted),
-    every formal partial of it (by variable) and every partial of that,
-    then add each evaluated entry into its slot in turn.
+    coefficient dicts and list every term (by component, exponents sorted),
+    every formal partial of it (by variable) and every partial of that.
+    Each term is the product of its nonzero factors x_j^e_j by variable,
+    padded with ones to the most factors a term of its list has, times its
+    coefficient.  Each slot is its first term plus its later ones in list
+    order, padded with zeros to the most terms a slot of its list has.
 
-    Each list is evaluated as one array, as in the library: numpy's
-    vectorized complex multiply may fuse multiply-adds, so a product taken
-    one scalar at a time can differ from it in the last bit.
+    Each product is taken over all the points as one array, as in the
+    library: numpy's vectorized complex multiply may fuse multiply-adds, so
+    a product taken one scalar at a time can differ from it in the last bit.
     """
-    x = np.asarray(x, dtype=complex)
+    pts = np.asarray(x, dtype=complex).reshape(-1, f.n)
     terms, partials, seconds = [], [], []
     for i, comp in enumerate(f.components):
         for e, c in sorted(comp.items()):
@@ -196,18 +214,27 @@ def _reference(f, x):
                 de = list(e)
                 de[k] -= 1
                 seconds.append(((i, j, k), tuple(de), c * e[k]))
-    val = np.zeros(x.shape[:-1] + (f.n,), dtype=complex)
-    jac = np.zeros(x.shape[:-1] + (f.n, f.n), dtype=complex)
-    hess = np.zeros(x.shape[:-1] + (f.n, f.n, f.n), dtype=complex)
-    for out, rows in ((val, terms), (jac, partials), (hess, seconds)):
-        if not rows:
-            continue
-        exps = np.array([e for _, e, _ in rows], dtype=np.int64)
-        coeffs = np.array([c for _, _, c in rows], dtype=complex)
-        vals = coeffs * np.prod(x[..., None, :] ** exps, axis=-1)
-        for k, (slot, _, _) in enumerate(rows):
-            out[(..., *slot)] += vals[..., k]
-    return val, jac, hess
+    ones, zeros = np.ones(len(pts), dtype=complex), np.zeros(len(pts), dtype=complex)
+    results = []
+    for rank, rows in ((1, terms), (2, partials), (3, seconds)):
+        most = max([1, *(np.count_nonzero(e) for _, e, _ in rows)])
+        by_slot = {}
+        for slot, e, c in rows:
+            factors = [_power(pts[:, j], ej) for j, ej in enumerate(e) if ej]
+            factors += [ones] * (most - len(factors))
+            value = factors[0]
+            for factor in factors[1:]:
+                value = value * factor
+            by_slot.setdefault(slot, []).append(value * c)
+        rounds = max(map(len, by_slot.values()), default=0)
+        out = np.zeros((len(pts),) + (f.n,) * rank, dtype=complex)
+        for slot, values in by_slot.items():
+            total = values[0]
+            for value in values[1:] + [zeros] * (rounds - len(values)):
+                total = total + value
+            out[(slice(None), *slot)] = total
+        results.append(out.reshape(np.shape(x)[:-1] + (f.n,) * rank))
+    return results
 
 
 def _sparse_field(rng, n):
@@ -276,3 +303,102 @@ def test_member_jacobian_is_the_base_jacobian_bitwise(n, d):
         member = family_field(FoliationParams(n, d, tuple(alpha)))
         assert jacobian(member, points).tobytes() == base.tobytes()
         assert jacobian(member, points[3]).tobytes() == base[3].tobytes()
+
+
+def _oracle(f, x):
+    """Value, Jacobian and second partials of f at the point x in 50-digit
+    mpmath, each entry with the sum of |c x^e| over its terms, from the
+    coefficient dicts and exact integer multipliers."""
+    with mp.workdps(50):
+        xs = [mp.mpc(complex(v)) for v in x]
+        rows = [((i,), e, mp.mpc(c)) for i, comp in enumerate(f.components) for e, c in comp.items()]
+        tables = []
+        for rank in (1, 2, 3):
+            exact = np.zeros((f.n,) * rank, dtype=object)
+            size = np.zeros((f.n,) * rank, dtype=object)
+            for slot, e, c in rows:
+                term = c * mp.fprod(v ** k for v, k in zip(xs, e))
+                exact[slot] += term
+                size[slot] += abs(term)
+            tables.append((exact, size))
+            rows = [(slot + (j,), e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                    for slot, e, c in rows for j in range(f.n) if e[j]]
+        return tables
+
+
+ACCURACY_CASES = [(2, d, None) for d in (2, 3, 99, 100, 200)] + [(5, 3, 1), (7, 2, 2)]
+
+
+@pytest.mark.parametrize("n,d,seed", ACCURACY_CASES)
+def test_evaluation_is_within_gamma_k_of_a_50_digit_oracle(n, d, seed):
+    """Every entry of the value, the Jacobian and the second partials lies
+    within gamma_k sum |c x^e| of the exact sum, gamma_k = k u / (1 - k u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3), with
+    k = 6 b + 9 and b the bit length of d + 1.  A term's path holds at most
+    2 b + 2 complex multiplications: binary powering takes at most 2 (b - 1)
+    for the power of x_1, one multiplies the two nonzero factors, one the
+    coefficient and up to two form the partials' integer multipliers; each
+    is within 3 u, and each slot adds at most 3 terms.  The points are
+    closed-form zeros scaled by (1 + 1e-3), of the base field at n = 2 and
+    of a seeded member otherwise."""
+    alpha = () if seed is None else tuple(
+        0.04 * np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n)))
+    f = family_field(FoliationParams(n, d, alpha))
+    k = 6 * (d + 1).bit_length() + 9
+    gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+    zeros = closed_form_coords(n, d)
+    for x in zeros[[0, len(zeros) // 3, -1]] * (1 + 1e-3):
+        got = [eval_field(f, x), jacobian(f, x), _evaluate(f, x, 2, n**3).reshape((n,) * 3)]
+        for value, (exact, size) in zip(got, _oracle(f, x)):
+            for idx in np.ndindex(value.shape):
+                assert abs(mp.mpc(complex(value[idx])) - exact[idx]) <= gamma * size[idx], idx
+
+
+def _stack_cases():
+    cases = []
+    for n, d in [(2, 2), (5, 3), (2, 200)]:
+        zeros = closed_form_coords(n, d)
+        big = 5 * EVAL_BLOCK + 7  # past 256 KiB of (R, n) points and across blocks
+        for rows in (1, len(zeros), big):
+            cases.append((n, d, rows))
+    return cases
+
+
+@pytest.mark.parametrize("n,d,rows", _stack_cases())
+def test_rows_of_a_stack_are_the_one_point_calls_bitwise(n, d, rows):
+    """Row r of a stack of R points is bitwise the one-point call at row r,
+    for the value (with and without a constant per row), the Jacobian and the
+    second partials: at R = 1, at R = N and at an R whose (R, n) stacks pass
+    256 KiB, where numpy may compute a product into a temporary operand, and
+    whose rows span several blocks of EVAL_BLOCK points."""
+    rng = np.random.default_rng(rows + 10 * n + d)
+    zeros = closed_form_coords(n, d)
+    xs = zeros[rng.integers(0, len(zeros), size=rows)] * (1 + 0.01 * rng.standard_normal((rows, n)))
+    const = 0.04 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    f = jouanolou_field(n, d)
+    stacks = [eval_field(f, xs), _evaluate(f, xs, 0, n, const), jacobian(f, xs),
+              _evaluate(f, xs, 2, n**3)]
+    assert stacks[1].shape == (rows, n) and stacks[2].shape == (rows, n, n)
+    picked = sorted({0, rows // 2, rows - 1, *rng.integers(0, rows, size=12).tolist()})
+    for r in picked:
+        x = xs[r]
+        ones = [eval_field(f, x), _evaluate(f, x, 0, n, const[r]), jacobian(f, x),
+                _evaluate(f, x, 2, n**3)]
+        for stack, one in zip(stacks, ones):
+            assert stack[r].tobytes() == one.tobytes(), r
+
+
+def test_fields_with_the_same_exponents_share_their_schedules():
+    # a member's exponents depend on alpha only through which alpha_i are 0,
+    # so a fresh family_field of the same support compiles nothing new
+    rng = np.random.default_rng(5)
+    n, d = 3, 2
+    full = [tuple(0.04 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) for _ in range(2)]
+    first, second = (family_field(FoliationParams(n, d, a))._compiled(2) for a in full)
+    assert all(a[0] is b[0] for a, b in zip(first, second))
+    assert first[0][1].tobytes() != second[0][1].tobytes()
+    misses = cpoly._schedule.cache_info().misses
+    family_field(FoliationParams(n, d, full[0][::-1]))._compiled(2)
+    assert cpoly._schedule.cache_info().misses == misses
+    one_zero = family_field(FoliationParams(n, d, (0,) + full[0][1:]))._compiled(2)
+    assert all(a[0] is not b[0] for a, b in zip(first, one_zero))

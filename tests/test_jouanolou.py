@@ -145,6 +145,39 @@ def test_family_field_equals_the_two_step_build():
         assert _exact(jouanolou_field(n, d)) == _exact(_two_step_family_field(FoliationParams(n, d)))
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_no_member_has_a_singular_point_at_infinity(n):
+    """Write a member of degree d as F = P_0 + ... + P_d + g R, with P_k
+    homogeneous of degree k, R = (x_1, ..., x_n) the radial field and g
+    homogeneous of degree d.  A singular point [v] of the foliation on the
+    hyperplane at infinity needs g(v) = 0 and P_d(v) = lambda v (M. Brunella,
+    *Birational Geometry of Foliations*, ch. 1).  On the coefficient tables:
+    the degree-(d + 1) part of component i is -x_1^d x_i, so g = -x_1^d; the
+    degree-d part is x_{i+1}^d, and 0 for i = n; neither depends on alpha.
+    So g(v) = 0 gives v_1 = 0, and entry i of P_d(v) = lambda v gives
+    v_{i+1}^d = lambda v_i = 0 in turn: v = 0 is no point, and every member
+    has all its N zeros in C^n."""
+    d = 2
+    rng = np.random.default_rng(70 + n)
+    alpha = tuple(0.04 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    parts = []
+    for a in [(), alpha, (0,) + alpha[1:]]:
+        comps = family_field(FoliationParams(n, d, a)).components
+        parts.append([[{e: c for e, c in comp.items() if sum(e) == k} for comp in comps]
+                      for k in (d + 1, d)])
+    top, lead = parts[0]
+    assert parts[1:] == [parts[0]] * 2
+    unit = np.eye(n, dtype=int)
+    for i in range(n):
+        assert top[i] == {tuple(d * unit[0] + unit[i]): -1}
+        assert lead[i] == ({tuple(d * unit[i + 1]): 1} if i < n - 1 else {})
+    vanishing = {0}  # g = -x_1^d vanishes at v only if v_1 = 0
+    for i in range(n - 1):  # entry i of P_d(v) = lambda v: v_{i+1}^d = lambda v_i
+        if i in vanishing and list(lead[i]) == [tuple(d * unit[i + 1])]:
+            vanishing.add(i + 1)
+    assert vanishing == set(range(n))
+
+
 def test_closed_forms_are_zeros_and_distinct():
     for n, d in DESK:
         pts = closed_form_sing(n, d)
