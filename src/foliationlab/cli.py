@@ -149,7 +149,8 @@ def _table(records, header=()) -> list[list[str]]:
 
 
 def _make_cfg(args) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
+    return RunConfig(**{f.name: getattr(args, f.name, f.default)
+                        for f in dataclasses.fields(RunConfig)})
 
 
 def _params_from(args) -> FoliationParams:
@@ -273,6 +274,58 @@ def _cmd_sample(args, cfg):
     return stats, rows, [], 0
 
 
+# the RunConfig fields that tracking reads, and those that spectra add
+_TRACK = ("newton_tol", "max_iters", "continuation_steps", "dedup_tol", "radius")
+_SPECTRA = _TRACK + ("tol_hyp", "tol_nd", "delta", "max_order")
+_ALPHA = ("--alpha", dict(action="append", type=_parse_complex, metavar="RE,IM",
+                          help="one perturbation coordinate as 're,im'; repeat n times (default 0)"))
+_INDEX = ("--m", dict(type=_parse_index, default="all", help="zero index, or 'all' (default)"))
+_RAY = (("--nu", dict(action="append", type=_parse_complex, metavar="RE,IM", required=True,
+                      help="ray direction coordinate as 're,im'; repeat n times")),
+        ("--mu-grid", dict(type=_parse_mu_grid, default=(1e-2, 3e-3, 1e-3, 3e-4),
+                           help="comma-separated mu values (default 1e-2,3e-3,1e-3,3e-4)")),
+        ("--coord-pair", dict(type=_parse_coord_pair, metavar="I,J", help="1-based coordinate "
+                              "pair for the defect determinant (default first,last)")))
+
+# One row per subcommand: its handler, help line, description (with its CSV
+# columns), its own options, and the RunConfig fields it reads, which are its
+# only config flags; every other field keeps its default.
+_COMMANDS = {
+    "counts": (_cmd_counts, "exact integer invariants N, M, K",
+               "Exact counts for (n, d). CSV columns: n,d,N,M,K.", (), ()),
+    "sing": (_cmd_sing, "track all zeros of the perturbed member", "Tracked zeros. CSV columns: "
+             "m,converged,newton_iters,residual,x1_re,x1_im,...,xn_re,xn_im.", (_ALPHA,), _TRACK),
+    "spectrum": (_cmd_spectrum, "spectral reports at tracked zeros",
+                 "Spectral reports. CSV columns: m,classification,resonant,"
+                 "c_min,worst_j,worst_m,sigma*_re/im,lambda*_re/im.", (_ALPHA, _INDEX), _SPECTRA),
+    "submersion": (_cmd_submersion, "parameter Jacobian of the coefficient map with certificates",
+                   "Submersion reports. CSV columns: m,abs_det,expected_modulus,"
+                   "rel_error,sv_min,sv_max,jacij_re/im.", (_INDEX,), ()),
+    "derivs": (_cmd_derivs, "derivative table at the all-ones zero vs closed formulas",
+               "Derivative table. CSV columns: i,j,explicit,value_re,value_im,"
+               "formula_re,formula_im,rel_error.", (), ()),
+    "align": (_cmd_align, "census of aligned zero subsets",
+              "Alignment census. CSV columns: record,size,indices(';'-joined),residual.",
+              (_ALPHA,), _TRACK + ("align_tol",)),
+    "hyperplanes": (_cmd_hyperplanes, "base alignment hyperplane and its group images",
+                    "Hyperplane normals. CSV columns: k,normal*_re,normal*_im.", (), ("align_tol",)),
+    "defect": (_cmd_defect, "log-log slope of the alignment defect along a ray",
+               "Defect growth. CSV columns: mu,defect,slope (slope repeated).", _RAY,
+               ("newton_tol", "max_iters", "continuation_steps", "radius")),
+    "pushforward": (_cmd_pushforward, "factor the pushforward along a symmetry element",
+                    "Pushforward factorization. CSV columns: k,c_re,c_im,residual,"
+                    "alpha_tilde*_re/im.",
+                    (_ALPHA, ("--k", dict(type=int, default=1, help="generator power (default 1)"))),
+                    ()),
+    "sample": (_cmd_sample, "Monte Carlo sweep of the perturbation polydisk",
+               "Sampling summary. CSV columns: n,d,samples,seed,radius,delta,max_order,n_failed,"
+               "n_all_hyperbolic,n_any_resonant,frac_failures,frac_all_hyperbolic,frac_any_resonant.",
+               (("--jobs", dict(type=int, default=1,
+                                help="at least 1; has no effect (every draw runs in one process)")),),
+               _SPECTRA + ("seed", "samples")),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foliationlab",
@@ -286,93 +339,17 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, required=True, help="degree (>= 1)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    for f in dataclasses.fields(RunConfig):
-        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                            default=f.default)
-
-    alpha_parent = argparse.ArgumentParser(add_help=False)
-    alpha_parent.add_argument(
-        "--alpha", action="append", type=_parse_complex, metavar="RE,IM",
-        help="one perturbation coordinate as 're,im'; repeat n times (default 0)",
-    )
-    index_parent = argparse.ArgumentParser(add_help=False)
-    index_parent.add_argument("--m", type=_parse_index, default="all",
-                              help="zero index, or 'all' (default)")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "counts", parents=[common],
-        help="exact integer invariants N, M, K",
-        description="Exact counts for (n, d). CSV columns: n,d,N,M,K.",
-    ).set_defaults(handler=_cmd_counts)
-    sub.add_parser(
-        "sing", parents=[common, alpha_parent],
-        help="track all zeros of the perturbed member",
-        description="Tracked zeros. CSV columns: m,converged,newton_iters,"
-                    "residual,x1_re,x1_im,...,xn_re,xn_im.",
-    ).set_defaults(handler=_cmd_sing)
-    sub.add_parser(
-        "spectrum", parents=[common, alpha_parent, index_parent],
-        help="spectral reports at tracked zeros",
-        description="Spectral reports. CSV columns: m,classification,resonant,"
-                    "c_min,worst_j,worst_m,sigma*_re/im,lambda*_re/im.",
-    ).set_defaults(handler=_cmd_spectrum)
-    sub.add_parser(
-        "submersion", parents=[common, index_parent],
-        help="parameter Jacobian of the coefficient map with certificates",
-        description="Submersion reports. CSV columns: m,abs_det,expected_modulus,"
-                    "rel_error,sv_min,sv_max,jacij_re/im.",
-    ).set_defaults(handler=_cmd_submersion)
-    sub.add_parser(
-        "derivs", parents=[common],
-        help="derivative table at the all-ones zero vs closed formulas",
-        description="Derivative table. CSV columns: i,j,explicit,value_re,value_im,"
-                    "formula_re,formula_im,rel_error.",
-    ).set_defaults(handler=_cmd_derivs)
-    sub.add_parser(
-        "align", parents=[common, alpha_parent],
-        help="census of aligned zero subsets",
-        description="Alignment census. CSV columns: record,size,indices(';'-joined),residual.",
-    ).set_defaults(handler=_cmd_align)
-    sub.add_parser(
-        "hyperplanes", parents=[common],
-        help="base alignment hyperplane and its group images",
-        description="Hyperplane normals. CSV columns: k,normal*_re,normal*_im.",
-    ).set_defaults(handler=_cmd_hyperplanes)
-    defect = sub.add_parser(
-        "defect", parents=[common],
-        help="log-log slope of the alignment defect along a ray",
-        description="Defect growth. CSV columns: mu,defect,slope (slope repeated).",
-    )
-    defect.set_defaults(handler=_cmd_defect)
-    defect.add_argument("--nu", action="append", type=_parse_complex, metavar="RE,IM",
-                        required=True, help="ray direction coordinate as 're,im'; repeat n times")
-    defect.add_argument("--mu-grid", type=_parse_mu_grid,
-                        default=(1e-2, 3e-3, 1e-3, 3e-4),
-                        help="comma-separated mu values (default 1e-2,3e-3,1e-3,3e-4)")
-    defect.add_argument("--coord-pair", type=_parse_coord_pair, default=None, metavar="I,J",
-                        help="1-based coordinate pair for the defect determinant "
-                             "(default first,last)")
-    pushforward = sub.add_parser(
-        "pushforward", parents=[common, alpha_parent],
-        help="factor the pushforward along a symmetry element",
-        description="Pushforward factorization. CSV columns: k,c_re,c_im,residual,"
-                    "alpha_tilde*_re/im.",
-    )
-    pushforward.set_defaults(handler=_cmd_pushforward)
-    pushforward.add_argument("--k", type=int, default=1,
-                             help="generator power (default 1)")
-    sample = sub.add_parser(
-        "sample", parents=[common],
-        help="Monte Carlo sweep of the perturbation polydisk",
-        description="Sampling summary. CSV columns: n,d,samples,seed,radius,delta,"
-                    "max_order,n_failed,n_all_hyperbolic,n_any_resonant,"
-                    "frac_failures,frac_all_hyperbolic,frac_any_resonant.",
-    )
-    sample.set_defaults(handler=_cmd_sample)
-    sample.add_argument("--jobs", type=int, default=1,
-                        help="at least 1; has no effect (every draw runs in one process)")
+    for name, (handler, help_line, description, options, reads) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_line, description=description)
+        command.set_defaults(handler=handler)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        for f in dataclasses.fields(RunConfig):
+            if f.name in reads:
+                command.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                     default=f.default)
     return parser
 
 

@@ -45,8 +45,8 @@ from .jouanolou import (
 )
 from .solver import (RunConfig, _check_indices, _check_radius, _track_members, track_one,
                      track_zeros)
-from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _class_codes, _divisor_scan, _faddeev,
-                       _roots, char_poly_direct)
+from .spectral import (_CLASSES, HYPERBOLIC, RESONANCE_TOL, _check_scan_size, _class_codes,
+                       _divisor_scan, _faddeev, _roots, char_poly_direct)
 
 # Relative tolerance for the determinant-modulus and derivative-table checks.
 SUBMERSION_RTOL = 1e-4
@@ -172,13 +172,11 @@ def sigma_at_ones(n: int, d: int) -> np.ndarray:
     sum_{j=0}^{i} C(n-j, n-i) d^j; (n, d) as ``counts`` takes them, and
     InputError when an entry is past the float range."""
     _check_nd(n, d)
-    out = np.zeros(n)
-    try:
-        for i in range(1, n + 1):
-            out[i - 1] = sum(comb(n - j, n - i) * d**j for j in range(i + 1))
+    try:  # every entry is computed before the array is allocated
+        return np.array([float(sum(comb(n - j, n - i) * d**j for j in range(i + 1)))
+                         for i in range(1, n + 1)])
     except OverflowError:
         raise InputError(f"coefficients at (n, d) = ({n}, {d}) exceed the float range") from None
-    return out
 
 
 @dataclass
@@ -676,8 +674,10 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
     """Per draw of ``genericity_sample``, yielded block by block: (class name
     of the error that failed it, or "", all zeros hyperbolic, some zero
     resonant).  Each block draws its (S, n, 2) share of the seeded stream;
-    a draw with a zero above the root gate fails with ConvergenceError."""
+    a draw with a zero above the root gate fails with ConvergenceError, and
+    a scan above SCAN_MAX_BYTES is refused before any draw is tracked."""
     base = jouanolou_field(n, d)
+    _check_scan_size(n, cfg.max_order)
     big_n = counts(n, d).N
     rng = np.random.default_rng(cfg.seed)
     block = max(1, SAMPLE_BLOCK // (big_n * big_n * n))

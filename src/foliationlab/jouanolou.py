@@ -39,7 +39,8 @@ MEMBER_MAX_ENTRIES = 1 << 22
 
 @lru_cache(maxsize=8)
 def unit_roots(order: int) -> np.ndarray:
-    """Table of e^(2 pi i k / order) for k = 0..order-1, for an integer order >= 1.
+    """Table of e^(2 pi i k / order) for k = 0..order-1, for an integer order
+    from 1 to MEMBER_MAX_ENTRIES // 4, the largest N of any member.
 
     The table is cached per order and shared by every caller, so it is not
     writeable.
@@ -47,6 +48,9 @@ def unit_roots(order: int) -> np.ndarray:
     _check_int("order", order)
     if order < 1:
         raise InputError(f"order must be at least 1, got {order}")
+    if order > MEMBER_MAX_ENTRIES // 4:
+        raise InputError(f"order must be at most MEMBER_MAX_ENTRIES // 4 = "
+                         f"{MEMBER_MAX_ENTRIES // 4}, got {order}")
     table = np.exp(2j * np.pi * np.arange(order) / order)
     table.setflags(write=False)
     return table
@@ -103,6 +107,9 @@ def _check_sequence(name: str, values) -> tuple:
         raise InputError(f"{name} must be a sequence, got {values!r}") from None
 
 
+_NOT_POINTS = "points must be singular points, each with m and a coords sequence"
+
+
 def _check_points(points: tuple) -> tuple[np.ndarray, list]:
     """The coords of a sequence of singular points as one complex (R, n) array
     and their labels m, after refusing an empty sequence, an entry without m
@@ -115,7 +122,7 @@ def _check_points(points: tuple) -> tuple[np.ndarray, list]:
         labels = [p.m for p in points]
         lengths = sorted({len(row) for row in rows})
     except (AttributeError, TypeError):
-        raise InputError("points must be singular points, each with m and a coords sequence") from None
+        raise InputError(_NOT_POINTS) from None
     if len(lengths) > 1:
         raise InputError(f"point coords must have one length, got {lengths[0]} and {lengths[-1]}")
     try:

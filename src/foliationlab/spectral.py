@@ -24,7 +24,8 @@ import numpy as np
 
 from .cpoly import PolyVectorField, jacobian
 from .errors import ConvergenceError, InputError
-from .jouanolou import SingularPoint, _check_int, _check_points, _check_positive, _check_sequence
+from .jouanolou import (_NOT_POINTS, SingularPoint, _check_int, _check_points, _check_positive,
+                        _check_sequence)
 from .solver import RunConfig
 
 DEGENERATE = "degenerate"
@@ -274,18 +275,24 @@ SCAN_BLOCK = 1 << 20
 SCAN_MAX_BYTES = 1 << 30
 
 
-def _divisor_scan(lams: np.ndarray, delta: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
-    blocks, as arrays: c_min and the witness's index k among the kept
-    candidates of ``_multi_indices``; only those are evaluated, in
-    row-major order, and k is the first minimum."""
-    n = lams.shape[1]
+def _check_scan_size(n: int, max_order: int) -> None:
+    """Refuse a small-divisor scan in n variables above SCAN_MAX_BYTES,
+    counted from closed forms before any table is built."""
     rows = comb(max_order + n, n) - 1 - n  # |M_n|, vectors m in n variables
     kept = rows + (n - 1) * (comb(max_order + n - 1, n - 1) - n)  # j = n, or m_j = 0
     need = 24 * n * rows + 32 * kept + 64 * max(kept, SCAN_BLOCK)
     if need > SCAN_MAX_BYTES:
         raise InputError(f"scan at n = {n}, max_order = {max_order} would take about "
                          f"{need:.3g} bytes (> SCAN_MAX_BYTES = {SCAN_MAX_BYTES}); lower max_order")
+
+
+def _divisor_scan(lams: np.ndarray, delta: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
+    blocks, as arrays: c_min and the witness's index k among the kept
+    candidates of ``_multi_indices``; only those are evaluated, in
+    row-major order, and k is the first minimum."""
+    n = lams.shape[1]
+    _check_scan_size(n, max_order)
     _, row, col, abs_m, m = _multi_indices(n, max_order)
     weights = abs_m ** float(delta)
     c_min = np.empty(len(lams))
@@ -333,10 +340,14 @@ def small_divisor_scan(lams, delta: float, max_order: int) -> DivisorRecord:
 
 def spectrum_report(field: PolyVectorField, point: SingularPoint, cfg: RunConfig) -> SpectrumReport:
     """Full spectral workup (coefficients, roots, type, divisor scan) at a zero."""
-    sigma = char_poly_direct(field, point.coords)
+    try:
+        m, coords = point.m, point.coords
+    except AttributeError:
+        raise InputError(_NOT_POINTS) from None
+    sigma = char_poly_direct(field, coords)
     lams = eigenvalues(sigma)
     return SpectrumReport(
-        m=point.m,
+        m=m,
         sigma=sigma,
         eigenvalues=lams,
         classification=classify(lams, cfg),

@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, formats, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -294,7 +295,7 @@ def test_bad_input_exits_two(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "2", "--d", "2", "--samples", "2", "--seed", "-1"],
-    ["sing", "--n", "2", "--d", "2", "--delta", "-1"],
+    ["spectrum", "--n", "2", "--d", "2", "--delta", "-1"],
     ["sing", "--n", "2", "--d", "2", "--max-iters", "0"],
 ])
 def test_invalid_run_config_exits_two(capsys, argv):
@@ -439,6 +440,17 @@ def test_root_gate_fails_before_the_scan_limit_from_n_29(capsys):
     assert captured.out == "" and "SCAN_MAX_BYTES" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["sample", "--n", "17", "--d", "1"],
+                                  ["sample", "--n", "30", "--d", "1", "--samples", "3"]],
+                         ids=" ".join)
+def test_sample_refuses_the_scan_limit_from_n_17(capsys, argv):
+    # refused before any draw is tracked; at n = 30 every draw would fail the
+    # root gate first, so no scan would run and the sample would exit 0
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "SCAN_MAX_BYTES" in captured.err
+
+
 def test_argparse_errors_pass_through(capsys):
     assert run(["counts", "--n", "2"]) == 2          # missing --d
     assert run(["nonsense"]) == 2
@@ -457,17 +469,94 @@ def test_every_run_config_flag_reaches_cfg(capsys):
     defaults = dataclasses.asdict(RunConfig())
     assert values.keys() == defaults.keys()
     assert all(values[name] != defaults[name] for name in values)
-    argv = ["counts", "--n", "2", "--d", "2"]
-    for name, value in values.items():
-        argv += ["--" + name.replace("_", "-"), str(value)]
-    code, doc = _json(capsys, argv)
-    assert code == 0
-    assert doc["cfg"] == values
+    # each subcommand takes every flag it reads at once; the rest keep their defaults
+    reached = set()
+    for name, argv in READ_CASES.items():
+        flags = _config_flags(name)
+        for flag in flags:
+            argv = argv + ["--" + flag.replace("_", "-"), str(values[flag])]
+        code, doc = _json(capsys, argv)
+        assert code == 0, argv
+        assert doc["cfg"] == {**defaults, **{flag: values[flag] for flag in flags}}
+        reached |= flags
+    assert reached == values.keys()
 
 
 ALPHA2 = ["--alpha", "0.01,0", "--alpha", "0,-0.02"]
 # alpha_2 = 0: on the base hyperplane at (3,2), where the census stays nonempty
 ALPHA3 = ["--alpha", "0.01,0", "--alpha", "0,0", "--alpha", "0.005,0.003"]
+# one run per subcommand that reaches every stage it has: alpha != 0 wherever
+# it tracks, a nonempty census, a ray off the base hyperplane
+READ_CASES = {
+    "counts": ["counts", "--n", "2", "--d", "2"],
+    "sing": ["sing", "--n", "2", "--d", "2", *ALPHA2],
+    "spectrum": ["spectrum", "--n", "2", "--d", "2", *ALPHA2],
+    "submersion": ["submersion", "--n", "2", "--d", "2"],
+    "derivs": ["derivs", "--n", "2", "--d", "2"],
+    "align": ["align", "--n", "3", "--d", "2", *ALPHA3],
+    "hyperplanes": ["hyperplanes", "--n", "3", "--d", "2"],
+    "defect": ["defect", "--n", "3", "--d", "2", *NU3],
+    "pushforward": ["pushforward", "--n", "2", "--d", "2", *ALPHA2],
+    "sample": ["sample", "--n", "2", "--d", "2", "--samples", "20"],
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (choices,) = [action.choices for action in cli.make_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return choices
+
+
+def _config_flags(command: str) -> set[str]:
+    """The RunConfig fields that a subcommand's parser takes as flags."""
+    dests = {action.dest for action in _subparsers()[command]._actions}
+    return dests & {f.name for f in dataclasses.fields(RunConfig)}
+
+
+class _RecordingConfig(RunConfig):
+    """A RunConfig that records which of its fields are read after it is built."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "__dict__").get("_read")
+        if read is not None and name in RunConfig.__dataclass_fields__:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_subcommand_takes_exactly_the_config_fields_it_reads():
+    assert READ_CASES.keys() == _subparsers().keys()
+    total = 0
+    for name, argv in READ_CASES.items():
+        args = cli.make_parser().parse_args(argv)
+        cfg = _RecordingConfig()
+        args.handler(args, cfg)
+        assert cfg._read == _config_flags(name), name
+        total += len(cfg._read)
+    assert total == 36
+
+
+INERT = [["counts", "--n", "2", "--d", "2", "--seed", "1"],
+         ["submersion", "--n", "2", "--d", "2", "--newton-tol", "1e-3"],
+         ["derivs", "--n", "2", "--d", "2", "--max-order", "4"],
+         ["pushforward", "--n", "2", "--d", "2", "--radius", "0.1"],
+         ["sing", "--n", "2", "--d", "2", "--delta", "2"],
+         ["hyperplanes", "--n", "3", "--d", "2", "--newton-tol", "1e-3"],
+         ["defect", "--n", "3", "--d", "2", *NU3, "--dedup-tol", "1e-3"],
+         ["spectrum", "--n", "2", "--d", "2", "--samples", "3"]]
+
+
+@pytest.mark.parametrize("argv", INERT, ids=" ".join)
+def test_a_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
+
+
 TEXT_COLUMNS = {"classification", "converged", "explicit", "resonant",
                 "matches_diagonal_guess", "indices", "worst_m"}
 CSV_CASES = [

@@ -82,7 +82,11 @@ def test_sigma_at_ones_frozen():
     (sigma_at_ones, 400, 10, r"^coefficients at \(n, d\) = \(400, 10\) exceed the float range$"),
     (expected_det_modulus, 44, 2,
      r"^determinant modulus at \(n, d\) = \(44, 2\) exceeds the float range$"),
-], ids=["n-negative", "n-zero", "d-zero", "n-float", "sigma-float-range", "modulus-float-range"])
+    # refused by its entries before an array of n entries is allocated
+    (sigma_at_ones, 10**13, 1,
+     r"^coefficients at \(n, d\) = \(10000000000000, 1\) exceed the float range$"),
+], ids=["n-negative", "n-zero", "d-zero", "n-float", "sigma-float-range", "modulus-float-range",
+        "sigma-huge-n"])
 def test_sigma_at_ones_refuses_what_counts_refuses(helper, n, d, message):
     with pytest.raises(InputError, match=message):
         helper(n, d)
@@ -691,6 +695,13 @@ def test_spectrum_reports_refuse_no_points():
         spectral.spectrum_reports(family_field(FoliationParams(3, 2)), [], CFG)
 
 
+@pytest.mark.parametrize("point", ["x", 5, None, (1j, 2.0, 3.0)])
+def test_spectrum_report_refuses_what_is_not_a_point(point):
+    # spectrum_reports' message, without its array pass over the coords
+    with pytest.raises(InputError, match="^points must be singular points, each with m and a coords sequence$"):
+        spectral.spectrum_report(family_field(FoliationParams(3, 2)), point, CFG)
+
+
 def test_census_takes_real_coords_as_complex():
     points = closed_form_sing(3, 3)
     real = [replace(p, coords=tuple(c.real for c in p.coords)) for p in points]
@@ -1276,6 +1287,18 @@ def test_pattern_experiments_take_the_pattern_rule(n, d):
 def test_sample_checks_n_before_drawing():
     with pytest.raises(InputError, match="ambient dimension"):
         genericity_sample(-1, 2, RunConfig(samples=2))
+
+
+@pytest.mark.parametrize("n,samples", [(17, 2), (30, 3)])
+def test_sample_refuses_the_scan_size_before_tracking_a_draw(monkeypatch, n, samples):
+    # at max_order 8 the scan is above SCAN_MAX_BYTES from n = 17; at n = 30
+    # every draw would also fail the root gate, and no scan would run at all
+    def refuse(*args):
+        raise AssertionError("a draw was tracked")
+
+    monkeypatch.setattr(genericity, "_track_members", refuse)
+    with pytest.raises(InputError, match="SCAN_MAX_BYTES"):
+        genericity_sample(n, 1, RunConfig(samples=samples))
 
 
 def test_defect_tracks_only_the_three_zeros_it_uses(monkeypatch):

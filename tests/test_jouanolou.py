@@ -81,11 +81,19 @@ def test_counts_refuse_what_cannot_print():
     (lambda: unit_root(2.5, 3), "^k must be an integer, got 2.5$"),
     (lambda: unit_roots(0), "^order must be at least 1, got 0$"),
     (lambda: unit_roots(-3), "^order must be at least 1, got -3$"),
-], ids=["order-0", "order-float", "k-float", "table-0", "table-negative"])
+    (lambda: unit_root(1, 10**13),
+     "^order must be at most MEMBER_MAX_ENTRIES // 4 = 1048576, got 10000000000000$"),
+    (lambda: unit_roots(MEMBER_MAX_ENTRIES // 4 + 1),
+     "^order must be at most MEMBER_MAX_ENTRIES // 4 = 1048576, got 1048577$"),
+], ids=["order-0", "order-float", "k-float", "table-0", "table-negative", "order-huge",
+        "table-above-members"])
 def test_unit_roots_refuse_bad_orders_and_powers(call, message):
     with pytest.raises(InputError, match=message):
         call()
     assert unit_root(np.int64(-1), np.int64(3)) == unit_root(2, 3)
+    # no member is refused by it: N n^2 <= MEMBER_MAX_ENTRIES with n >= 2, and
+    # (2, 1023) is the largest member
+    assert counts(2, 1023).N <= MEMBER_MAX_ENTRIES // 4 < counts(2, 1024).N
 
 
 def test_field_components_2_2():
@@ -157,8 +165,20 @@ def test_no_member_has_a_singular_point_at_infinity(n):
     So g(v) = 0 gives v_1 = 0, and entry i of P_d(v) = lambda v gives
     v_{i+1}^d = lambda v_i = 0 in turn: v = 0 is no point, and every member
     has all its N zeros in C^n."""
-    d = 2
-    rng = np.random.default_rng(70 + n)
+    _check_no_singular_point_at_infinity(n, 2, seed=70 + n)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (5, 3), (2, 30), (4, 1)])
+def test_no_member_of_any_degree_has_a_singular_point_at_infinity(n, d):
+    # the same argument at other degrees, d = 1 and d = 30 among them
+    _check_no_singular_point_at_infinity(n, d, seed=100 * n + d)
+
+
+def _check_no_singular_point_at_infinity(n, d, seed):
+    """For the base member, a seeded member and one with alpha_1 = 0: the
+    degree-(d + 1) part of component i is -x_1^d x_i, the degree-d parts are
+    (x_2^d, ..., x_n^d, 0), and these force v = 0 at a point [v] at infinity."""
+    rng = np.random.default_rng(seed)
     alpha = tuple(0.04 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     parts = []
     for a in [(), alpha, (0,) + alpha[1:]]:
