@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -353,6 +354,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """``make_parser()``, built once per process for ``run``.  The handlers it
+    holds look up the module's names when they run, so a name patched after
+    the first call still takes effect."""
+    return make_parser()
+
+
 def _emit(args, cfg, payload, rows, warnings) -> None:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -375,9 +384,8 @@ def _emit(args, cfg, payload, rows, warnings) -> None:
 
 
 def run(argv) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(_join_signed_values(argv))
+        args = _shared_parser().parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

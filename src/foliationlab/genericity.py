@@ -693,7 +693,7 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
         if not gated.all():
             lams = lams.reshape(-1, big_n, n)[~gated].reshape(-1, n)
             codes = _class_codes(lams, cfg).reshape(-1, big_n)
-            c_min = _divisor_scan(lams, cfg.delta, cfg.max_order)[0].reshape(-1, big_n)
+            c_min = _divisor_scan(lams, cfg.delta, cfg.max_order, d)[0].reshape(-1, big_n)
             hyperbolic = (codes == _CLASSES.index(HYPERBOLIC)).all(axis=1)
             resonant = (c_min < RESONANCE_TOL).any(axis=1)
             outcomes.update((s, ("", h, r)) for s, h, r in
@@ -712,8 +712,9 @@ def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     from it only by its constant term alpha), scanned for collisions as one
     stack, and their spectra computed as one stack from the base field,
     whose Jacobian is every draw's, by the array kernels under
-    ``spectrum_reports``: a draw's two flags are reductions of the block's
-    class codes and c_min values, and no per-zero report is built.  Each
+    ``spectrum_reports``, with the divisor scan anchored on the alpha = 0
+    orbit (bitwise the dense scan): a draw's two flags are reductions of the
+    block's class codes and c_min values, and no per-zero report is built.  Each
     draw's result is bitwise that of running it alone.  A draw that fails
     (ConvergenceError or CollisionError, including the eigenvalue gate on
     any of its zeros, a mask over the block's roots) is counted, never

@@ -108,6 +108,7 @@ def _check_sequence(name: str, values) -> tuple:
 
 
 _NOT_POINTS = "points must be singular points, each with m and a coords sequence"
+_NOT_NUMBERS = "point coords must be finite numbers"
 
 
 def _check_points(points: tuple) -> tuple[np.ndarray, list]:
@@ -131,7 +132,7 @@ def _check_points(points: tuple) -> tuple[np.ndarray, list]:
     except ValueError:  # ragged nested entries
         numeric = False
     if not numeric:
-        raise InputError("point coords must be finite numbers")
+        raise InputError(_NOT_NUMBERS)
     return coords.astype(complex, copy=False), labels
 
 

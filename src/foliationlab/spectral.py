@@ -10,7 +10,10 @@ Eigenvalues are the companion-matrix roots of the monic coefficient
 vector (``np.roots``), behind a relative-residual gate.  Classification and
 the truncated small-divisor scan below are the numerical stand-ins for
 hyperbolicity and non-resonance; the scan certifies nothing beyond its
-truncation order.
+truncation order.  The sampler's scan is anchored on the alpha = 0 orbit,
+where zero m's spectrum is s_m spec J(1): it evaluates only the candidates
+that a bound from the table of spec J(1) cannot rule out, bitwise the
+dense scan.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import numpy as np
 
 from .cpoly import PolyVectorField, jacobian
 from .errors import ConvergenceError, InputError
-from .jouanolou import (_NOT_POINTS, SingularPoint, _check_int, _check_points, _check_positive,
-                        _check_sequence)
+from .jouanolou import (_NOT_NUMBERS, _NOT_POINTS, SingularPoint, _check_int, _check_points,
+                        _check_positive, _check_sequence, closed_form_coords, counts,
+                        jouanolou_field, unit_roots)
 from .solver import RunConfig
 
 DEGENERATE = "degenerate"
@@ -286,25 +290,170 @@ def _check_scan_size(n: int, max_order: int) -> None:
                          f"{need:.3g} bytes (> SCAN_MAX_BYTES = {SCAN_MAX_BYTES}); lower max_order")
 
 
-def _divisor_scan(lams: np.ndarray, delta: float, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+def _divisor_values(lam_j: np.ndarray, sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """|lam_j - <m, lam>| |m|^delta of gathered candidates: the scan's one formula,
+    elementwise, so a candidate's value does not depend on which others are taken."""
+    return np.abs(lam_j - sums) * weights
+
+
+def _divisor_scan(lams: np.ndarray, delta: float, max_order: int,
+                  d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
     blocks, as arrays: c_min and the witness's index k among the kept
-    candidates of ``_multi_indices``; only those are evaluated, in
-    row-major order, and k is the first minimum."""
+    candidates of ``_multi_indices``; the dense scan evaluates all of them,
+    in row-major order, and k is the first minimum.
+
+    With d, row r is zero r % N + 1 of a member of the family at (n, d), and
+    each block is scanned by ``_anchored_block`` on the ``_anchor`` of
+    (n, d), which evaluates a few of them; the result is bitwise the dense
+    scan's."""
     n = lams.shape[1]
     _check_scan_size(n, max_order)
     _, row, col, abs_m, m = _multi_indices(n, max_order)
     weights = abs_m ** float(delta)
+    anchor = None if d is None else _anchor(n, d, float(delta), max_order)
     c_min = np.empty(len(lams))
     k = np.empty(len(lams), dtype=np.intp)
     step = max(1, SCAN_BLOCK // len(row))
     for start in range(0, len(lams), step):
         block = lams[start : start + step]
         sums = np.matmul(m, block[..., None])[..., 0]
-        table = np.abs(block[:, col] - sums[:, row]) * weights
-        k[start : start + step] = best = np.argmin(table, axis=1)
-        c_min[start : start + step] = table[np.arange(len(block)), best]
+        found = None if anchor is None else _anchored_block(block, sums, start, anchor,
+                                                            row, col, weights)
+        if found is None:
+            table = _divisor_values(block[:, col], sums[:, row], weights)
+            best = np.argmin(table, axis=1)
+            found = table[np.arange(len(block)), best], best
+        c_min[start : start + step], k[start : start + step] = found
     return c_min, k
+
+
+# at most 8 (n, d, delta, max_order) keys, as _multi_indices keeps 8 pairs
+@lru_cache(maxsize=8)
+def _anchor(n: int, d: int, delta: float, max_order: int) -> tuple:
+    """The alpha = 0 anchor of the divisor scan at (n, d), read-only.
+
+    At alpha = 0 the spectrum of zero m is s_m kappa, kappa = spec J(1) and
+    s_m = xi^(d m) (``solver._orbit_inverse``).  A kept candidate (j, m') is
+    the integer form e_j - m' on the eigenvalues, and a permutation pi of
+    the eigenvalues maps the forms at each level |m'| bijectively onto
+    themselves.  So if a row's sorted eigenvalues are s_m kappa[pi], its
+    table of kept candidates is the kappa table |kappa_j - <m', kappa>|
+    permuted.  The permutations kept are the P distinct orders of the rows
+    s_m kappa sorted by (real, imag), as ``_roots`` sorts, and the orders in
+    which ``_roots`` returns the computed alpha = 0 spectra, matched to
+    s_m kappa by nearest neighbour: they differ at a zero where two of
+    s_m kappa have equal real parts, such as s_m = -1 and a conjugate pair.
+
+    Returns s_m kappa (N, n), row m - 1, so that zero m's reference for
+    permutation p is s_m kappa[perms[p]]; the permutations (P, n); ``kept``
+    (P, K): kept[p, t] is the kept index, in a row sorted as perms[p], of the
+    candidate at sorted position t of the kappa table; the kappa table
+    sorted within each level (K,) and the level bounds (max_order,), level o
+    at [bounds[o - 2], bounds[o - 1]); o^delta for o = 2..max_order; the
+    sorted position of the alpha = 0 witness (the first minimum of the
+    weighted kappa table); and max |kappa|.
+    """
+    m_int, row, col, abs_m, m = _multi_indices(n, max_order)
+    big_n = counts(n, d).N
+    base = jouanolou_field(n, d)
+    kappa = _roots(char_poly_direct(base, np.ones(n, dtype=complex)))[0]
+    turned = unit_roots(big_n)[d * np.arange(1, big_n + 1) % big_n, None] * kappa
+    spectra = _roots(char_poly_direct(base, closed_form_coords(n, d)))[0]
+    nearest = np.abs(spectra[:, :, None] - turned[:, None, :]).argmin(axis=2)
+    nearest = nearest[(np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)]  # permutations only
+    perms = np.unique(np.concatenate((np.argsort(turned, axis=1, kind="stable"), nearest)), axis=0)
+    table = np.abs(kappa[col] - np.matmul(m, kappa[:, None])[row, 0])
+    classes = np.lexsort((table, abs_m))  # by level, then by value
+    values = table[classes]
+    bounds = np.searchsorted(abs_m[classes], np.arange(2, max_order + 2))
+    witness = int(np.argmin(values * abs_m[classes] ** delta))
+    level_weights = np.arange(2, max_order + 1, dtype=float) ** delta
+    # each form appears once among the kappa forms and once per permutation;
+    # a stable sort of all of them puts the kappa form first in each group
+    forms = -m_int[row]
+    forms[np.arange(len(row)), col] += 1
+    stacked = np.concatenate([forms] + [forms[:, np.argsort(p)] for p in perms])
+    groups = np.lexsort(stacked.T).reshape(len(row), len(perms) + 1)
+    by_class = np.empty((len(perms), len(row)), dtype=np.intp)
+    by_class[:, groups[:, 0]] = (groups[:, 1:] - len(row) * np.arange(1, len(perms) + 1)).T
+    tables = (turned, perms, np.ascontiguousarray(by_class[:, classes]), values, bounds,
+              level_weights)
+    for a in tables:
+        a.setflags(write=False)
+    return (*tables, witness, float(np.abs(kappa).max()))
+
+
+def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tuple, row: np.ndarray,
+                    col: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dense scan of one block of a ``_divisor_scan`` with d, bitwise,
+    evaluating only the candidates that a bound from the kappa table does not
+    rule out; None, for the dense scan, when a bound is not finite.
+
+    Row r of the block is zero z = (start + r) % N + 1.  Of its references
+    ref = s_z kappa[perms[p]], it takes the p with the least dev =
+    max_i |lam_i - ref_i| (a zero near a tie in real parts sorts either
+    way).  For any
+    candidate (j, m) at level o = |m|,
+
+        |lam_j - <m, lam>| >= |ref_j - <m, ref>| - (1 + o) dev,
+
+    and |ref_j - <m, ref>| is |s_z| = 1 times the kappa table's value T at
+    the candidate's class.  U, the computed value at the class of the
+    alpha = 0 witness, bounds the row's c_min from above.  So a candidate
+    whose T is above
+
+        theta_o = U / o^delta + (1 + o) dev + margin_o
+
+    has a computed value above U and is never the first minimum; the others
+    (a prefix of each sorted level, by one searchsorted) and the witness are
+    evaluated by ``_divisor_values``, and the first minimum is taken by
+    (value, kept index).
+
+    The margin bounds the rounding, with u = eps / 2 and X = max |lam| +
+    max |kappa| <= 2 max |kappa| + dev: a computed sum <m, x> is within
+    gamma_2n o max|x| of the exact one (real products m_i x_i, any summation
+    order, FMA or not); the difference and the modulus add 2u and 4u of
+    (1 + o) max|x|, so a computed value (T, or U o^-delta) is within
+    (2n + 8) u (1 + o) max|x| of the exact one, plus u for the weight;
+    ref_i = fl(s kappa_q) is within sqrt(5) u |kappa_q| of s kappa_q and
+    |s| >= 1 - 4u; the computed dev and theta lose at most 4u relative each.
+    Together, within a factor 2:
+
+        margin_o = 8 eps (U / o^delta + (1 + o) dev) + 2 (n + 6) eps (1 + o) X.
+    """
+    turned, perms, kept, values, bounds, level_weights, witness, size = anchor
+    n, eps = block.shape[1], np.finfo(float).eps
+    rows = np.arange(len(block))
+    refs = turned[(start + rows) % len(turned)].T[perms.T]  # (n, P, R): ref_i of row r, perm p
+    devs = np.abs(block.T[:, None, :] - refs).max(axis=0)
+    perm = devs.argmin(axis=0)
+    dev = devs.ravel()[perm * len(block) + rows]
+    offset = perm * kept.shape[1]  # the row's permutation in kept, flattened
+    top = kept.ravel()[offset + witness]
+    upper = _divisor_values(np.take(block, rows * n + col[top]),
+                            np.take(sums, rows * sums.shape[1] + row[top]), weights[top])
+    # theta_o = a / o^delta + (1 + o) b, with max |lam| <= max |kappa| + dev in X
+    a = (1 + 8 * eps) * upper
+    b = (1 + 2 * (n + 10) * eps) * dev + 4 * (n + 6) * eps * size
+    if not np.isfinite(a + b).all():
+        return None
+    levels = np.arange(2, len(bounds) + 1)
+    theta = a / level_weights[:, None] + (1 + levels)[:, None] * b
+    count = np.ones((len(block), len(bounds)), dtype=np.intp)  # the witness, then each level
+    for o in range(len(levels)):
+        count[:, o + 1] = np.searchsorted(values[bounds[o] : bounds[o + 1]], theta[o], side="right")
+    flat = count.ravel()
+    ends = np.cumsum(flat)
+    first = (np.concatenate(([witness], bounds[:-1])) + offset[:, None]).ravel() - ends + flat
+    k = kept.ravel()[np.arange(ends[-1]) + np.repeat(first, flat)]
+    last = ends[len(bounds) - 1 :: len(bounds)]  # each row's end in the flat arrays
+    heads = np.concatenate(([0], last[:-1]))
+    r = np.repeat(rows, last - heads)
+    v = _divisor_values(np.take(block, r * n + col[k]),
+                        np.take(sums, r * sums.shape[1] + row[k]), weights[k])
+    c_min = np.minimum.reduceat(v, heads)
+    return c_min, np.minimum.reduceat(np.where(v == c_min[r], k, len(row)), heads)
 
 
 def _divisor_records(n: int, delta: float, max_order: int, c_min: np.ndarray,
@@ -344,6 +493,10 @@ def spectrum_report(field: PolyVectorField, point: SingularPoint, cfg: RunConfig
         m, coords = point.m, point.coords
     except AttributeError:
         raise InputError(_NOT_POINTS) from None
+    try:
+        coords = np.asarray(coords, dtype=complex)
+    except (TypeError, ValueError):  # entries that are not numbers
+        raise InputError(_NOT_NUMBERS) from None
     sigma = char_poly_direct(field, coords)
     lams = eigenvalues(sigma)
     return SpectrumReport(

@@ -539,6 +539,25 @@ def test_each_subcommand_takes_exactly_the_config_fields_it_reads():
     assert total == 36
 
 
+def test_run_builds_one_parser_and_handlers_read_names_when_they_run(capsys, monkeypatch):
+    cli._shared_parser.cache_clear()
+    built = []
+    real = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or real())
+    assert run(["counts", "--n", "2", "--d", "2"]) == 0
+    assert run(["sample", "--n", "2", "--d", "2", "--samples", "3"]) == 0
+    assert built == [1]
+    assert real() is not real()  # make_parser itself is not cached
+
+    def refuse(n, d):
+        raise InputError("patched after the parser was built")
+
+    monkeypatch.setattr(cli, "counts", refuse)
+    capsys.readouterr()
+    assert run(["counts", "--n", "2", "--d", "2"]) == 2
+    assert capsys.readouterr().err == "error: patched after the parser was built\n"
+
+
 INERT = [["counts", "--n", "2", "--d", "2", "--seed", "1"],
          ["submersion", "--n", "2", "--d", "2", "--newton-tol", "1e-3"],
          ["derivs", "--n", "2", "--d", "2", "--max-order", "4"],

@@ -702,6 +702,15 @@ def test_spectrum_report_refuses_what_is_not_a_point(point):
         spectral.spectrum_report(family_field(FoliationParams(3, 2)), point, CFG)
 
 
+@pytest.mark.parametrize("coords", [("a", "b", "c"), (object(), 1j, 2.0), ((1, 2), 1j, 2.0)],
+                         ids=["str", "object", "ragged"])
+def test_spectrum_report_refuses_coords_that_are_not_numbers(coords):
+    # spectrum_reports' message, caught where the coords are converted
+    point = replace(closed_form_sing(3, 2)[3], coords=coords)
+    with pytest.raises(InputError, match="^point coords must be finite numbers$"):
+        spectral.spectrum_report(family_field(FoliationParams(3, 2)), point, CFG)
+
+
 def test_census_takes_real_coords_as_complex():
     points = closed_form_sing(3, 3)
     real = [replace(p, coords=tuple(c.real for c in p.coords)) for p in points]

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from foliationlab import jouanolou, spectral
+from foliationlab import jouanolou, solver, spectral
 from foliationlab import (
     DEGENERATE,
     HYPERBOLIC,
@@ -500,6 +500,88 @@ def test_scan_table_cache_drops_the_oldest_pair():
     assert spectral._multi_indices.cache_info().hits == 1
     spectral._multi_indices(*pairs[0])  # built again: it was dropped
     assert spectral._multi_indices.cache_info().misses == len(pairs) + 1
+
+
+def _sampler_spectra(n, d, draws, seed, radius=0.05):
+    """The sorted spectra of the zeros of seeded members drawn as the sampler
+    draws them, in its (member, zero) row order; members that fail are dropped."""
+    cfg = RunConfig(radius=radius)
+    u = np.random.default_rng(seed).random((draws, n, 2))
+    alphas = cfg.radius * np.sqrt(u[:, :, 0]) * np.exp(2j * np.pi * u[:, :, 1])
+    x, _, _, errors = solver._track_members(n, d, alphas, cfg)
+    tracked = [s for s in range(draws) if s not in errors]
+    return eigenvalues(char_poly_direct(jouanolou_field(n, d), x[tracked].reshape(-1, n)))
+
+
+def _same_scan(lams, delta, order, d):
+    want = spectral._divisor_scan(lams, delta, order)
+    got = spectral._divisor_scan(lams, delta, order, d)
+    return got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+# (3,3), (5,3) and (5,2) are exactly resonant at alpha = 0
+ANCHOR_RUNGS = [(2, 2, 40), (3, 2, 12), (3, 3, 8), (4, 3, 3), (5, 3, 1), (5, 2, 4), (7, 2, 1)]
+
+
+@pytest.mark.parametrize("n,d,draws", ANCHOR_RUNGS)
+def test_anchored_scan_is_bitwise_the_dense_scan(n, d, draws):
+    lams = _sampler_spectra(n, d, draws, 700 + 10 * n + d)
+    assert len(lams) == draws * counts(n, d).N
+    for delta in (0.5, 1.0, 2.0):
+        for order in (2, 6, 8):
+            assert _same_scan(lams, delta, order, d), (delta, order)
+
+
+@pytest.mark.parametrize("n,d,radius", [(3, 2, 0.3), (3, 3, 0.2), (5, 2, 0.2), (4, 3, 0.1)])
+def test_anchored_scan_is_bitwise_the_dense_scan_far_from_alpha_zero(n, d, radius):
+    # members drawn from a wider polydisk: their spectra lie far from s_m kappa,
+    # and the bound rules out fewer candidates
+    lams = _sampler_spectra(n, d, 6, 800 + 10 * n + d, radius)
+    turned, perms = spectral._anchor(n, d, 1.0, 8)[:2]
+    refs = turned[np.arange(len(lams)) % len(turned)][:, perms]
+    dev = np.abs(lams[:, None, :] - refs).max(axis=2).min(axis=1)
+    size = np.abs(turned[-1]).max()
+    assert dev.max() > 0.05 * size
+    for delta in (0.5, 1.0, 2.0):
+        assert _same_scan(lams, delta, 8, d), delta
+
+
+def test_a_block_with_a_non_finite_bound_is_scanned_densely():
+    lams = _sampler_spectra(3, 2, 2, 901)
+    lams[3, 1] = np.nan
+    assert _same_scan(lams, 1.0, 6, 2)
+    assert spectral._divisor_scan(lams, 1.0, 6, 2)[1][3] == 0  # np.argmin's first nan
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2)])
+def test_each_zero_table_is_the_kappa_table_permuted_at_alpha_zero(n, d):
+    order = 8
+    anchor = spectral._anchor(n, d, 1.0, order)
+    turned, perms, kept, values, bounds, _, witness, size = anchor
+    assert not any(a.flags.writeable for a in anchor[:6])
+    _, row, col, abs_m, m = spectral._multi_indices(n, order)
+    level = np.repeat(np.arange(2, order + 1), np.diff(bounds, prepend=0)[1:])
+    assert turned.shape == (counts(n, d).N, n) and len(perms) == len(kept)
+    assert (np.sort(perms, axis=1) == np.arange(n)).all()
+    for k in kept:  # each map is a bijection of the kept candidates that keeps every level
+        assert np.array_equal(np.sort(k), np.arange(len(row))) and (abs_m[k] == level).all()
+    assert all((np.diff(values[lo:hi]) >= 0).all() for lo, hi in zip(bounds[:-1], bounds[1:]))
+    # each zero's computed alpha = 0 spectrum, sorted, lies next to one of its
+    # references s_m kappa[pi], and its table is the kappa table permuted by pi
+    lams = eigenvalues(char_poly_direct(jouanolou_field(n, d), closed_form_coords(n, d)))
+    devs = np.abs(lams[:, None, :] - turned[:, perms]).max(axis=2)
+    perm, dev = devs.argmin(axis=1), devs.min(axis=1)
+    assert dev.max() <= 1e-12 * size
+    table = np.abs(lams[:, col] - np.matmul(m, lams[..., None])[..., 0][:, row])
+    got = np.take_along_axis(table, kept[perm], axis=1)
+    eps = np.finfo(float).eps
+    margin = (1 + level) * (dev[:, None] + 2 * (n + 6) * eps * (2 * size + dev[:, None]))
+    assert (np.abs(got - values) <= margin).all()
+    # the zero's alpha = 0 witness is its own minimum, up to the margin times the weight
+    weighted = table * abs_m
+    top = kept[perm, witness]
+    bound = weighted.min(axis=1) + 2 * order * margin.max()
+    assert (weighted[np.arange(len(top)), top] <= bound).all()
 
 
 def test_closed_form_caches_hold_eight_members():
