@@ -279,21 +279,31 @@ SCAN_BLOCK = 1 << 20
 SCAN_MAX_BYTES = 1 << 30
 
 
+def _scan_bytes(n: int, max_order: int) -> tuple[int, int]:
+    """The bytes a small-divisor scan in n variables takes, counted from
+    closed forms before any table is built, and its count of kept candidates."""
+    rows = comb(max_order + n, n) - 1 - n  # |M_n|, vectors m in n variables
+    kept = rows + (n - 1) * (comb(max_order + n - 1, n - 1) - n)  # j = n, or m_j = 0
+    return 24 * n * rows + 32 * kept + 64 * max(kept, SCAN_BLOCK), kept
+
+
 def _check_scan_size(n: int, max_order: int) -> None:
     """Refuse a small-divisor scan in n variables above SCAN_MAX_BYTES,
     counted from closed forms before any table is built."""
-    rows = comb(max_order + n, n) - 1 - n  # |M_n|, vectors m in n variables
-    kept = rows + (n - 1) * (comb(max_order + n - 1, n - 1) - n)  # j = n, or m_j = 0
-    need = 24 * n * rows + 32 * kept + 64 * max(kept, SCAN_BLOCK)
+    need = _scan_bytes(n, max_order)[0]
     if need > SCAN_MAX_BYTES:
         raise InputError(f"scan at n = {n}, max_order = {max_order} would take about "
                          f"{need:.3g} bytes (> SCAN_MAX_BYTES = {SCAN_MAX_BYTES}); lower max_order")
 
 
-def _divisor_values(lam_j: np.ndarray, sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """|lam_j - <m, lam>| |m|^delta of gathered candidates: the scan's one formula,
-    elementwise, so a candidate's value does not depend on which others are taken."""
-    return np.abs(lam_j - sums) * weights
+def _divisor_values(block: np.ndarray, sums: np.ndarray, at_lam: np.ndarray, at_sum: np.ndarray,
+                    weights: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """|lam_j - <m, lam>| |m|^delta of the candidates whose lam_j and sum are
+    taken (np.take along axis) from a block's eigenvalues and sums: the scan's
+    one formula, elementwise, so a candidate's value does not depend on which
+    others are taken.  The gathered operands are freed as soon as they are
+    subtracted, as in one expression."""
+    return np.abs(np.take(block, at_lam, axis=axis) - np.take(sums, at_sum, axis=axis)) * weights
 
 
 def _divisor_scan(lams: np.ndarray, delta: float, max_order: int,
@@ -311,7 +321,7 @@ def _divisor_scan(lams: np.ndarray, delta: float, max_order: int,
     _check_scan_size(n, max_order)
     _, row, col, abs_m, m = _multi_indices(n, max_order)
     weights = abs_m ** float(delta)
-    anchor = None if d is None else _anchor(n, d, float(delta), max_order)
+    anchor = None if d is None else _anchor(n, d, max_order)
     c_min = np.empty(len(lams))
     k = np.empty(len(lams), dtype=np.intp)
     step = max(1, SCAN_BLOCK // len(row))
@@ -321,17 +331,21 @@ def _divisor_scan(lams: np.ndarray, delta: float, max_order: int,
         found = None if anchor is None else _anchored_block(block, sums, start, anchor,
                                                             row, col, weights)
         if found is None:
-            table = _divisor_values(block[:, col], sums[:, row], weights)
+            table = _divisor_values(block, sums, col, row, weights, axis=1)
             best = np.argmin(table, axis=1)
             found = table[np.arange(len(block)), best], best
         c_min[start : start + step], k[start : start + step] = found
     return c_min, k
 
 
-# at most 8 (n, d, delta, max_order) keys, as _multi_indices keeps 8 pairs
+# at most 8 (n, d, max_order) keys, as _multi_indices keeps 8 pairs
 @lru_cache(maxsize=8)
-def _anchor(n: int, d: int, delta: float, max_order: int) -> tuple:
-    """The alpha = 0 anchor of the divisor scan at (n, d), read-only.
+def _anchor(n: int, d: int, max_order: int) -> tuple | None:
+    """The alpha = 0 anchor of the divisor scan at (n, d), read-only; None,
+    for the dense scan, when it would take more than the dense scan's own
+    count or not fit beside it in SCAN_MAX_BYTES, or its form keys would not
+    fit in an int64.  So it is built up to n = 10 at d = 1 and max_order 8,
+    and the scan takes at most twice its count.
 
     At alpha = 0 the spectrum of zero m is s_m kappa, kappa = spec J(1) and
     s_m = xi^(d m) (``solver._orbit_inverse``).  A kept candidate (j, m') is
@@ -350,11 +364,11 @@ def _anchor(n: int, d: int, delta: float, max_order: int) -> tuple:
     (P, K): kept[p, t] is the kept index, in a row sorted as perms[p], of the
     candidate at sorted position t of the kappa table; the kappa table
     sorted within each level (K,) and the level bounds (max_order,), level o
-    at [bounds[o - 2], bounds[o - 1]); o^delta for o = 2..max_order; the
-    sorted position of the alpha = 0 witness (the first minimum of the
-    weighted kappa table); and max |kappa|.
+    at [bounds[o - 2], bounds[o - 1]); and max |kappa|.  Nothing depends on
+    delta.  It holds 8 (P + 1) K bytes, and its build 64 K more at its peak
+    (tracemalloc: 56 of 60 MiB counted at (10,1)); the bound is checked
+    before any table is built.
     """
-    m_int, row, col, abs_m, m = _multi_indices(n, max_order)
     big_n = counts(n, d).N
     base = jouanolou_field(n, d)
     kappa = _roots(char_poly_direct(base, np.ones(n, dtype=complex)))[0]
@@ -363,32 +377,40 @@ def _anchor(n: int, d: int, delta: float, max_order: int) -> tuple:
     nearest = np.abs(spectra[:, :, None] - turned[:, None, :]).argmin(axis=2)
     nearest = nearest[(np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)]  # permutations only
     perms = np.unique(np.concatenate((np.argsort(turned, axis=1, kind="stable"), nearest)), axis=0)
+    need, size = _scan_bytes(n, max_order)
+    radix = max_order + 2  # a form's entries lie in [-max_order, 1]
+    if 8 * (len(perms) + 9) * size > min(need, SCAN_MAX_BYTES - need) or radix ** n > 2**63 - 1:
+        return None
+    m_int, row, col, abs_m, m = _multi_indices(n, max_order)
     table = np.abs(kappa[col] - np.matmul(m, kappa[:, None])[row, 0])
     classes = np.lexsort((table, abs_m))  # by level, then by value
     values = table[classes]
     bounds = np.searchsorted(abs_m[classes], np.arange(2, max_order + 2))
-    witness = int(np.argmin(values * abs_m[classes] ** delta))
-    level_weights = np.arange(2, max_order + 1, dtype=float) ** delta
-    # each form appears once among the kappa forms and once per permutation;
-    # a stable sort of all of them puts the kappa form first in each group
-    forms = -m_int[row]
-    forms[np.arange(len(row)), col] += 1
-    stacked = np.concatenate([forms] + [forms[:, np.argsort(p)] for p in perms])
-    groups = np.lexsort(stacked.T).reshape(len(row), len(perms) + 1)
-    by_class = np.empty((len(perms), len(row)), dtype=np.intp)
-    by_class[:, groups[:, 0]] = (groups[:, 1:] - len(row) * np.arange(1, len(perms) + 1)).T
-    tables = (turned, perms, np.ascontiguousarray(by_class[:, classes]), values, bounds,
-              level_weights)
+
+    # the key of form f read in a row sorted as p, sum_i (f[p[i]] + max_order) radix^i,
+    # is sum_k (f_k + max_order) place[k] with place = radix^argsort(p)
+    def keys(place, at):
+        return max_order * place.sum() - (m_int @ place)[row[at]] + place[col[at]]
+
+    # both key sets are the same set, so equal keys hold equal ranks
+    powers = radix ** np.arange(n, dtype=np.int64)
+    own = np.argsort(keys(powers, slice(None)))
+    kept = np.empty((len(perms), len(row)), dtype=np.intp)
+    for p, perm in enumerate(perms):
+        kept[p, np.argsort(keys(powers[np.argsort(perm)], classes))] = own
+    tables = (turned, perms, kept, values, bounds)
     for a in tables:
         a.setflags(write=False)
-    return (*tables, witness, float(np.abs(kappa).max()))
+    return (*tables, float(np.abs(kappa).max()))
 
 
 def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tuple, row: np.ndarray,
                     col: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The dense scan of one block of a ``_divisor_scan`` with d, bitwise,
     evaluating only the candidates that a bound from the kappa table does not
-    rule out; None, for the dense scan, when a bound is not finite.
+    rule out; None, for the dense scan, when a bound is not finite or leaves
+    more than a quarter of the block's candidates (rows far from alpha = 0),
+    where evaluating them one by one costs more than the dense scan.
 
     Row r of the block is zero z = (start + r) % N + 1.  Of its references
     ref = s_z kappa[perms[p]], it takes the p with the least dev =
@@ -422,8 +444,11 @@ def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tup
 
         margin_o = 8 eps (U / o^delta + (1 + o) dev) + 2 (n + 6) eps (1 + o) X.
     """
-    turned, perms, kept, values, bounds, level_weights, witness, size = anchor
+    turned, perms, kept, values, bounds, size = anchor
     n, eps = block.shape[1], np.finfo(float).eps
+    starts = bounds[:-1]  # each level's least kappa value comes first
+    level_weights = weights[kept[0, starts]]  # o^delta
+    witness = starts[np.argmin(values[starts] * level_weights)]
     rows = np.arange(len(block))
     refs = turned[(start + rows) % len(turned)].T[perms.T]  # (n, P, R): ref_i of row r, perm p
     devs = np.abs(block.T[:, None, :] - refs).max(axis=0)
@@ -431,8 +456,8 @@ def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tup
     dev = devs.ravel()[perm * len(block) + rows]
     offset = perm * kept.shape[1]  # the row's permutation in kept, flattened
     top = kept.ravel()[offset + witness]
-    upper = _divisor_values(np.take(block, rows * n + col[top]),
-                            np.take(sums, rows * sums.shape[1] + row[top]), weights[top])
+    upper = _divisor_values(block, sums, rows * n + col[top], rows * sums.shape[1] + row[top],
+                            weights[top])
     # theta_o = a / o^delta + (1 + o) b, with max |lam| <= max |kappa| + dev in X
     a = (1 + 8 * eps) * upper
     b = (1 + 2 * (n + 10) * eps) * dev + 4 * (n + 6) * eps * size
@@ -445,13 +470,14 @@ def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tup
         count[:, o + 1] = np.searchsorted(values[bounds[o] : bounds[o + 1]], theta[o], side="right")
     flat = count.ravel()
     ends = np.cumsum(flat)
-    first = (np.concatenate(([witness], bounds[:-1])) + offset[:, None]).ravel() - ends + flat
+    if 4 * ends[-1] > len(block) * len(row):
+        return None
+    first = (np.concatenate(([witness], starts)) + offset[:, None]).ravel() - ends + flat
     k = kept.ravel()[np.arange(ends[-1]) + np.repeat(first, flat)]
     last = ends[len(bounds) - 1 :: len(bounds)]  # each row's end in the flat arrays
     heads = np.concatenate(([0], last[:-1]))
     r = np.repeat(rows, last - heads)
-    v = _divisor_values(np.take(block, r * n + col[k]),
-                        np.take(sums, r * sums.shape[1] + row[k]), weights[k])
+    v = _divisor_values(block, sums, r * n + col[k], r * sums.shape[1] + row[k], weights[k])
     c_min = np.minimum.reduceat(v, heads)
     return c_min, np.minimum.reduceat(np.where(v == c_min[r], k, len(row)), heads)
 

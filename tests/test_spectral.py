@@ -537,7 +537,7 @@ def test_anchored_scan_is_bitwise_the_dense_scan_far_from_alpha_zero(n, d, radiu
     # members drawn from a wider polydisk: their spectra lie far from s_m kappa,
     # and the bound rules out fewer candidates
     lams = _sampler_spectra(n, d, 6, 800 + 10 * n + d, radius)
-    turned, perms = spectral._anchor(n, d, 1.0, 8)[:2]
+    turned, perms = spectral._anchor(n, d, 8)[:2]
     refs = turned[np.arange(len(lams)) % len(turned)][:, perms]
     dev = np.abs(lams[:, None, :] - refs).max(axis=2).min(axis=1)
     size = np.abs(turned[-1]).max()
@@ -553,12 +553,50 @@ def test_a_block_with_a_non_finite_bound_is_scanned_densely():
     assert spectral._divisor_scan(lams, 1.0, 6, 2)[1][3] == 0  # np.argmin's first nan
 
 
+def test_a_block_far_from_alpha_zero_is_scanned_densely(monkeypatch):
+    # at radius 1 the bound leaves more than a quarter of the block's candidates,
+    # and the block goes to the dense scan
+    lams = _sampler_spectra(3, 2, 6, 911, radius=1.0)
+    found = []
+    anchored = spectral._anchored_block
+    monkeypatch.setattr(spectral, "_anchored_block", lambda *a: found.append(anchored(*a)) or found[-1])
+    assert _same_scan(lams, 1.0, 8, 2)
+    assert found == [None]
+
+
+def test_the_anchor_fits_in_the_scan_budget_or_is_not_built():
+    # (15,1), max_order 8: the dense scan counts 623 MiB and the anchor would take
+    # 8 (P + 9) K bytes more, above SCAN_MAX_BYTES; at (11,1) more than the dense
+    # scan's count: both are refused before any table is built
+    spectral._anchor.cache_clear()
+    tracemalloc.start()
+    try:
+        assert spectral._anchor(15, 1, 8) is None and spectral._anchor(11, 1, 8) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    # (10,1): built, within what it counts, and it holds 8 (P + 1) K bytes
+    kept_count = spectral._scan_bytes(10, 8)[1]
+    spectral._multi_indices(10, 8)
+    tracemalloc.start()
+    try:
+        anchor = spectral._anchor(10, 1, 8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = len(anchor[1])
+    assert anchor[2].shape == (count, kept_count)
+    assert 8 * (count + 1) * kept_count <= held <= peak <= 8 * (count + 9) * kept_count
+    assert peak <= spectral._scan_bytes(10, 8)[0]
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2)])
 def test_each_zero_table_is_the_kappa_table_permuted_at_alpha_zero(n, d):
     order = 8
-    anchor = spectral._anchor(n, d, 1.0, order)
-    turned, perms, kept, values, bounds, _, witness, size = anchor
-    assert not any(a.flags.writeable for a in anchor[:6])
+    anchor = spectral._anchor(n, d, order)
+    turned, perms, kept, values, bounds, size = anchor
+    assert not any(a.flags.writeable for a in anchor[:5])
     _, row, col, abs_m, m = spectral._multi_indices(n, order)
     level = np.repeat(np.arange(2, order + 1), np.diff(bounds, prepend=0)[1:])
     assert turned.shape == (counts(n, d).N, n) and len(perms) == len(kept)
@@ -577,8 +615,9 @@ def test_each_zero_table_is_the_kappa_table_permuted_at_alpha_zero(n, d):
     eps = np.finfo(float).eps
     margin = (1 + level) * (dev[:, None] + 2 * (n + 6) * eps * (2 * size + dev[:, None]))
     assert (np.abs(got - values) <= margin).all()
-    # the zero's alpha = 0 witness is its own minimum, up to the margin times the weight
+    # the zero's alpha = 0 witness (delta = 1) is its own minimum, up to the margin times the weight
     weighted = table * abs_m
+    witness = np.argmin(values * level)
     top = kept[perm, witness]
     bound = weighted.min(axis=1) + 2 * order * margin.max()
     assert (weighted[np.arange(len(top)), top] <= bound).all()
