@@ -674,8 +674,9 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
     """Per draw of ``genericity_sample``, yielded block by block: (class name
     of the error that failed it, or "", all zeros hyperbolic, some zero
     resonant).  Each block draws its (S, n, 2) share of the seeded stream;
-    a draw with a zero above the root gate fails with ConvergenceError, and
-    a scan above SCAN_MAX_BYTES is refused before any draw is tracked."""
+    a draw with a zero above the root gate is masked after the block's one
+    spectral pass as failed with ConvergenceError, and a scan above
+    SCAN_MAX_BYTES is refused before any draw is tracked."""
     base = jouanolou_field(n, d)
     _check_scan_size(n, cfg.max_order)
     big_n = counts(n, d).N
@@ -688,16 +689,14 @@ def _draw_outcomes(n: int, d: int, cfg: RunConfig) -> Iterator[tuple[str, bool, 
         outcomes = {s: (type(exc).__name__, False, False) for s, exc in errors.items()}
         tracked = np.array([s for s in range(len(alphas)) if s not in outcomes], dtype=int)
         lams, _, failing = _roots(char_poly_direct(base, x[tracked].reshape(-1, n)))
+        labels = np.tile(np.arange(1, big_n + 1), len(tracked))
+        codes = _class_codes(lams, cfg).reshape(-1, big_n)
+        c_min = _divisor_scan(lams, cfg.delta, cfg.max_order, (d, labels))[0].reshape(-1, big_n)
         gated = failing.reshape(-1, big_n).any(axis=1)
-        outcomes.update((s, (ConvergenceError.__name__, False, False)) for s in tracked[gated].tolist())
-        if not gated.all():
-            lams = lams.reshape(-1, big_n, n)[~gated].reshape(-1, n)
-            codes = _class_codes(lams, cfg).reshape(-1, big_n)
-            c_min = _divisor_scan(lams, cfg.delta, cfg.max_order, d)[0].reshape(-1, big_n)
-            hyperbolic = (codes == _CLASSES.index(HYPERBOLIC)).all(axis=1)
-            resonant = (c_min < RESONANCE_TOL).any(axis=1)
-            outcomes.update((s, ("", h, r)) for s, h, r in
-                            zip(tracked[~gated].tolist(), hyperbolic.tolist(), resonant.tolist()))
+        hyperbolic = (codes == _CLASSES.index(HYPERBOLIC)).all(axis=1)
+        resonant = (c_min < RESONANCE_TOL).any(axis=1)
+        for s, g, h, r in zip(tracked.tolist(), gated.tolist(), hyperbolic.tolist(), resonant.tolist()):
+            outcomes[s] = (ConvergenceError.__name__, False, False) if g else ("", h, r)
         yield from (outcomes[s] for s in range(len(alphas)))
 
 
@@ -717,8 +716,8 @@ def genericity_sample(n: int, d: int, cfg: RunConfig) -> SampleStats:
     block's class codes and c_min values, and no per-zero report is built.  Each
     draw's result is bitwise that of running it alone.  A draw that fails
     (ConvergenceError or CollisionError, including the eigenvalue gate on
-    any of its zeros, a mask over the block's roots) is counted, never
-    raised.
+    any of its zeros, a mask applied after the block's one spectral pass)
+    is counted, never raised.
     """
     n_failed = n_all_hyp = n_any_res = 0
     for error, hyp, res in _draw_outcomes(n, d, cfg):

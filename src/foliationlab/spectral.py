@@ -307,29 +307,29 @@ def _divisor_values(block: np.ndarray, sums: np.ndarray, at_lam: np.ndarray, at_
 
 
 def _divisor_scan(lams: np.ndarray, delta: float, max_order: int,
-                  d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  zeros: tuple[int, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """small_divisor_scan of every row of an (R, n) eigenvalue stack, in
     blocks, as arrays: c_min and the witness's index k among the kept
     candidates of ``_multi_indices``; the dense scan evaluates all of them,
     in row-major order, and k is the first minimum.
 
-    With d, row r is zero r % N + 1 of a member of the family at (n, d), and
-    each block is scanned by ``_anchored_block`` on the ``_anchor`` of
-    (n, d), which evaluates a few of them; the result is bitwise the dense
-    scan's."""
+    With zeros = (d, labels), row r is zero labels[r] in [1, N] of a member
+    of the family at (n, d), and each block is scanned by ``_anchored_block``
+    on the ``_anchor`` of (n, d), which evaluates a few of them, bitwise the
+    dense scan: a wrong label costs time, not correctness."""
     n = lams.shape[1]
     _check_scan_size(n, max_order)
     _, row, col, abs_m, m = _multi_indices(n, max_order)
     weights = abs_m ** float(delta)
-    anchor = None if d is None else _anchor(n, d, max_order)
+    anchor = None if zeros is None else _anchor(n, zeros[0], max_order)
     c_min = np.empty(len(lams))
     k = np.empty(len(lams), dtype=np.intp)
     step = max(1, SCAN_BLOCK // len(row))
     for start in range(0, len(lams), step):
         block = lams[start : start + step]
         sums = np.matmul(m, block[..., None])[..., 0]
-        found = None if anchor is None else _anchored_block(block, sums, start, anchor,
-                                                            row, col, weights)
+        found = None if anchor is None else _anchored_block(block, sums, zeros[1][start : start + step],
+                                                            anchor, row, col, weights)
         if found is None:
             table = _divisor_values(block, sums, col, row, weights, axis=1)
             best = np.argmin(table, axis=1)
@@ -370,13 +370,12 @@ def _anchor(n: int, d: int, max_order: int) -> tuple | None:
     before any table is built.
     """
     big_n = counts(n, d).N
-    base = jouanolou_field(n, d)
-    kappa = _roots(char_poly_direct(base, np.ones(n, dtype=complex)))[0]
+    spectra = _roots(char_poly_direct(jouanolou_field(n, d), closed_form_coords(n, d)))[0]
+    kappa = spectra[-1]  # zero N is the all-ones point
     turned = unit_roots(big_n)[d * np.arange(1, big_n + 1) % big_n, None] * kappa
-    spectra = _roots(char_poly_direct(base, closed_form_coords(n, d)))[0]
     nearest = np.abs(spectra[:, :, None] - turned[:, None, :]).argmin(axis=2)
-    nearest = nearest[(np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)]  # permutations only
-    perms = np.unique(np.concatenate((np.argsort(turned, axis=1, kind="stable"), nearest)), axis=0)
+    orders = np.concatenate((np.argsort(turned, axis=1, kind="stable"), nearest)).tolist()
+    perms = np.array(sorted({tuple(o) for o in orders if len(set(o)) == n}))  # permutations only
     need, size = _scan_bytes(n, max_order)
     radix = max_order + 2  # a form's entries lie in [-max_order, 1]
     if 8 * (len(perms) + 9) * size > min(need, SCAN_MAX_BYTES - need) or radix ** n > 2**63 - 1:
@@ -404,18 +403,18 @@ def _anchor(n: int, d: int, max_order: int) -> tuple | None:
     return (*tables, float(np.abs(kappa).max()))
 
 
-def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tuple, row: np.ndarray,
-                    col: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The dense scan of one block of a ``_divisor_scan`` with d, bitwise,
+def _anchored_block(block: np.ndarray, sums: np.ndarray, labels: np.ndarray, anchor: tuple,
+                    row: np.ndarray, col: np.ndarray,
+                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dense scan of one block of a ``_divisor_scan`` with zeros, bitwise,
     evaluating only the candidates that a bound from the kappa table does not
     rule out; None, for the dense scan, when a bound is not finite or leaves
     more than a quarter of the block's candidates (rows far from alpha = 0),
     where evaluating them one by one costs more than the dense scan.
 
-    Row r of the block is zero z = (start + r) % N + 1.  Of its references
-    ref = s_z kappa[perms[p]], it takes the p with the least dev =
-    max_i |lam_i - ref_i| (a zero near a tie in real parts sorts either
-    way).  For any
+    Row r of the block is zero z = labels[r].  Of its references ref =
+    s_z kappa[perms[p]], it takes the p with the least dev = max_i |lam_i -
+    ref_i| (a zero near a tie in real parts sorts either way).  For any
     candidate (j, m) at level o = |m|,
 
         |lam_j - <m, lam>| >= |ref_j - <m, ref>| - (1 + o) dev,
@@ -450,7 +449,7 @@ def _anchored_block(block: np.ndarray, sums: np.ndarray, start: int, anchor: tup
     level_weights = weights[kept[0, starts]]  # o^delta
     witness = starts[np.argmin(values[starts] * level_weights)]
     rows = np.arange(len(block))
-    refs = turned[(start + rows) % len(turned)].T[perms.T]  # (n, P, R): ref_i of row r, perm p
+    refs = turned[labels - 1].T[perms.T]  # (n, P, R): ref_i of row r, perm p
     devs = np.abs(block.T[:, None, :] - refs).max(axis=0)
     perm = devs.argmin(axis=0)
     dev = devs.ravel()[perm * len(block) + rows]

@@ -2,10 +2,12 @@
 
 scipy, mpmath and hypothesis may be installed next to it for tests and
 benchmarks, so an import of one of them in the package would otherwise
-pass unnoticed.
+pass unnoticed.  A sampling run also leaves numpy.ma unimported.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +39,14 @@ def test_guard_sees_every_import_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_and_numpy(path):
     assert _imported_roots(path.read_text()) - ALLOWED == set()
+
+
+def test_sampling_does_not_import_numpy_ma():
+    # numpy.ma costs a fresh process about 14 ms to import, and np.unique(axis=0) imports it
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\nfrom foliationlab import RunConfig, genericity_sample\n"
+            "genericity_sample(3, 2, RunConfig(samples=2, max_order=6))\nprint('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "False\n"

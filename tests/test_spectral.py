@@ -513,9 +513,15 @@ def _sampler_spectra(n, d, draws, seed, radius=0.05):
     return eigenvalues(char_poly_direct(jouanolou_field(n, d), x[tracked].reshape(-1, n)))
 
 
-def _same_scan(lams, delta, order, d):
+def _sampler_labels(n, d, rows):
+    """Each row's zero label in the sampler's (member, zero) row order."""
+    return np.arange(rows) % counts(n, d).N + 1
+
+
+def _same_scan(lams, delta, order, d, labels=None):
+    labels = _sampler_labels(lams.shape[1], d, len(lams)) if labels is None else labels
     want = spectral._divisor_scan(lams, delta, order)
-    got = spectral._divisor_scan(lams, delta, order, d)
+    got = spectral._divisor_scan(lams, delta, order, (d, labels))
     return got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
@@ -538,7 +544,7 @@ def test_anchored_scan_is_bitwise_the_dense_scan_far_from_alpha_zero(n, d, radiu
     # and the bound rules out fewer candidates
     lams = _sampler_spectra(n, d, 6, 800 + 10 * n + d, radius)
     turned, perms = spectral._anchor(n, d, 8)[:2]
-    refs = turned[np.arange(len(lams)) % len(turned)][:, perms]
+    refs = turned[_sampler_labels(n, d, len(lams)) - 1][:, perms]
     dev = np.abs(lams[:, None, :] - refs).max(axis=2).min(axis=1)
     size = np.abs(turned[-1]).max()
     assert dev.max() > 0.05 * size
@@ -550,7 +556,49 @@ def test_a_block_with_a_non_finite_bound_is_scanned_densely():
     lams = _sampler_spectra(3, 2, 2, 901)
     lams[3, 1] = np.nan
     assert _same_scan(lams, 1.0, 6, 2)
-    assert spectral._divisor_scan(lams, 1.0, 6, 2)[1][3] == 0  # np.argmin's first nan
+    labels = _sampler_labels(3, 2, len(lams))
+    assert spectral._divisor_scan(lams, 1.0, 6, (2, labels))[1][3] == 0  # np.argmin's first nan
+
+
+@pytest.mark.parametrize("n,d,draws", [(3, 2, 12), (5, 3, 1)])
+def test_the_anchored_scan_reads_each_row_by_its_zero_label(monkeypatch, n, d, draws):
+    # the sampler's rows shuffled: scanned with their labels, bitwise the dense
+    # scan and the unshuffled result permuted, and no block leaves the anchored path
+    lams = _sampler_spectra(n, d, draws, 720 + 10 * n + d)
+    labels = _sampler_labels(n, d, len(lams))
+    shuffle = np.random.default_rng(n + d).permutation(len(lams))
+    assert not (shuffle == np.arange(len(lams))).all()
+    ordered = spectral._divisor_scan(lams, 1.0, 8, (d, labels))
+    found = []
+    anchored = spectral._anchored_block
+    monkeypatch.setattr(spectral, "_anchored_block", lambda *a: found.append(anchored(*a)) or found[-1])
+    for delta in (0.5, 1.0, 2.0):
+        assert _same_scan(lams[shuffle], delta, 8, d, labels[shuffle]), delta
+    assert found and None not in found
+    got = spectral._divisor_scan(lams[shuffle], 1.0, 8, (d, labels[shuffle]))
+    assert all(a.tobytes() == b[shuffle].tobytes() for a, b in zip(got, ordered))
+
+
+def test_a_wrong_zero_label_costs_time_not_correctness(monkeypatch):
+    # a row read against another zero's references has a large dev and its bound
+    # rules out less: a few such rows stay on the anchored path, a block of them
+    # goes dense, and either way the scan is the dense one
+    lams = _sampler_spectra(3, 2, 12, 731)
+    big_n = counts(3, 2).N
+    right = _sampler_labels(3, 2, len(lams))
+    few = right.copy()
+    few[::7] = few[::7] % big_n + 1
+    found = []
+    anchored = spectral._anchored_block
+    monkeypatch.setattr(spectral, "_anchored_block", lambda *a: found.append(anchored(*a)) or found[-1])
+    for delta in (0.5, 1.0, 2.0):
+        assert _same_scan(lams, delta, 8, 2, few), delta
+    assert found and None not in found
+    found.clear()
+    for labels in [(right + shift - 1) % big_n + 1 for shift in (1, 5, big_n - 1)] + [np.full(len(lams), big_n)]:
+        for delta in (0.5, 1.0, 2.0):
+            assert _same_scan(lams, delta, 8, 2, labels), (labels[0], delta)
+    assert found and all(f is None for f in found)
 
 
 def test_a_block_far_from_alpha_zero_is_scanned_densely(monkeypatch):
@@ -591,12 +639,16 @@ def test_the_anchor_fits_in_the_scan_budget_or_is_not_built():
     assert peak <= spectral._scan_bytes(10, 8)[0]
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (5, 2), (7, 2),
+                                 (2, 30), (4, 1), (9, 1)])
 def test_each_zero_table_is_the_kappa_table_permuted_at_alpha_zero(n, d):
     order = 8
     anchor = spectral._anchor(n, d, order)
     turned, perms, kept, values, bounds, size = anchor
     assert not any(a.flags.writeable for a in anchor[:5])
+    # zero N is the all-ones point, and its row, s_N kappa, is kappa: the spectrum of J(1) alone
+    kappa = spectral._roots(char_poly_direct(jouanolou_field(n, d), np.ones(n, dtype=complex)))[0]
+    assert turned[-1].tobytes() == kappa.tobytes()
     _, row, col, abs_m, m = spectral._multi_indices(n, order)
     level = np.repeat(np.arange(2, order + 1), np.diff(bounds, prepend=0)[1:])
     assert turned.shape == (counts(n, d).N, n) and len(perms) == len(kept)
